@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import compiler, engine, render
 from .model import (
-    Match,
     RegisterState,
     SchemaError,
     parse_register,
     register_doc,
+    register_from_doc,
     serialize_register,
     _canon,
+    _load_json,
 )
 from .tm import (
     SpaceBoundViolationError,
@@ -49,53 +49,11 @@ def _state_hash(state: RegisterState) -> str:
     return hashlib.sha256(serialize_register(state)).hexdigest()
 
 
-def _token_doc(tok) -> dict:
-    return {"m": tok.domain} if isinstance(tok, Match) else {"o": tok.tag}
-
-
-def _spec_doc(spec) -> dict:
-    return {
-        "orientation": spec.orientation.value,
-        "tokens": [_token_doc(t) for t in spec.tokens],
-    }
-
-
-def _reaction_doc(r) -> dict:
-    if isinstance(r, engine.Attach):
-        return {"rule": "attach", "offset": r.offset, "strand": _spec_doc(r.spec)}
-    if isinstance(r, engine.Displace):
-        return {
-            "rule": "displace",
-            "offset": r.offset,
-            "strand": _spec_doc(r.spec),
-            "incumbent": {"offset": r.incumbent.offset, "tokens": [_token_doc(t) for t in r.incumbent.spec.tokens]},
-        }
-    if isinstance(r, engine.ToeholdExchange):
-        return {
-            "rule": "exchange",
-            "offset": r.offset,
-            "strand": _spec_doc(r.spec),
-            "incumbent": {"offset": r.incumbent.offset, "tokens": [_token_doc(t) for t in r.incumbent.spec.tokens]},
-        }
-    if isinstance(r, engine.Cooperative):
-        return {
-            "rule": "cooperative",
-            "left": {"offset": r.left_offset, "strand": _spec_doc(r.left_spec)},
-            "right": {"offset": r.right_offset, "strand": _spec_doc(r.right_spec)},
-            "incumbent": {"offset": r.incumbent.offset, "tokens": [_token_doc(t) for t in r.incumbent.spec.tokens]},
-        }
-    return {
-        "rule": "detach",
-        "remover": _spec_doc(r.remover),
-        "target": {"offset": r.target.offset, "tokens": [_token_doc(t) for t in r.target.spec.tokens]},
-    }
-
-
 def _outcome_line(index: int, label: str, outcome: engine.InstructionOutcome) -> bytes:
     doc = {
         "instr": index,
         "label": label,
-        "applied": [_reaction_doc(r) for r in outcome.applied],
+        "applied": [r.doc() for r in outcome.applied],
         "state_hash": _state_hash(outcome.final_state),
         "state": register_doc(outcome.final_state),
     }
@@ -139,7 +97,7 @@ def cmd_compile(args, argv) -> int:
 # --- simulate / check -----------------------------------------------------------
 
 
-def _simulate(args, argv, verify: bool) -> int:
+def cmd_simulate(args, argv) -> int:
     program = compiler.load_program_file(_read(args.program))
     registers = []
     for path in args.registers:
@@ -148,12 +106,12 @@ def _simulate(args, argv, verify: bool) -> int:
             raise CliError(f"{path}: register layout does not match the program")
         registers.append(st)
 
-    mode = engine.VerifyConfluent(args.max_states) if verify else engine.Canonical()
+    mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         _write_manifest(
             out_dir,
-            "check" if verify and args.iterations == 1 else "simulate",
+            "check" if args.verify and args.iterations == 1 else "simulate",
             argv,
             {"program": args.program, "registers": ",".join(args.registers)},
         )
@@ -170,9 +128,9 @@ def _simulate(args, argv, verify: bool) -> int:
             doc = {
                 "register": i,
                 "final_a": register_doc(e.state_a),
-                "order_a": [_reaction_doc(r) for r in e.order_a],
+                "order_a": [r.doc() for r in e.order_a],
                 "final_b": register_doc(e.state_b),
-                "order_b": [_reaction_doc(r) for r in e.order_b],
+                "order_b": [r.doc() for r in e.order_b],
             }
             if out_dir:
                 path = out_dir / f"nonconfluent-{i}.json"
@@ -189,15 +147,6 @@ def _simulate(args, argv, verify: bool) -> int:
             (out_dir / f"final-{i}.json").write_bytes(serialize_register(state) + b"\n")
         print(f"register {i}: {_state_hash(state)}")
     return EXIT_OK
-
-
-def cmd_simulate(args, argv) -> int:
-    return _simulate(args, argv, verify=args.verify)
-
-
-def cmd_check(args, argv) -> int:
-    args.iterations = 1
-    return _simulate(args, argv, verify=True)
 
 
 # --- run-tm ---------------------------------------------------------------------
@@ -271,21 +220,17 @@ def cmd_run_tm(args, argv) -> int:
 # --- render ---------------------------------------------------------------------
 
 
-def _scene_from_register(doc_bytes: bytes) -> render.RenderScene:
-    return render.RenderScene(parse_register(doc_bytes))
-
-
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
     scenes = []
     counts = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise CliError(f"trace line {lineno}: {e}") from e
-        state = parse_register(_canon(doc["state"]))
+        where = f"trace line {lineno}"
+        doc = _load_json(raw, where)
+        if not isinstance(doc, dict) or "state" not in doc:
+            raise SchemaError(where, "missing key 'state'")
+        state = register_from_doc(doc["state"])
         label = f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()
         scenes.append(render.RenderScene(state, (), label))
         counts.append(len(doc.get("applied", [])))
@@ -295,21 +240,23 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
 
 
 def cmd_render(args, argv) -> int:
+    if args.every is not None and args.every < 1:
+        raise CliError(f"--every must be at least 1, got {args.every}")
     raw = _read(args.input)
     style = render.load_style(args.style)
     first = raw.lstrip()[:1]
     try:
         if b"\n" in raw.strip() and first == b"{" and b'"instr"' in raw.splitlines()[0]:
             scenes, counts = _scenes_from_trace(raw)
-            payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
             if args.format == "text":
                 payload = "\n".join(render.render_text(s) for s in scenes)
-        else:
-            doc = json.loads(raw)
-            if "strands" in doc and "layout" in doc:
-                scene = _scene_from_register(raw)
             else:
+                payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
+        else:
+            doc = _load_json(raw, "$")
+            if not (isinstance(doc, dict) and "strands" in doc and "layout" in doc):
                 raise CliError(f"{args.input}: not a register or trace file")
+            scene = render.RenderScene(register_from_doc(doc))
             payload = (
                 render.render_text(scene)
                 if args.format == "text"
@@ -354,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("registers", nargs="+")
     k.add_argument("--max-states", type=int, default=100_000)
     k.add_argument("--out-dir")
-    k.set_defaults(func=cmd_check, verify=True, iterations=1)
+    k.set_defaults(func=cmd_simulate, verify=True, iterations=1)
 
     r = sub.add_parser("run-tm", help="compile, encode, iterate, decode")
     r.add_argument("machine")

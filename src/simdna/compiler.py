@@ -31,11 +31,10 @@ from .model import (
     RegisterState,
     StrandSpec,
     fwd,
+    parse_program,
     program_doc,
     rev,
     _canon,
-    _expect,
-    _load_json,
 )
 from .tm import TMConfig, TMSpec, TMStatus, TransitionKey, tm_step
 
@@ -586,7 +585,7 @@ def _sublist_left(b: _SublistBuilder) -> list[Instruction]:
 
 
 def compile_transition(
-    spec: TMSpec, scheme: CellScheme, key: TransitionKey, s: int
+    spec: TMSpec, scheme: CellScheme, key: TransitionKey
 ) -> list[Instruction]:
     """Instruction sublist advancing registers whose applicable transition is
     ``key``; inert on every other register."""
@@ -638,7 +637,7 @@ def compile_tm(spec: TMSpec, s: int) -> CompiledProgram:
     ]
     sublist_index: dict[TransitionKey, tuple[int, int]] = {}
     for key in scheme.transition_order:
-        sub = compile_transition(spec, scheme, key, s)
+        sub = compile_transition(spec, scheme, key)
         first = len(instructions) + 1
         instructions.extend(sub)
         sublist_index[key] = (first, len(instructions))
@@ -664,14 +663,9 @@ def serialize_compiled(cp: CompiledProgram) -> bytes:
 
 
 def load_program_file(text: bytes) -> Program:
-    """Accept either a plain program document or a compiled one (which adds
-    'stats' and 'sublists' keys)."""
-    doc = _load_json(text, "$")
-    _expect(isinstance(doc, dict), "$", "top level must be an object")
-    core = {k: v for k, v in doc.items() if k in ("layout", "instructions")}
-    from .model import parse_program
-
-    return parse_program(_canon(core))
+    """Accept either a plain program document or a compiled one (its 'stats'
+    and 'sublists' keys are ignored)."""
+    return parse_program(text)
 
 
 # --- verification -------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
 from .model import (
     BoundStrand,
@@ -37,6 +37,8 @@ from .model import (
     RegisterLayout,
     RegisterState,
     StrandSpec,
+    spec_doc,
+    strand_doc,
     validate_state,
 )
 
@@ -69,44 +71,146 @@ class StateBudgetExceededError(EngineError):
         super().__init__(f"confluence search exceeded {budget} distinct states")
 
 
+class Reaction:
+    """One rule firing, seen as a delta on the register's strand set.
+
+    ``removed`` strands leave the register (the wash takes them away),
+    ``added`` strands bind, and ``actors`` are the (species, offset)
+    alignments that act.  Reactions are ordered by the leftmost position they
+    bind (or free, when nothing binds), then by the rule's ``rank``, then by
+    ``tie_break()``.  ``doc()`` is the reaction's trace JSON.
+    """
+
+    rule: ClassVar[str]
+    rank: ClassVar[int]
+    removed: tuple[BoundStrand, ...] = ()
+    added: tuple[BoundStrand, ...] = ()
+
+    @property
+    def actors(self) -> tuple[tuple[StrandSpec, int], ...]:
+        return tuple((bs.spec, bs.offset) for bs in self.added)
+
+
+def _placed_doc(spec: StrandSpec, offset: int) -> dict:
+    return {"offset": offset, "strand": spec_doc(spec)}
+
+
 @dataclass(frozen=True)
-class Attach:
+class Attach(Reaction):
     spec: StrandSpec
     offset: int
+    rule = "attach"
+    rank = 4
+
+    @property
+    def added(self):
+        return (BoundStrand(self.spec, self.offset),)
+
+    def tie_break(self) -> tuple:
+        return (self.spec.sort_key(), self.offset, ())
+
+    def doc(self) -> dict:
+        return {"rule": self.rule, **_placed_doc(self.spec, self.offset)}
 
 
 @dataclass(frozen=True)
-class Displace:
+class _Takeover(Reaction):
+    """A challenger replaces one incumbent: displace or toehold exchange."""
+
     incumbent: BoundStrand
     spec: StrandSpec
     offset: int
 
+    @property
+    def removed(self):
+        return (self.incumbent,)
+
+    @property
+    def added(self):
+        return (BoundStrand(self.spec, self.offset),)
+
+    def tie_break(self) -> tuple:
+        return (self.spec.sort_key(), self.offset, self.incumbent.sort_key())
+
+    def doc(self) -> dict:
+        return {
+            "rule": self.rule,
+            **_placed_doc(self.spec, self.offset),
+            "incumbent": strand_doc(self.incumbent),
+        }
+
+
+class Displace(_Takeover):
+    rule = "displace"
+    rank = 1
+
+
+class ToeholdExchange(_Takeover):
+    rule = "exchange"
+    rank = 2
+
 
 @dataclass(frozen=True)
-class ToeholdExchange:
-    incumbent: BoundStrand
-    spec: StrandSpec
-    offset: int
-
-
-@dataclass(frozen=True)
-class Cooperative:
+class Cooperative(Reaction):
     incumbent: BoundStrand
     left_spec: StrandSpec
     left_offset: int
     right_spec: StrandSpec
     right_offset: int
+    rule = "cooperative"
+    rank = 3
+
+    @property
+    def removed(self):
+        return (self.incumbent,)
+
+    @property
+    def added(self):
+        return (
+            BoundStrand(self.left_spec, self.left_offset),
+            BoundStrand(self.right_spec, self.right_offset),
+        )
+
+    def tie_break(self) -> tuple:
+        return (
+            self.left_spec.sort_key(),
+            self.left_offset,
+            self.right_spec.sort_key(),
+            self.right_offset,
+            self.incumbent.sort_key(),
+        )
+
+    def doc(self) -> dict:
+        return {
+            "rule": self.rule,
+            "left": _placed_doc(self.left_spec, self.left_offset),
+            "right": _placed_doc(self.right_spec, self.right_offset),
+            "incumbent": strand_doc(self.incumbent),
+        }
 
 
 @dataclass(frozen=True)
-class Detach:
+class Detach(Reaction):
     target: BoundStrand
     remover: StrandSpec
+    rule = "detach"
+    rank = 0
 
+    @property
+    def removed(self):
+        return (self.target,)
 
-Reaction = Union[Attach, Displace, ToeholdExchange, Cooperative, Detach]
+    @property
+    def actors(self):
+        # the remover lies over the target where it carries the target's tokens
+        idx = _find(self.target.spec.tokens, self.remover.tokens)
+        return ((self.remover, self.target.offset - idx),)
 
-_RANK = {Detach: 0, Displace: 1, ToeholdExchange: 2, Cooperative: 3, Attach: 4}
+    def tie_break(self) -> tuple:
+        return (self.target.sort_key(), self.remover.sort_key())
+
+    def doc(self) -> dict:
+        return {"rule": self.rule, "remover": spec_doc(self.remover), "target": strand_doc(self.target)}
 
 
 @dataclass(frozen=True)
@@ -149,9 +253,10 @@ def _runs(positions: frozenset[int]) -> list[range]:
     return out
 
 
-def _is_contiguous_subsequence(needle: tuple, haystack: tuple) -> bool:
-    n, h = len(needle), len(haystack)
-    return any(haystack[i : i + n] == needle for i in range(h - n + 1))
+def _find(needle: tuple, haystack: tuple) -> int:
+    """Index of the first contiguous occurrence of needle in haystack, or -1."""
+    n = len(needle)
+    return next((i for i in range(len(haystack) - n + 1) if haystack[i : i + n] == needle), -1)
 
 
 class _View:
@@ -284,7 +389,7 @@ def applicable_reactions(state: RegisterState, instr: Instruction) -> set:
 
     for rv in reverse:
         for bs in state.strands:
-            if bs.spec.has_ortho and _is_contiguous_subsequence(bs.spec.tokens, rv.tokens):
+            if bs.spec.has_ortho and _find(bs.spec.tokens, rv.tokens) >= 0:
                 out.add(Detach(bs, rv))
 
     alignments = _candidate_alignments(view, forward)
@@ -296,51 +401,22 @@ def applicable_reactions(state: RegisterState, instr: Instruction) -> set:
 
 def reaction_sort_key(r: Reaction, state: RegisterState) -> tuple:
     layout = state.layout
-    if isinstance(r, Detach):
-        pos = min(r.target.bound_positions(layout), default=0)
-        tail = (r.target.sort_key(), r.remover.sort_key())
-    elif isinstance(r, Cooperative):
-        pos = min(
-            _matched_positions(layout, r.left_spec, r.left_offset)
-            | _matched_positions(layout, r.right_spec, r.right_offset)
-        )
-        tail = (
-            r.left_spec.sort_key(),
-            r.left_offset,
-            r.right_spec.sort_key(),
-            r.right_offset,
-            r.incumbent.sort_key(),
-        )
-    else:
-        pos = min(_matched_positions(layout, r.spec, r.offset))
-        inc = getattr(r, "incumbent", None)
-        tail = (r.spec.sort_key(), r.offset, inc.sort_key() if inc else ())
-    return (pos, _RANK[type(r)], tail)
+    pos = min(
+        min(_matched_positions(layout, bs.spec, bs.offset), default=0)
+        for bs in r.added or r.removed
+    )
+    return (pos, r.rank, r.tie_break())
 
 
 def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
     """Post-state of one reaction; raises if the reaction plainly cannot
     apply (defensive, signals an engine bug rather than user error)."""
     strands = list(state.strands)
-
-    def remove(bs: BoundStrand):
+    for bs in r.removed:
         if bs not in strands:
             raise InapplicableReactionError(f"incumbent not present: {bs}")
         strands.remove(bs)
-
-    if isinstance(r, Attach):
-        strands.append(BoundStrand(r.spec, r.offset))
-    elif isinstance(r, (Displace, ToeholdExchange)):
-        remove(r.incumbent)
-        strands.append(BoundStrand(r.spec, r.offset))
-    elif isinstance(r, Cooperative):
-        remove(r.incumbent)
-        strands.append(BoundStrand(r.left_spec, r.left_offset))
-        strands.append(BoundStrand(r.right_spec, r.right_offset))
-    elif isinstance(r, Detach):
-        remove(r.target)
-    else:  # pragma: no cover
-        raise InapplicableReactionError(f"unknown reaction {r!r}")
+    strands.extend(r.added)
 
     new_state = state.with_strands(strands)
     bad = validate_state(new_state)
@@ -351,19 +427,8 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
     return new_state
 
 
-def _washed(r: Reaction) -> list[StrandSpec]:
-    if isinstance(r, (Displace, ToeholdExchange)):
-        return [r.incumbent.spec]
-    if isinstance(r, Cooperative):
-        return [r.incumbent.spec]
-    if isinstance(r, Detach):
-        return [r.target.spec]
-    return []
-
-
 def _run_canonical(state: RegisterState, instr: Instruction) -> InstructionOutcome:
     applied = []
-    washed = []
     seen = {state}
     while True:
         reactions = applicable_reactions(state, instr)
@@ -377,8 +442,8 @@ def _run_canonical(state: RegisterState, instr: Instruction) -> InstructionOutco
             )
         seen.add(state)
         applied.append(r)
-        washed.extend(_washed(r))
-    return InstructionOutcome(state, tuple(applied), tuple(sorted(washed, key=StrandSpec.sort_key)))
+    washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
+    return InstructionOutcome(state, tuple(applied), tuple(washed))
 
 
 def _run_verified(

@@ -296,20 +296,19 @@ def _layout_doc(layout: RegisterLayout) -> dict:
     return {"cells": layout.cells, "domains_per_cell": layout.domains_per_cell}
 
 
+def spec_doc(spec: StrandSpec) -> dict:
+    return {"orientation": spec.orientation.value, "tokens": [_token_doc(t) for t in spec.tokens]}
+
+
+def strand_doc(bs: BoundStrand) -> dict:
+    return {"offset": bs.offset, "tokens": [_token_doc(t) for t in bs.spec.tokens]}
+
+
 def program_doc(p: Program) -> dict:
     return {
         "layout": _layout_doc(p.layout),
         "instructions": [
-            {
-                "label": ins.label,
-                "strands": [
-                    {
-                        "orientation": s.orientation.value,
-                        "tokens": [_token_doc(t) for t in s.tokens],
-                    }
-                    for s in ins.species
-                ],
-            }
+            {"label": ins.label, "strands": [spec_doc(s) for s in ins.species]}
             for ins in p.instructions
         ],
     }
@@ -320,7 +319,11 @@ def serialize_program(p: Program) -> bytes:
 
 
 def parse_register(text: bytes) -> RegisterState:
-    doc = _load_json(text, "$")
+    return register_from_doc(_load_json(text, "$"))
+
+
+def register_from_doc(doc) -> RegisterState:
+    """Register from an already decoded JSON document (see parse_register)."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
@@ -346,10 +349,7 @@ def parse_register(text: bytes) -> RegisterState:
 def register_doc(state: RegisterState) -> dict:
     return {
         "layout": _layout_doc(state.layout),
-        "strands": [
-            {"offset": bs.offset, "tokens": [_token_doc(t) for t in bs.spec.tokens]}
-            for bs in state.strands
-        ],
+        "strands": [strand_doc(bs) for bs in state.strands],
     }
 
 

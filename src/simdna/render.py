@@ -11,7 +11,6 @@ arrowhead: right for forward strands, left for reverse.
 """
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass
@@ -24,6 +23,8 @@ from .model import (
     Match,
     RegisterState,
     StrandSpec,
+    _expect,
+    _load_json,
 )
 
 
@@ -52,17 +53,26 @@ class StyleTable:
 
 
 def load_style(path: Optional[str] = None) -> StyleTable:
-    """Style table, optionally overridden by a JSON file (SIMDNA_STYLE)."""
+    """Style table, optionally overridden by a JSON file (SIMDNA_STYLE).
+    Raises SchemaError, naming the file, on a malformed table."""
     path = path or os.environ.get("SIMDNA_STYLE")
     if not path:
         return StyleTable()
     with open(path, "rb") as fh:
-        doc = json.load(fh)
+        doc = _load_json(fh.read(), path)
+    _expect(isinstance(doc, dict), path, "style table must be an object")
     kwargs = {}
     for key in StyleTable.__dataclass_fields__:
         if key in doc:
             value = doc[key]
-            kwargs[key] = tuple(value) if key == "palette" else value
+            if key == "palette":
+                ok = isinstance(value, list) and value and all(isinstance(c, str) for c in value)
+                _expect(ok, path, "'palette' must be a nonempty array of strings")
+                value = tuple(value)
+            else:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+                _expect(ok, path, f"{key!r} must be an integer")
+            kwargs[key] = value
     return StyleTable(**kwargs)
 
 
@@ -78,20 +88,6 @@ class RenderScene:
     state: RegisterState
     pending: tuple[PendingStrand, ...] = ()
     label: str = ""
-
-
-def _reaction_placements(r) -> list[tuple[StrandSpec, int]]:
-    if isinstance(r, engine.Attach) or isinstance(r, (engine.Displace, engine.ToeholdExchange)):
-        return [(r.spec, r.offset)]
-    if isinstance(r, engine.Cooperative):
-        return [(r.left_spec, r.left_offset), (r.right_spec, r.right_offset)]
-    if isinstance(r, engine.Detach):
-        toks, hay = r.target.spec.tokens, r.remover.tokens
-        idx = next(
-            i for i in range(len(hay) - len(toks) + 1) if hay[i : i + len(toks)] == toks
-        )
-        return [(r.remover, r.target.offset - idx)]
-    return []
 
 
 def _best_alignment(state: RegisterState, spec: StrandSpec) -> int:
@@ -118,19 +114,8 @@ def make_scene(
     in an applied reaction; otherwise applicability on the state decides."""
     if instr is None:
         return RenderScene(state, (), label)
-    placements: dict[tuple[StrandSpec, int], bool] = {}
-    if outcome is not None:
-        reactions = outcome.applied
-    else:
-        reactions = tuple(
-            sorted(
-                engine.applicable_reactions(state, instr),
-                key=lambda r: engine.reaction_sort_key(r, state),
-            )
-        )
-    for r in reactions:
-        for spec, off in _reaction_placements(r):
-            placements[(spec, off)] = True
+    reactions = outcome.applied if outcome is not None else engine.applicable_reactions(state, instr)
+    placements = {actor: True for r in reactions for actor in r.actors}
     active_specs = {spec for (spec, _off) in placements}
     for spec in instr.species:
         if spec not in active_specs:
@@ -299,9 +284,10 @@ def _strand_svg(
     return out
 
 
-def _scene_fragment(scene: RenderScene, style: StyleTable, y_base: int, x0: int) -> tuple[list[str], int]:
-    """SVG elements for one scene with the baseline at y_base; returns the
-    fragment and the total height consumed above the baseline."""
+def _scene_fragment(scene: RenderScene, style: StyleTable, y_top: int, x0: int) -> tuple[list[str], int]:
+    """SVG elements for one scene drawn below y_top; returns the fragment and
+    the height it takes (the baseline sits ``cell_tick_height`` above its
+    bottom)."""
     layout = scene.state.layout
     d, n = layout.domains_per_cell, layout.total_positions
     u = style.unit_width
@@ -310,13 +296,19 @@ def _scene_fragment(scene: RenderScene, style: StyleTable, y_base: int, x0: int)
     items = [
         (bs.offset, bs.offset + len(bs.spec.tokens) - 1) for bs in scene.state.strands
     ]
-    bound_lanes = _pack_lanes([(a, b) for a, b in items])
+    bound_lanes = _pack_lanes(items)
     n_bound = max(bound_lanes, default=-1) + 1
     pend_items = [
         (ps.offset, ps.offset + len(ps.spec.tokens) - 1) for ps in scene.pending
     ]
     pend_lanes = _pack_lanes(pend_items)
     n_pend = max(pend_lanes, default=-1) + 1
+
+    top_lanes = n_bound + (n_pend + 1 if n_pend else 0)
+    height = 6 + (top_lanes + 1) * style.lane_height + style.cell_tick_height
+    if scene.label:
+        height += style.lane_height
+    y_base = y_top + height - style.cell_tick_height
 
     # register baseline with domain ticks and cell marks
     parts.append(
@@ -344,14 +336,11 @@ def _scene_fragment(scene: RenderScene, style: StyleTable, y_base: int, x0: int)
         )
         parts += _strand_svg(ps.spec, ps.offset, bound, y, not ps.reactive, style, x0)
 
-    top_lanes = n_bound + (n_pend + 1 if n_pend else 0)
-    height = 6 + (top_lanes + 1) * style.lane_height + style.cell_tick_height
     if scene.label:
         ylab = y_base - 6 - (top_lanes + 0.5) * style.lane_height
         parts.append(
             f'<text x="{x0:g}" y="{ylab:g}" font-family="monospace" font-size="11" fill="#000">{_esc(scene.label)}</text>'
         )
-        height += style.lane_height
     return parts, height
 
 
@@ -384,12 +373,9 @@ def render_svg(scene: RenderScene, style: Optional[StyleTable] = None) -> str:
     style = style or load_style()
     lo, hi = _extent(scene)
     x0 = style.margin - lo * style.unit_width
-    parts, h = _scene_fragment(scene, style, 0, x0)
-    height = h + 2 * style.margin
-    # shift everything down so the tallest lane fits
-    shifted, _ = _scene_fragment(scene, style, height - style.margin - style.cell_tick_height, x0)
+    parts, h = _scene_fragment(scene, style, style.margin, x0)
     width = style.margin * 2 + (hi - lo) * style.unit_width
-    return _document(shifted, width, height)
+    return _document(parts, width, h + 2 * style.margin)
 
 
 def render_trace(
@@ -423,9 +409,7 @@ def render_trace(
     parts: list[str] = []
     y = style.margin
     for scene in chosen:
-        _, h = _scene_fragment(scene, style, 0, x0)
-        y += h
-        frag, _ = _scene_fragment(scene, style, y - style.cell_tick_height, x0)
+        frag, h = _scene_fragment(scene, style, y, x0)
         parts += frag
-        y += style.margin
+        y += h + style.margin
     return _document(parts, width, y)

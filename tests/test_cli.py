@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -135,31 +138,37 @@ def test_check_alias_ok(prog_path, reg_path):
     assert main(["check", str(prog_path), str(reg_path)]) == 0
 
 
-def test_nonconfluent_program_exit_3(tmp_path, capsys):
-    # two four-token challengers over one incumbent: order decides the final
-    doc = {
-        "layout": {"cells": 1, "domains_per_cell": 6},
-        "instructions": [
-            {
-                "label": "race",
-                "strands": [
-                    {"orientation": "fwd", "tokens": [{"m": 1}, {"m": 2}, {"m": 3}, {"m": 4}]},
-                    {"orientation": "fwd", "tokens": [{"m": 3}, {"m": 4}, {"m": 5}, {"m": 6}]},
-                ],
-            }
-        ],
-    }
+# two four-token challengers over one incumbent: order decides the final
+RACE_PROGRAM = {
+    "layout": {"cells": 1, "domains_per_cell": 6},
+    "instructions": [
+        {
+            "label": "race",
+            "strands": [
+                {"orientation": "fwd", "tokens": [{"m": 1}, {"m": 2}, {"m": 3}, {"m": 4}]},
+                {"orientation": "fwd", "tokens": [{"m": 3}, {"m": 4}, {"m": 5}, {"m": 6}]},
+            ],
+        }
+    ],
+}
+RACE_REGISTER = {
+    "layout": {"cells": 1, "domains_per_cell": 6},
+    "strands": [{"offset": 2, "tokens": [{"m": 3}, {"m": 4}]}],
+}
+
+
+def _check_race(tmp_path) -> Path:
     prog = tmp_path / "race.json"
-    prog.write_text(json.dumps(doc))
-    reg = tmp_path / "reg.json"
-    reg.write_text(json.dumps({
-        "layout": {"cells": 1, "domains_per_cell": 6},
-        "strands": [{"offset": 2, "tokens": [{"m": 3}, {"m": 4}]}],
-    }))
-    out_dir = tmp_path / "out"
-    code = main(["check", str(prog), str(reg), "--out-dir", str(out_dir)])
-    assert code == 3
-    cx = json.loads((out_dir / "nonconfluent-0.json").read_text())
+    prog.write_text(json.dumps(RACE_PROGRAM))
+    reg = tmp_path / "race-reg.json"
+    reg.write_text(json.dumps(RACE_REGISTER))
+    out_dir = tmp_path / "race"
+    assert main(["check", str(prog), str(reg), "--out-dir", str(out_dir)]) == 3
+    return out_dir / "nonconfluent-0.json"
+
+
+def test_nonconfluent_program_exit_3(tmp_path, capsys):
+    cx = json.loads(_check_race(tmp_path).read_text())
     assert cx["final_a"] != cx["final_b"]
 
 
@@ -192,6 +201,46 @@ def test_render_missing_file(capsys):
     assert main(["render", "/nonexistent/reg.json"]) == 2
 
 
+MACHINE_YAML = Path(__file__).resolve().parent.parent / "machines" / "increment.yaml"
+TWO_LINE_TRACE = "".join(
+    json.dumps({"instr": i, "state": {"layout": {"cells": 1, "domains_per_cell": 6}, "strands": []}}) + "\n"
+    for i in (1, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "input_text, style_text, extra",
+    [
+        ("{bad", None, []),
+        (MACHINE_YAML.read_text(), None, []),
+        ('{"instr": 1}\n{"instr": 2}\n', None, []),
+        (TWO_LINE_TRACE, "{bad", []),
+        (TWO_LINE_TRACE, '{"palette": 5}', []),
+        (TWO_LINE_TRACE, '{"unit_width": "x"}', ["--format", "text"]),
+        (TWO_LINE_TRACE, None, ["--every", "0"]),
+        (TWO_LINE_TRACE, None, ["--every", "0", "--format", "text"]),
+    ],
+    ids=[
+        "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
+        "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
+    ],
+)
+def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):
+    inp = tmp_path / "input.json"
+    inp.write_text(input_text)
+    argv = ["render", str(inp), *extra]
+    named = "--every" if "--every" in extra else str(inp)
+    if style_text is not None:
+        style = tmp_path / "style.json"
+        style.write_text(style_text)
+        argv += ["--style", str(style)]
+        named = str(style)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
 def test_outputs_byte_identical_across_runs(tmp_path, prog_path, reg_path):
     out_dir = tmp_path / "sim"
     argv = [
@@ -204,3 +253,65 @@ def test_outputs_byte_identical_across_runs(tmp_path, prog_path, reg_path):
     assert main(argv) == 0
     for name in names:
         assert (out_dir / name).read_bytes() == first[name]
+
+
+# --- trace bytes pinned by golden files -----------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# One cell of eight domains; each instruction fires one rule:
+# cooperative, attach, detach, displace, exchange.
+RULES_PROGRAM = {
+    "layout": {"cells": 1, "domains_per_cell": 8},
+    "instructions": [
+        {"label": "cooperative", "strands": [
+            {"orientation": "fwd", "tokens": [{"m": 1}, {"m": 2}, {"m": 3}]},
+            {"orientation": "fwd", "tokens": [{"m": 4}, {"m": 5}, {"m": 6}]},
+        ]},
+        {"label": "attach", "strands": [
+            {"orientation": "fwd", "tokens": [{"m": 7}, {"m": 8}, {"o": "plug"}]},
+        ]},
+        {"label": "detach", "strands": [
+            {"orientation": "rev", "tokens": [{"m": 7}, {"m": 8}, {"o": "plug"}]},
+        ]},
+        {"label": "displace", "strands": [
+            {"orientation": "fwd", "tokens": [{"m": 4}, {"m": 5}, {"m": 6}, {"m": 7}]},
+        ]},
+        {"label": "exchange", "strands": [
+            {"orientation": "fwd", "tokens": [{"m": 5}, {"m": 6}, {"m": 7}, {"m": 8}]},
+        ]},
+    ],
+}
+RULES_REGISTER = {
+    "layout": {"cells": 1, "domains_per_cell": 8},
+    "strands": [{"offset": 1, "tokens": [{"m": 2}, {"m": 3}, {"m": 4}, {"m": 5}]}],
+}
+# sha256 of trace-0.jsonl from `simulate -n 2` on the README's incrementor
+# register (input 01, head 1, state a) at s = 3
+INCREMENT_TRACE_SHA256 = "fee6660eda7c076d440ce8ea024a5c5a7ce1e8c5f4a72a8bf85e04f18ed1f6d0"
+
+
+def _check_golden_bytes(name: str, payload: bytes):
+    path = GOLDEN / name
+    if os.environ.get("GOLDEN_REGEN"):
+        path.write_bytes(payload)
+    assert path.read_bytes() == payload, f"golden mismatch: {name}"
+
+
+def test_trace_goldens(tmp_path, prog_path, reg_path):
+    prog = tmp_path / "rules.json"
+    prog.write_text(json.dumps(RULES_PROGRAM))
+    reg = tmp_path / "rules-reg.json"
+    reg.write_text(json.dumps(RULES_REGISTER))
+    assert main(["simulate", str(prog), str(reg), "--out-dir", str(tmp_path / "rules")]) == 0
+    trace = (tmp_path / "rules" / "trace-0.jsonl").read_bytes()
+    _check_golden_bytes("rules.jsonl", trace)
+    rules = {r["rule"] for line in trace.splitlines() for r in json.loads(line)["applied"]}
+    assert rules == {"attach", "displace", "exchange", "cooperative", "detach"}
+
+    _check_golden_bytes("nonconfluent.json", _check_race(tmp_path).read_bytes())
+
+    out_dir = tmp_path / "inc"
+    assert main(["simulate", str(prog_path), str(reg_path), "-n", "2", "--out-dir", str(out_dir)]) == 0
+    digest = hashlib.sha256((out_dir / "trace-0.jsonl").read_bytes()).hexdigest()
+    assert digest == INCREMENT_TRACE_SHA256

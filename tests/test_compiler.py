@@ -170,7 +170,7 @@ def test_decode_unrecognized(increment_spec):
 def test_sublist_skeleton(increment_spec):
     scheme = build_scheme(increment_spec)
     for key in scheme.transition_order:
-        sub = compile_transition(increment_spec, scheme, key, 4)
+        sub = compile_transition(increment_spec, scheme, key)
         first = sub[0]
         assert len(first.species) == 1
         (remover,) = first.species
@@ -185,7 +185,7 @@ def test_sublist_skeleton(increment_spec):
 def test_post_plugs_only_for_defined_targets(increment_spec):
     scheme = build_scheme(increment_spec)
     # (b,0) -> halt: no branch may place a post-plug
-    sub = compile_transition(increment_spec, scheme, ("b", "0"), 4)
+    sub = compile_transition(increment_spec, scheme, ("b", "0"))
     all_tags = {
         t.tag
         for ins in sub
@@ -195,7 +195,7 @@ def test_post_plugs_only_for_defined_targets(increment_spec):
     }
     assert not any(tag.startswith("post:") for tag in all_tags)
     # (a,0) -> (a,.): all three next symbols defined, three post-plugs appear
-    sub = compile_transition(increment_spec, scheme, ("a", "0"), 4)
+    sub = compile_transition(increment_spec, scheme, ("a", "0"))
     post = {
         t.tag
         for ins in sub
