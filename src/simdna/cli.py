@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -231,12 +232,26 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
         if not isinstance(doc, dict) or "state" not in doc:
             raise SchemaError(where, "missing key 'state'")
         state = register_from_doc(doc["state"])
+        applied = doc.get("applied", [])
+        if not isinstance(applied, list):
+            raise SchemaError(where, "'applied' must be an array")
         label = f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()
         scenes.append(render.RenderScene(state, (), label))
-        counts.append(len(doc.get("applied", [])))
+        counts.append(len(applied))
     if not scenes:
         raise CliError("trace file carries no outcomes")
     return scenes, counts
+
+
+def _is_trace(raw: bytes) -> bool:
+    """A trace's first line is a JSON object with an "instr" key; a register
+    file is one JSON document, which may span lines."""
+    line = next((line for line in raw.splitlines() if line.strip()), b"")
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(doc, dict) and "instr" in doc
 
 
 def cmd_render(args, argv) -> int:
@@ -244,9 +259,8 @@ def cmd_render(args, argv) -> int:
         raise CliError(f"--every must be at least 1, got {args.every}")
     raw = _read(args.input)
     style = render.load_style(args.style)
-    first = raw.lstrip()[:1]
     try:
-        if b"\n" in raw.strip() and first == b"{" and b'"instr"' in raw.splitlines()[0]:
+        if _is_trace(raw):
             scenes, counts = _scenes_from_trace(raw)
             if args.format == "text":
                 payload = "\n".join(render.render_text(s) for s in scenes)

@@ -18,6 +18,7 @@ final deprotecting instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import engine
@@ -106,20 +107,34 @@ class CellScheme:
 
     # --- strand species (tokens are cell-local domain numbers) -----------
 
-    def plain_cover(self, i: int) -> StrandSpec:
-        return fwd(Match(2 * i - 1), Match(2 * i))
+    # Covers and patterns are built once per scheme: every cell of every
+    # register shares the same spec objects.
 
-    @property
+    @cached_property
+    def _plain_covers(self) -> dict[int, StrandSpec]:
+        return {i: fwd(Match(2 * i - 1), Match(2 * i)) for i in range(1, self.t + 1)}
+
+    def plain_cover(self, i: int) -> StrandSpec:
+        return self._plain_covers[i]
+
+    @cached_property
     def head_cover(self) -> StrandSpec:
         return fwd(*(Match(self.y(k)) for k in range(1, 9)))
 
+    @cached_property
+    def _patterns(self) -> dict[str, tuple[tuple[int, StrandSpec], ...]]:
+        out = {}
+        for symbol, spans in SYMBOL_PATTERNS.items():
+            strands = []
+            for start, length in spans:
+                toks = tuple(Match(self.y(k)) for k in range(start, start + length))
+                strands.append((self.y(start) - 1, fwd(*toks)))
+            out[symbol] = tuple(strands)
+        return out
+
     def pattern_strands(self, symbol: str) -> tuple[tuple[int, StrandSpec], ...]:
         """(cell-local offset, strand) pairs covering the symbol region."""
-        out = []
-        for start, length in SYMBOL_PATTERNS[symbol]:
-            toks = tuple(Match(self.y(k)) for k in range(start, start + length))
-            out.append((self.y(start) - 1, fwd(*toks)))
-        return tuple(out)
+        return self._patterns[symbol]
 
     def span_tokens(self, symbol: str, which: int) -> tuple[int, ...]:
         """Domain numbers of span 0 (left) or 1 (right) of a pattern."""

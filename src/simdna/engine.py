@@ -25,9 +25,10 @@ wash, so instructions are isolated stages.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Union
 
 from .model import (
     BoundStrand,
@@ -39,6 +40,7 @@ from .model import (
     StrandSpec,
     spec_doc,
     strand_doc,
+    strand_violations,
     validate_state,
 )
 
@@ -259,70 +261,161 @@ def _find(needle: tuple, haystack: tuple) -> int:
     return next((i for i in range(len(haystack) - n + 1) if haystack[i : i + n] == needle), -1)
 
 
-class _View:
-    """Per-state occupancy index used while enumerating reactions."""
+class _Species:
+    """One instruction's species, arranged for the search: each register
+    domain with the forward (species, token index) pairs that match it, and
+    which reverse species carry off a bound strand of a given spec (filled on
+    demand)."""
+
+    def __init__(self, instr: Instruction):
+        self.reverse = tuple(s for s in instr.species if not s.is_forward)
+        self.by_domain: dict[int, list[tuple[StrandSpec, int]]] = {}
+        for spec in instr.species:
+            if spec.is_forward:
+                for j, tok in enumerate(spec.tokens):
+                    if isinstance(tok, Match):
+                        self.by_domain.setdefault(tok.domain, []).append((spec, j))
+        self._removers: dict[StrandSpec, tuple[StrandSpec, ...]] = {}
+
+    def removers(self, spec: StrandSpec) -> tuple[StrandSpec, ...]:
+        """Reverse species that grab a bound strand of ``spec``: they carry its
+        whole token sequence, and it has an overhang to grab."""
+        found = self._removers.get(spec)
+        if found is None:
+            found = ()
+            if spec.has_ortho:
+                found = tuple(rv for rv in self.reverse if _find(spec.tokens, rv.tokens) >= 0)
+            self._removers[spec] = found
+        return found
+
+
+class _Index:
+    """Occupancy index of one register, kept for one run and updated from
+    each reaction's delta: the strand owning each position, the unbound
+    positions in order, each strand's bound set, the strands of each spec,
+    and the strands in canonical order with their offsets."""
 
     def __init__(self, state: RegisterState):
-        self.state = state
         self.layout = state.layout
         self.owner: dict[int, BoundStrand] = {}
         self.bound_of: dict[BoundStrand, frozenset[int]] = {}
-        for bs in state.strands:
-            bound = bs.bound_positions(state.layout)
+        self.by_spec: dict[StrandSpec, set[BoundStrand]] = {}
+        self.strands = list(state.strands)
+        self.offsets = [bs.offset for bs in self.strands]
+        self._species: dict[Instruction, _Species] = {}
+        for bs in self.strands:
+            bound = _matched_positions(self.layout, bs.spec, bs.offset)
             self.bound_of[bs] = bound
+            self.by_spec.setdefault(bs.spec, set()).add(bs)
             for p in bound:
                 self.owner[p] = bs
-        self.unbound = frozenset(
-            p for p in range(state.layout.total_positions) if p not in self.owner
-        )
+        self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
+
+    @classmethod
+    def validated(cls, state: RegisterState) -> "_Index":
+        """The index of a state that passes the full ``validate_state``; the
+        reactions applied to it afterwards are checked where they land."""
+        bad = validate_state(state)
+        if bad:
+            raise EngineError(f"invalid register: {'; '.join(bad)}")
+        return cls(state)
+
+    def species(self, instr: Instruction) -> _Species:
+        sp = self._species.get(instr)
+        if sp is None:
+            sp = self._species[instr] = _Species(instr)
+        return sp
+
+    def state(self) -> RegisterState:
+        return RegisterState.presorted(self.layout, tuple(self.strands))
+
+    def apply(self, r: Reaction) -> set[int]:
+        """Apply one reaction's delta, checking the invariants of
+        ``validate_state`` only where it lands (a valid state plus a valid
+        delta is a valid state).  Returns the positions it bound or freed."""
+        changed = set()
+        for bs in r.removed:
+            bound = self.bound_of.pop(bs, None)
+            if bound is None:
+                raise InapplicableReactionError(f"incumbent not present: {bs}")
+            for p in bound:
+                del self.owner[p]
+                insort(self.unbound, p)
+            group = self.by_spec[bs.spec]
+            group.discard(bs)
+            if not group:
+                del self.by_spec[bs.spec]
+            i = self.strands.index(bs, bisect_left(self.offsets, bs.offset))
+            del self.offsets[i], self.strands[i]
+            changed |= bound
+        for bs in r.added:
+            bound = _matched_positions(self.layout, bs.spec, bs.offset)
+            bad = strand_violations(bs, bound, self.owner)
+            if bad:
+                raise InapplicableReactionError(
+                    f"reaction {r!r} produced an invalid state: {'; '.join(bad)}"
+                )
+            for p in bound:
+                self.owner[p] = bs
+                del self.unbound[bisect_left(self.unbound, p)]
+            self.bound_of[bs] = bound
+            self.by_spec.setdefault(bs.spec, set()).add(bs)
+            i = bisect_left(self.offsets, bs.offset)
+            j = bisect_right(self.offsets, bs.offset)
+            if i < j:  # strands at the same offset: canonical order by spec
+                key = bs.sort_key()
+                i += sum(other.sort_key() < key for other in self.strands[i:j])
+            self.offsets.insert(i, bs.offset)
+            self.strands.insert(i, bs)
+            changed |= bound
+        return changed
 
 
-def _candidate_alignments(view: _View, species: Iterable[StrandSpec]):
-    """(spec, offset) pairs whose alignment matches at least one unbound
-    position.  Complete for attach/displace/exchange/cooperative: each needs
+def _candidates(ix: _Index, sp: _Species, lo: int, hi: int) -> set[tuple[StrandSpec, int]]:
+    """Forward alignments (spec, offset) matching an unbound position in
+    lo..hi.  Complete for attach/displace/exchange/cooperative: each needs
     an unbound matched position (a toehold, or the attach foothold)."""
-    cands = set()
-    for p in view.unbound:
-        dom = view.layout.domain_at(p)
-        for spec in species:
-            for j, tok in enumerate(spec.tokens):
-                if isinstance(tok, Match) and tok.domain == dom:
-                    cands.add((spec, p - j))
-    return cands
+    d = ix.layout.domains_per_cell
+    unbound = ix.unbound
+    out = set()
+    for p in unbound[bisect_left(unbound, lo) : bisect_right(unbound, hi)]:
+        for spec, j in sp.by_domain.get(p % d + 1, ()):
+            out.add((spec, p - j))
+    return out
 
 
-def _forward_reactions_at(view: _View, spec: StrandSpec, offset: int):
-    """Attach/displace/exchange reactions for one alignment (cooperative is
-    handled pairwise by the caller)."""
-    layout = view.layout
-    M = _matched_positions(layout, spec, offset)
+def _alignment(ix: _Index, spec: StrandSpec, offset: int):
+    """The attach/displace/exchange reactions of one alignment, and its
+    cooperative flank ``(incumbent, M, cover, left, right)`` (or None) when
+    it partly covers one incumbent from a toehold on its left or right."""
+    M = _matched_positions(ix.layout, spec, offset)
     if not M:
-        return
-    overlap = {p for p in M if p in view.owner}
-    free = M - overlap
-
+        return (), None
+    owner = ix.owner
+    overlap = {p for p in M if p in owner}
     if not overlap:
-        if any(p + 1 in free for p in free):
-            yield Attach(spec, offset)
-        return
+        if any(p + 1 in M for p in M):
+            return (Attach(spec, offset),), None
+        return (), None
 
-    incumbents = {view.owner[p] for p in overlap}
+    incumbents = {owner[p] for p in overlap}
     if len(incumbents) != 1:
-        return
+        return (), None
     inc = next(iter(incumbents))
-    inc_bound = view.bound_of[inc]
+    inc_bound = ix.bound_of[inc]
     runs = _runs(M)
 
     if overlap == inc_bound:
         # full coverage: displace, with the toehold in the covering run
         run = next((r for r in runs if inc_bound <= set(r)), None)
-        if run is not None and any(p in view.unbound for p in run):
+        if run is not None and any(p not in owner for p in run):
             if not (inc.spec == spec and inc.offset == offset):
-                yield Displace(inc, spec, offset)
-        return
+                return (Displace(inc, spec, offset),), None
+        return (), None
 
+    found = ()
+    lo, hi = min(inc_bound), max(inc_bound)
     if len(inc_bound) >= 2:
-        lo, hi = min(inc_bound), max(inc_bound)
         for x, far in ((hi, "right"), (lo, "left")):
             if x in M or overlap != inc_bound - {x}:
                 continue
@@ -330,82 +423,99 @@ def _forward_reactions_at(view: _View, spec: StrandSpec, offset: int):
             if run is None:
                 continue
             if far == "right":
-                toeholds = [p for p in run if p in view.unbound and p < lo]
+                toeholds = [p for p in run if p not in owner and p < lo]
             else:
-                toeholds = [p for p in run if p in view.unbound and p > hi]
+                toeholds = [p for p in run if p not in owner and p > hi]
             if toeholds:
-                yield ToeholdExchange(inc, spec, offset)
+                found = (ToeholdExchange(inc, spec, offset),)
+
+    if len(M) < 2:
+        return found, None
+    run = next((r for r in runs if overlap <= set(r)), None)
+    if run is None:
+        return found, None
+    left = any(p not in owner and p < lo for p in run)
+    right = any(p not in owner and p > hi for p in run)
+    return found, ((inc, M, overlap, left, right) if left or right else None)
 
 
-def _cooperative_reactions(view: _View, alignments):
-    """Cooperative displacements built from partially covering alignments."""
-    layout = view.layout
-    # per-incumbent candidate flanks
+def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[Reaction]:
+    """Forward-species reactions of the alignments with an unbound matched
+    position in lo-1..hi+1, and every cooperative pair of an incumbent one
+    of them flanks.  When the positions that changed in one step lie in
+    lo..hi, that includes every reaction whose matched positions meet them:
+    a reaction needs an unbound matched position in the run that holds its
+    overlap, and the one nearest a changed position is either that position
+    or next to the one incumbent, which lies in lo..hi when it is new.  A
+    flank's toehold is next to its incumbent in the same way."""
+    out: list[Reaction] = []
     left: dict[BoundStrand, list] = {}
     right: dict[BoundStrand, list] = {}
-    for spec, offset in alignments:
-        M = _matched_positions(layout, spec, offset)
-        if len(M) < 2:
-            continue
-        overlap = {p for p in M if p in view.owner}
-        if not overlap:
-            continue
-        incumbents = {view.owner[p] for p in overlap}
-        if len(incumbents) != 1:
-            continue
-        inc = next(iter(incumbents))
-        inc_bound = view.bound_of[inc]
-        cover = overlap
-        if not cover or cover == inc_bound:
-            continue
-        run = next((r for r in _runs(M) if cover <= set(r)), None)
-        if run is None:
-            continue
-        lo, hi = min(inc_bound), max(inc_bound)
-        if any(p in view.unbound and p < lo for p in run):
-            left.setdefault(inc, []).append((spec, offset, M, cover))
-        if any(p in view.unbound and p > hi for p in run):
-            right.setdefault(inc, []).append((spec, offset, M, cover))
-    for inc in set(left) & set(right):
-        inc_bound = view.bound_of[inc]
-        for lspec, loff, lM, lcover in left[inc]:
-            for rspec, roff, rM, rcover in right[inc]:
+
+    def survey(alignments) -> None:
+        for spec, offset in alignments:
+            found, flank = _alignment(ix, spec, offset)
+            out.extend(found)
+            if flank is not None:
+                inc, M, cover, is_left, is_right = flank
+                if is_left:
+                    left.setdefault(inc, []).append((spec, offset, M, cover))
+                if is_right:
+                    right.setdefault(inc, []).append((spec, offset, M, cover))
+
+    near = _candidates(ix, sp, lo - 1, hi + 1)
+    survey(near)
+    # complete the flank lists of the incumbents flanked near the window
+    scope = set(left) | set(right)
+    if scope:
+        a = min(min(ix.bound_of[inc]) for inc in scope) - 1
+        b = max(max(ix.bound_of[inc]) for inc in scope) + 1
+        if a < lo - 1 or b > hi + 1:
+            survey(_candidates(ix, sp, a, b) - near)
+    for inc in scope:
+        inc_bound = ix.bound_of[inc]
+        for lspec, loff, lM, lcover in left.get(inc, ()):
+            for rspec, roff, rM, rcover in right.get(inc, ()):
                 if (lspec, loff) == (rspec, roff):
                     continue
                 if lM & rM:
                     continue
                 if lcover | rcover != inc_bound:
                     continue
-                yield Cooperative(inc, lspec, loff, rspec, roff)
-
-
-def applicable_reactions(state: RegisterState, instr: Instruction) -> set:
-    """All reactions the instruction's species can perform on the state."""
-    view = _View(state)
-    out: set[Reaction] = set()
-
-    forward = [s for s in instr.species if s.is_forward]
-    reverse = [s for s in instr.species if not s.is_forward]
-
-    for rv in reverse:
-        for bs in state.strands:
-            if bs.spec.has_ortho and _find(bs.spec.tokens, rv.tokens) >= 0:
-                out.add(Detach(bs, rv))
-
-    alignments = _candidate_alignments(view, forward)
-    for spec, offset in alignments:
-        out.update(_forward_reactions_at(view, spec, offset))
-    out.update(_cooperative_reactions(view, alignments))
+                out.append(Cooperative(inc, lspec, loff, rspec, roff))
     return out
 
 
-def reaction_sort_key(r: Reaction, state: RegisterState) -> tuple:
-    layout = state.layout
+def _detaches(sp: _Species, groups) -> list[Detach]:
+    """Detach reactions of the bound strands in ``groups``, (spec, strands)
+    pairs."""
+    if not sp.reverse:
+        return []
+    return [Detach(bs, rv) for spec, strands in groups for rv in sp.removers(spec) for bs in strands]
+
+
+def applicable_reactions(
+    state: RegisterState, instr: Instruction, index: _Index | None = None
+) -> set:
+    """All reactions the instruction's species can perform on the state.
+    ``index`` is the state's occupancy index when the caller keeps one."""
+    ix = _Index(state) if index is None else index
+    sp = ix.species(instr)
+    out = set(_detaches(sp, ix.by_spec.items()))
+    out.update(_forward_reactions(ix, sp, 0, state.layout.total_positions - 1))
+    return out
+
+
+def _order_key(r: Reaction, layout: RegisterLayout) -> tuple:
     pos = min(
         min(_matched_positions(layout, bs.spec, bs.offset), default=0)
         for bs in r.added or r.removed
     )
     return (pos, r.rank, r.tie_break())
+
+
+def reaction_sort_key(r: Reaction, state: RegisterState) -> tuple:
+    return _order_key(r, state.layout)
 
 
 def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
@@ -427,27 +537,66 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
     return new_state
 
 
-def _run_canonical(state: RegisterState, instr: Instruction) -> InstructionOutcome:
+class _Firing:
+    """The canonical run of one instruction on an index, one reaction at a
+    time.  ``live`` maps every reaction that applies to the index's current
+    state to its sort key.  A reaction depends only on the occupancy of its
+    alignments' matched positions (its footprint) and, for a detach, on its
+    target being there.  So after each step only the reactions whose
+    footprint meets the changed positions, or whose incumbent left, are
+    dropped, and only around the changed positions is searched again."""
+
+    def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
+        self.index = index
+        self.species = index.species(instr)
+        self.live: dict[Reaction, tuple] = {}
+        self._footprint: dict[Reaction, frozenset[int]] = {}
+        self._admit(applicable_reactions(state, instr, index))
+
+    def _admit(self, reactions) -> None:
+        layout = self.index.layout
+        for r in reactions:
+            if r not in self.live:
+                self.live[r] = _order_key(r, layout)
+                self._footprint[r] = frozenset().union(
+                    *(_matched_positions(layout, bs.spec, bs.offset) for bs in r.added)
+                )
+
+    def fire(self, r: Reaction) -> None:
+        """Apply one live reaction and bring ``live`` up to date."""
+        changed = self.index.apply(r)
+        gone = set(r.removed)
+        stale = [
+            x
+            for x, footprint in self._footprint.items()
+            if not changed.isdisjoint(footprint) or not gone.isdisjoint(x.removed)
+        ]
+        for x in stale:
+            del self.live[x], self._footprint[x]
+        self._admit(_forward_reactions(self.index, self.species, min(changed), max(changed)))
+        self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in r.added)))
+
+
+def _run_canonical(state: RegisterState, instr: Instruction, index: _Index) -> InstructionOutcome:
+    firing = _Firing(state, instr, index)
     applied = []
     seen = {state}
-    while True:
-        reactions = applicable_reactions(state, instr)
-        if not reactions:
-            break
-        r = min(reactions, key=lambda x: reaction_sort_key(x, state))
-        state = apply_reaction(state, r)
+    while firing.live:
+        r = min(firing.live, key=firing.live.__getitem__)
+        firing.fire(r)
+        applied.append(r)
+        state = index.state()
         if state in seen:
             raise EngineError(
                 f"reaction loop revisited a state while applying {instr.label!r}"
             )
         seen.add(state)
-        applied.append(r)
     washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
     return InstructionOutcome(state, tuple(applied), tuple(washed))
 
 
 def _run_verified(
-    state: RegisterState, instr: Instruction, max_states: int
+    state: RegisterState, instr: Instruction, max_states: int, index: _Index
 ) -> InstructionOutcome:
     start = state
     parent: dict[RegisterState, tuple[RegisterState, Reaction] | None] = {start: None}
@@ -486,30 +635,42 @@ def _run_verified(
         a, b = uniq[0], uniq[1]
         raise NonConfluentError(a, path(a), b, path(b))
     # canonical pass doubles as the witness order and the washed record
-    outcome = _run_canonical(start, instr)
+    outcome = _run_canonical(start, instr, index)
     if uniq and outcome.final_state != uniq[0]:  # pragma: no cover
         raise EngineError("canonical order disagrees with the verified final state")
     return outcome
 
 
 def run_instruction(
-    state: RegisterState, instr: Instruction, mode: Mode = Canonical()
+    state: RegisterState,
+    instr: Instruction,
+    mode: Mode = Canonical(),
+    index: _Index | None = None,
 ) -> InstructionOutcome:
+    """Run one instruction to its fixed point.  ``index`` is the occupancy
+    index of ``state`` that ``run_program`` keeps for a whole run; without
+    it the state is validated in full and indexed here."""
+    if index is None:
+        index = _Index.validated(state)
     if isinstance(mode, VerifyConfluent):
-        return _run_verified(state, instr, mode.max_states)
-    return _run_canonical(state, instr)
+        return _run_verified(state, instr, mode.max_states, index)
+    return _run_canonical(state, instr, index)
 
 
 def run_program(
     state: RegisterState, prog: Program, mode: Mode = Canonical()
 ) -> tuple[RegisterState, tuple[InstructionOutcome, ...]]:
+    """Run every instruction in order.  The register is validated in full
+    once and indexed once; each reaction then updates the index and is
+    checked where it lands."""
     if state.layout != prog.layout:
         raise EngineError(
             f"register layout {state.layout} does not match program layout {prog.layout}"
         )
+    index = _Index.validated(state)
     outcomes = []
     for instr in prog.instructions:
-        out = run_instruction(state, instr, mode)
+        out = run_instruction(state, instr, mode, index)
         outcomes.append(out)
         state = out.final_state
     return state, tuple(outcomes)
@@ -525,11 +686,15 @@ class RegisterRunError(EngineError):
 def run_many(
     states: list[RegisterState], prog: Program, mode: Mode = Canonical()
 ) -> list[tuple[RegisterState, tuple[InstructionOutcome, ...]]]:
-    """Run one program over many registers; they never interact."""
+    """Run one program over many registers; they never interact, so a
+    register equal to an earlier one gets that register's result object."""
     results = []
+    first: dict[RegisterState, tuple[RegisterState, tuple[InstructionOutcome, ...]]] = {}
     for i, st in enumerate(states):
-        try:
-            results.append(run_program(st, prog, mode))
-        except EngineError as e:
-            raise RegisterRunError(i, e) from e
+        if st not in first:
+            try:
+                first[st] = run_program(st, prog, mode)
+            except EngineError as e:
+                raise RegisterRunError(i, e) from e
+        results.append(first[st])
     return results

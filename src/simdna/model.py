@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Union
 
 
@@ -28,14 +29,30 @@ class Orientation(Enum):
     REVERSE = "rev"
 
 
-@dataclass(frozen=True)
+class _Record:
+    """Base of the frozen, slotted records that are hashed again and again
+    (specs, bound strands, states): the hash of their ``_fields`` is computed
+    on first use and kept in the ``_hash`` slot."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._fields(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+
+@dataclass(frozen=True, slots=True)
 class Match:
     """Token that hybridizes at register positions carrying its domain."""
 
     domain: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ortho:
     """Overhang token orthogonal to every register domain; never binds."""
 
@@ -76,12 +93,14 @@ class RegisterLayout:
         return 0 <= position < self.total_positions
 
 
-@dataclass(frozen=True)
-class StrandSpec:
+@dataclass(frozen=True, slots=True)
+class StrandSpec(_Record):
     """A strand species: token sequence (left to right) plus orientation."""
 
     tokens: tuple[Token, ...]
     orientation: Orientation = Orientation.FORWARD
+    _fields = attrgetter("tokens", "orientation")
+    __hash__ = _Record.__hash__
 
     def __post_init__(self):
         if not self.tokens:
@@ -107,14 +126,16 @@ def rev(*tokens: Token) -> StrandSpec:
     return StrandSpec(tuple(tokens), Orientation.REVERSE)
 
 
-@dataclass(frozen=True)
-class BoundStrand:
+@dataclass(frozen=True, slots=True)
+class BoundStrand(_Record):
     """A forward strand sitting on the register with its leftmost token over
     ``offset``.  Edge tokens may hang off either register end; they never bind.
     """
 
     spec: StrandSpec
     offset: int
+    _fields = attrgetter("spec", "offset")
+    __hash__ = _Record.__hash__
 
     def bound_positions(self, layout: RegisterLayout) -> frozenset[int]:
         pos = []
@@ -132,12 +153,14 @@ class BoundStrand:
         return (self.offset, self.spec.sort_key())
 
 
-@dataclass(frozen=True)
-class RegisterState:
+@dataclass(frozen=True, slots=True)
+class RegisterState(_Record):
     """Canonical register configuration: the strand set, sorted."""
 
     layout: RegisterLayout
     strands: tuple[BoundStrand, ...]
+    _fields = attrgetter("layout", "strands")
+    __hash__ = _Record.__hash__
 
     def __post_init__(self):
         ordered = tuple(sorted(self.strands, key=BoundStrand.sort_key))
@@ -145,6 +168,15 @@ class RegisterState:
 
     def with_strands(self, strands) -> "RegisterState":
         return RegisterState(self.layout, tuple(strands))
+
+    @classmethod
+    def presorted(cls, layout: RegisterLayout, strands: tuple[BoundStrand, ...]) -> "RegisterState":
+        """The state of ``strands``, which must already be in canonical
+        (``BoundStrand.sort_key``) order; they are not sorted again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "strands", strands)
+        return state
 
 
 @dataclass(frozen=True)
@@ -176,22 +208,30 @@ def validate_state(state: RegisterState) -> list[str]:
     layout = state.layout
     seen: dict[int, BoundStrand] = {}
     for bs in state.strands:
-        if not bs.spec.is_forward:
-            violations.append(f"reverse strand bound at offset {bs.offset}")
         bound = bs.bound_positions(layout)
-        if len(bound) < 2:
-            violations.append(
-                f"strand at offset {bs.offset} bound by {len(bound)} domain(s) "
-                f"(positions {sorted(bound)}); needs at least two"
-            )
+        violations += strand_violations(bs, bound, seen)
         for p in bound:
-            if p in seen:
-                violations.append(
-                    f"position {p} bound by two strands "
-                    f"(offsets {seen[p].offset} and {bs.offset})"
-                )
-            else:
-                seen[p] = bs
+            seen.setdefault(p, bs)
+    return violations
+
+
+def strand_violations(bs: BoundStrand, bound: frozenset[int], owner: dict) -> list[str]:
+    """The invariants of ``validate_state`` for one strand ``bs``, bound at
+    ``bound``, placed beside the strands of ``owner`` (position -> strand)."""
+    violations = []
+    if not bs.spec.is_forward:
+        violations.append(f"reverse strand bound at offset {bs.offset}")
+    if len(bound) < 2:
+        violations.append(
+            f"strand at offset {bs.offset} bound by {len(bound)} domain(s) "
+            f"(positions {sorted(bound)}); needs at least two"
+        )
+    for p in bound:
+        if p in owner:
+            violations.append(
+                f"position {p} bound by two strands "
+                f"(offsets {owner[p].offset} and {bs.offset})"
+            )
     return violations
 
 

@@ -219,10 +219,12 @@ TWO_LINE_TRACE = "".join(
         (TWO_LINE_TRACE, '{"unit_width": "x"}', ["--format", "text"]),
         (TWO_LINE_TRACE, None, ["--every", "0"]),
         (TWO_LINE_TRACE, None, ["--every", "0", "--format", "text"]),
+        (TWO_LINE_TRACE.replace('"instr": 2', '"instr": 2, "applied": 5'), None, []),
     ],
     ids=[
         "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
         "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
+        "applied-not-array",
     ],
 )
 def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):
@@ -239,6 +241,22 @@ def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extr
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert named in err
+
+
+def test_render_one_line_trace(tmp_path, capsys):
+    # a one-instruction program leaves a trace of a single line
+    prog = tmp_path / "one.json"
+    prog.write_text(json.dumps({**RULES_PROGRAM, "instructions": RULES_PROGRAM["instructions"][1:2]}))
+    reg = tmp_path / "one-reg.json"
+    reg.write_text(json.dumps(RULES_REGISTER))
+    assert main(["simulate", str(prog), str(reg), "--out-dir", str(tmp_path / "one")]) == 0
+    trace = tmp_path / "one" / "trace-0.jsonl"
+    assert len(trace.read_bytes().splitlines()) == 1
+    capsys.readouterr()
+    assert main(["render", str(trace), "--format", "text"]) == 0
+    assert "#1 attach" in capsys.readouterr().out
+    assert main(["render", str(trace), "-o", str(tmp_path / "one.svg")]) == 0
+    assert "#1 attach" in (tmp_path / "one.svg").read_text()
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, prog_path, reg_path):

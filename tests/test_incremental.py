@@ -1,0 +1,135 @@
+"""The incremental canonical engine against the from-scratch reaction search.
+
+After every reaction, a canonical run re-searches only around the positions
+the reaction changed.  At every step of such runs the reaction set it keeps
+must equal ``applicable_reactions`` on the current state, which itself must
+equal the brute-force enumerator on random states.
+"""
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+from brute_oracle import brute_force_reactions
+from generators import random_instruction, random_state
+
+from simdna import engine, model
+from simdna.compiler import encode_config, reachable_configs
+from simdna.model import BoundStrand, Match, Program, RegisterLayout, RegisterState, fwd
+
+# sha256 of tests/brute_oracle.py: the oracle is a gate and must not move
+BRUTE_ORACLE_SHA256 = "e0a4782c9d50543fe34f37b6a8e53728cd1584be5432cb913d856630726c2b15"
+
+
+def _fire(state, instr, max_steps=200, brute=False, rng=None):
+    """Run one instruction, checking the kept reaction set at every step;
+    returns the number of steps checked.  Fires in canonical order, or in a
+    random order drawn from ``rng``.  Stops after ``max_steps`` (a
+    livelocking instruction never stops by itself)."""
+    index = engine._Index.validated(state)
+    firing = engine._Firing(state, instr, index)
+    steps = 0
+    while True:
+        cur = index.state()
+        assert cur == RegisterState(cur.layout, cur.strands), "strands out of canonical order"
+        assert model.validate_state(cur) == []
+        scratch = engine.applicable_reactions(cur, instr)
+        assert set(firing.live) == scratch, (
+            f"step {steps} of {instr} on {cur}:\n"
+            f"kept only: {set(firing.live) - scratch}\nsearch only: {scratch - set(firing.live)}"
+        )
+        if brute:
+            assert scratch == brute_force_reactions(cur, instr)
+        if not firing.live or steps == max_steps:
+            return steps
+        order = sorted(firing.live, key=firing.live.__getitem__)
+        firing.fire(rng.choice(order) if rng else order[0])
+        steps += 1
+
+
+@pytest.mark.parametrize("order", ["canonical", "random"])
+def test_kept_reactions_match_scratch_on_random_states(order):
+    rng = random.Random(20261018)
+    steps = 0
+    for _ in range(2000):
+        state = random_state(rng)
+        instr = random_instruction(rng, state)
+        steps += _fire(state, instr, max_steps=12, brute=True, rng=rng if order == "random" else None)
+    assert steps > 500
+
+
+def test_cooperative_flank_found_beyond_the_changed_window():
+    # Y blocks the right flank's toehold; once Y is carried off, the pair
+    # with the left flank, whose toehold is at the far end of the
+    # incumbent, must be found too
+    layout = RegisterLayout(1, 12)
+    incumbent = BoundStrand(fwd(*map(Match, (4, 5, 6, 7, 8))), 3)
+    blocker = BoundStrand(fwd(Match(9), Match(10), model.Ortho("y")), 8)
+    left = fwd(Match(3), Match(4), Match(5))
+    right = fwd(*map(Match, (6, 7, 8, 9, 10)))
+    instr = model.Instruction((left, right, model.rev(Match(9), Match(10), model.Ortho("y"))))
+    state = RegisterState(layout, (incumbent, blocker))
+    assert _fire(state, instr, brute=True) == 2
+    final = engine.run_instruction(state, instr)
+    assert [r.rule for r in final.applied] == ["detach", "cooperative"]
+
+
+def test_kept_reactions_match_scratch_on_incrementor(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    configs = {}
+    for n in (1, 2):  # an input needs a blank cell to its right
+        for bits in itertools.product("01", repeat=n):
+            for c in reachable_configs(increment_spec, "".join(bits), 3)[0]:
+                if not c.is_terminal and increment_spec.defined(c.state, c.tape[c.head]):
+                    configs[c] = None
+    assert len(configs) >= 10
+    steps = 0
+    for config in configs:
+        state, _lossy = encode_config(increment_spec, cp.scheme, config, 3)
+        for instr in cp.program.instructions:
+            steps += _fire(state, instr)
+            state = engine.run_instruction(state, instr).final_state
+    assert steps > 100
+
+
+def test_run_program_rejects_invalid_register():
+    layout = RegisterLayout(1, 6)
+    # two strands on positions 1 and 2: the register was never valid
+    clash = RegisterState(
+        layout,
+        (BoundStrand(fwd(Match(1), Match(2), Match(3)), 0), BoundStrand(fwd(Match(2), Match(3)), 1)),
+    )
+    assert model.validate_state(clash)
+    with pytest.raises(engine.EngineError, match="bound by two strands"):
+        engine.run_program(clash, Program(layout, ()))
+    with pytest.raises(engine.EngineError):
+        engine.run_many([clash], Program(layout, ()))
+
+
+def test_run_many_repeats_equal_separate_runs(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    regs = []
+    for config in reachable_configs(increment_spec, "01", 3)[0][:3]:
+        regs.append(encode_config(increment_spec, cp.scheme, config, 3)[0])
+    batch = [regs[0], regs[1], regs[0], regs[2], regs[1], regs[0]]
+    results = engine.run_many(batch, cp.program)
+    assert results == [engine.run_program(st, cp.program) for st in batch]
+    assert results[0] is results[2] is results[5]
+
+
+def test_model_records_have_no_instance_dict():
+    spec = fwd(Match(1), model.Ortho("a"))
+    bs = BoundStrand(spec, 0)
+    state = RegisterState(RegisterLayout(1, 4), (bs,))
+    for obj in (Match(1), model.Ortho("a"), spec, bs, state):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        assert hash(obj) == hash(obj)
+
+
+def test_brute_oracle_untouched():
+    text = (Path(__file__).parent / "brute_oracle.py").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == BRUTE_ORACLE_SHA256
