@@ -177,7 +177,6 @@ def cmd_run_tm(args, argv) -> int:
     for it in range(args.max_iters):
         if isinstance(decoded, compiler.TapeOnly):
             break
-        expected = None
         if args.oracle:
             try:
                 expected = tm_step(spec, current)
@@ -194,21 +193,15 @@ def cmd_run_tm(args, argv) -> int:
         except compiler.DecodeError as e:
             print(f"iteration {it + 1}: register no longer decodes: {e}", file=sys.stderr)
             return EXIT_ORACLE
-        if args.oracle:
-            if not compiler.configs_equivalent(spec, expected, decoded):
-                print(
-                    f"oracle mismatch at iteration {it + 1}: "
-                    f"machine says {expected}, register decodes to {decoded}",
-                    file=sys.stderr,
-                )
-                return EXIT_ORACLE
-            if expected.is_terminal or isinstance(decoded, compiler.TapeOnly):
-                break
-            current = decoded
-        elif isinstance(decoded, compiler.TapeOnly):
-            break
-        else:
-            current = decoded
+        # a terminal `expected` matches only a TapeOnly decode, which ends the loop
+        if args.oracle and not compiler.configs_equivalent(spec, expected, decoded):
+            print(
+                f"oracle mismatch at iteration {it + 1}: "
+                f"machine says {expected}, register decodes to {decoded}",
+                file=sys.stderr,
+            )
+            return EXIT_ORACLE
+        current = decoded
 
     tape = decoded.tape_str()
     if out_dir:

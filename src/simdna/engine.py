@@ -56,21 +56,23 @@ class InapplicableReactionError(EngineError):
 class NonConfluentError(EngineError):
     """Two maximal reaction orders of one instruction reached different states."""
 
-    def __init__(self, state_a, order_a, state_b, order_b):
+    def __init__(self, state_a, order_a, state_b, order_b, label: str):
         self.state_a = state_a
         self.order_a = order_a
         self.state_b = state_b
         self.order_b = order_b
+        self.label = label
         super().__init__(
-            f"instruction is not confluent: {len(order_a)}-step and "
+            f"instruction {label!r} is not confluent: {len(order_a)}-step and "
             f"{len(order_b)}-step orders end in different states"
         )
 
 
 class StateBudgetExceededError(EngineError):
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, label: str):
         self.budget = budget
-        super().__init__(f"confluence search exceeded {budget} distinct states")
+        self.label = label
+        super().__init__(f"confluence search of {label!r} exceeded {budget} distinct states")
 
 
 class Reaction:
@@ -329,12 +331,13 @@ class _Index:
     def state(self) -> RegisterState:
         return RegisterState.presorted(self.layout, tuple(self.strands))
 
-    def apply(self, r: Reaction) -> set[int]:
-        """Apply one reaction's delta, checking the invariants of
-        ``validate_state`` only where it lands (a valid state plus a valid
-        delta is a valid state).  Returns the positions it bound or freed."""
+    def apply(self, removed, added) -> set[int]:
+        """Apply one delta (a reaction is ``r.removed, r.added``, its undo
+        ``r.added, r.removed``), checking the invariants of ``validate_state``
+        only where it lands (a valid state plus a valid delta is a valid
+        state).  Returns the positions it bound or freed."""
         changed = set()
-        for bs in r.removed:
+        for bs in removed:
             bound = self.bound_of.pop(bs, None)
             if bound is None:
                 raise InapplicableReactionError(f"incumbent not present: {bs}")
@@ -348,12 +351,12 @@ class _Index:
             i = self.strands.index(bs, bisect_left(self.offsets, bs.offset))
             del self.offsets[i], self.strands[i]
             changed |= bound
-        for bs in r.added:
+        for bs in added:
             bound = _matched_positions(self.layout, bs.spec, bs.offset)
             bad = strand_violations(bs, bound, self.owner)
             if bad:
                 raise InapplicableReactionError(
-                    f"reaction {r!r} produced an invalid state: {'; '.join(bad)}"
+                    f"binding {bs} makes an invalid state: {'; '.join(bad)}"
                 )
             for p in bound:
                 self.owner[p] = bs
@@ -519,22 +522,12 @@ def reaction_sort_key(r: Reaction, state: RegisterState) -> tuple:
 
 
 def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
-    """Post-state of one reaction; raises if the reaction plainly cannot
-    apply (defensive, signals an engine bug rather than user error)."""
-    strands = list(state.strands)
-    for bs in r.removed:
-        if bs not in strands:
-            raise InapplicableReactionError(f"incumbent not present: {bs}")
-        strands.remove(bs)
-    strands.extend(r.added)
-
-    new_state = state.with_strands(strands)
-    bad = validate_state(new_state)
-    if bad:
-        raise InapplicableReactionError(
-            f"reaction {r!r} produced an invalid state: {'; '.join(bad)}"
-        )
-    return new_state
+    """Post-state of one reaction: the state is checked in full, the
+    reaction where it lands.  Raises if the reaction cannot apply (defensive,
+    signals an engine bug rather than user error)."""
+    index = _Index.validated(state)
+    index.apply(r.removed, r.added)
+    return index.state()
 
 
 class _Firing:
@@ -564,7 +557,7 @@ class _Firing:
 
     def fire(self, r: Reaction) -> None:
         """Apply one live reaction and bring ``live`` up to date."""
-        changed = self.index.apply(r)
+        changed = self.index.apply(r.removed, r.added)
         gone = set(r.removed)
         stale = [
             x
@@ -577,15 +570,13 @@ class _Firing:
         self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in r.added)))
 
 
-def _run_canonical(state: RegisterState, instr: Instruction, index: _Index) -> InstructionOutcome:
-    firing = _Firing(state, instr, index)
+def _outcome(state: RegisterState, instr: Instruction, steps) -> InstructionOutcome:
+    """The outcome of firing ``steps``, (reaction, post-state) pairs, from
+    ``state``; a post-state seen before is a reaction loop."""
     applied = []
     seen = {state}
-    while firing.live:
-        r = min(firing.live, key=firing.live.__getitem__)
-        firing.fire(r)
+    for r, state in steps:
         applied.append(r)
-        state = index.state()
         if state in seen:
             raise EngineError(
                 f"reaction loop revisited a state while applying {instr.label!r}"
@@ -595,36 +586,46 @@ def _run_canonical(state: RegisterState, instr: Instruction, index: _Index) -> I
     return InstructionOutcome(state, tuple(applied), tuple(washed))
 
 
-def _run_verified(
-    state: RegisterState, instr: Instruction, max_states: int, index: _Index
-) -> InstructionOutcome:
-    start = state
-    parent: dict[RegisterState, tuple[RegisterState, Reaction] | None] = {start: None}
+def _canonical_steps(state: RegisterState, instr: Instruction, index: _Index):
+    firing = _Firing(state, instr, index)
+    while firing.live:
+        r = min(firing.live, key=firing.live.__getitem__)
+        firing.fire(r)
+        yield r, index.state()
+
+
+def _verified_steps(state: RegisterState, instr: Instruction, max_states: int, index: _Index):
+    """Expand every state reachable from ``state``, depth first, each on a
+    plain index (it is the validated entry state or was reached by a delta
+    checked where it landed), then apply to ``index`` the walk along the
+    least reaction of each expanded state: the canonical steps."""
+    parent: dict[RegisterState, tuple[RegisterState, Reaction] | None] = {state: None}
+    least: dict[RegisterState, tuple[Reaction, RegisterState]] = {}
     finals: dict[RegisterState, None] = {}
-    stack = [start]
-    expanded = set()
+    stack = [state]
     while stack:
         cur = stack.pop()
-        if cur in expanded:
+        if cur in least or cur in finals:
             continue
-        expanded.add(cur)
+        ix = _Index(cur)
         reactions = sorted(
-            applicable_reactions(cur, instr), key=lambda x: reaction_sort_key(x, cur)
+            applicable_reactions(cur, instr, ix), key=lambda x: _order_key(x, cur.layout)
         )
         if not reactions:
             finals[cur] = None
-            continue
         for r in reactions:
-            nxt = apply_reaction(cur, r)
+            ix.apply(r.removed, r.added)
+            nxt = ix.state()
+            ix.apply(r.added, r.removed)
+            least.setdefault(cur, (r, nxt))
             if nxt not in parent:
                 if len(parent) >= max_states:
-                    raise StateBudgetExceededError(max_states)
+                    raise StateBudgetExceededError(max_states, instr.label)
                 parent[nxt] = (cur, r)
                 stack.append(nxt)
 
-    def path(to: RegisterState) -> tuple[Reaction, ...]:
+    def path(node: RegisterState) -> tuple[Reaction, ...]:
         steps = []
-        node = to
         while parent[node] is not None:
             node, r = parent[node]
             steps.append(r)
@@ -633,12 +634,14 @@ def _run_verified(
     uniq = list(finals)
     if len(uniq) > 1:
         a, b = uniq[0], uniq[1]
-        raise NonConfluentError(a, path(a), b, path(b))
-    # canonical pass doubles as the witness order and the washed record
-    outcome = _run_canonical(start, instr, index)
-    if uniq and outcome.final_state != uniq[0]:  # pragma: no cover
+        raise NonConfluentError(a, path(a), b, path(b), instr.label)
+    cur = state
+    while cur in least:
+        r, cur = least[cur]
+        index.apply(r.removed, r.added)
+        yield r, cur
+    if uniq and cur != uniq[0]:  # pragma: no cover
         raise EngineError("canonical order disagrees with the verified final state")
-    return outcome
 
 
 def run_instruction(
@@ -653,8 +656,10 @@ def run_instruction(
     if index is None:
         index = _Index.validated(state)
     if isinstance(mode, VerifyConfluent):
-        return _run_verified(state, instr, mode.max_states, index)
-    return _run_canonical(state, instr, index)
+        steps = _verified_steps(state, instr, mode.max_states, index)
+    else:
+        steps = _canonical_steps(state, instr, index)
+    return _outcome(state, instr, steps)
 
 
 def run_program(

@@ -166,9 +166,6 @@ class RegisterState(_Record):
         ordered = tuple(sorted(self.strands, key=BoundStrand.sort_key))
         object.__setattr__(self, "strands", ordered)
 
-    def with_strands(self, strands) -> "RegisterState":
-        return RegisterState(self.layout, tuple(strands))
-
     @classmethod
     def presorted(cls, layout: RegisterLayout, strands: tuple[BoundStrand, ...]) -> "RegisterState":
         """The state of ``strands``, which must already be in canonical
@@ -371,6 +368,7 @@ def register_from_doc(doc) -> RegisterState:
     strands_doc = doc["strands"]
     _expect(isinstance(strands_doc, list), "$.strands", "must be an array")
     strands = []
+    specs: dict[tuple[Token, ...], StrandSpec] = {}  # one spec per distinct token list
     for i, sdoc in enumerate(strands_doc):
         spath = f"$.strands[{i}]"
         _expect(isinstance(sdoc, dict), spath, "must be an object")
@@ -378,7 +376,7 @@ def register_from_doc(doc) -> RegisterState:
         off = sdoc["offset"]
         _expect(isinstance(off, int) and not isinstance(off, bool), f"{spath}.offset", "must be an integer")
         tokens = _parse_tokens(sdoc.get("tokens"), f"{spath}.tokens", layout.domains_per_cell)
-        strands.append(BoundStrand(StrandSpec(tokens, Orientation.FORWARD), off))
+        strands.append(BoundStrand(specs.setdefault(tokens, StrandSpec(tokens)), off))
     state = RegisterState(layout, tuple(strands))
     bad = validate_state(state)
     if bad:

@@ -174,3 +174,16 @@ def test_serialization_canonical(prog):
     data = serialize_program(prog)
     assert serialize_program(parse_program(data)) == data
     assert b"\n" not in data and b": " not in data
+
+
+def test_register_file_shares_one_spec_per_token_list():
+    doc = (
+        b'{"layout":{"cells":2,"domains_per_cell":4},"strands":['
+        b'{"offset":0,"tokens":[{"m":1},{"m":2}]},'
+        b'{"offset":2,"tokens":[{"m":3},{"m":4},{"o":"x"}]},'
+        b'{"offset":4,"tokens":[{"m":1},{"m":2}]}]}'
+    )
+    a, mid, b = parse_register(doc).strands
+    assert a.spec == b.spec and a.offset != b.offset
+    assert a.spec is b.spec
+    assert mid.spec is not a.spec
