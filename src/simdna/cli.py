@@ -67,6 +67,19 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[st
     (out_dir / "manifest.json").write_bytes(_canon(doc) + b"\n")
 
 
+def _write_trace(path: Path, lines: list[bytes]) -> None:
+    """One outcome line per instruction run; no lines is an empty file."""
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+
+
+def _check_flags(args) -> None:
+    """Each numeric flag that has a least meaningful value is at least that."""
+    for flag, least in (("--iterations", 0), ("--max-iters", 0), ("--max-states", 1), ("--every", 1)):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
+
+
 def _read(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
@@ -144,7 +157,7 @@ def cmd_simulate(args, argv) -> int:
             print(f"register {i}: {e}", file=sys.stderr)
             return EXIT_NONCONFLUENT
         if out_dir:
-            (out_dir / f"trace-{i}.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+            _write_trace(out_dir / f"trace-{i}.jsonl", lines)
             (out_dir / f"final-{i}.json").write_bytes(serialize_register(state) + b"\n")
         print(f"register {i}: {_state_hash(state)}")
     return EXIT_OK
@@ -205,7 +218,7 @@ def cmd_run_tm(args, argv) -> int:
 
     tape = decoded.tape_str()
     if out_dir:
-        (out_dir / "trace.jsonl").write_bytes(b"\n".join(trace_lines) + b"\n" if trace_lines else b"")
+        _write_trace(out_dir / "trace.jsonl", trace_lines)
         (out_dir / "final.json").write_bytes(serialize_register(state) + b"\n")
     print(tape)
     return EXIT_OK
@@ -248,8 +261,6 @@ def _is_trace(raw: bytes) -> bool:
 
 
 def cmd_render(args, argv) -> int:
-    if args.every is not None and args.every < 1:
-        raise CliError(f"--every must be at least 1, got {args.every}")
     raw = _read(args.input)
     style = render.load_style(args.style)
     try:
@@ -337,6 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args, argv)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -136,6 +136,24 @@ class CellScheme:
         """(cell-local offset, strand) pairs covering the symbol region."""
         return self._patterns[symbol]
 
+    @cached_property
+    def cell_forms(self) -> dict[tuple[str, object], frozenset[tuple[int, StrandSpec]]]:
+        """The (cell-local offset, strand) set of each clean cell: ``("sym", σ)``
+        stores symbol σ under covered regions, ``("head", i)`` exposes region i."""
+        plains = {(2 * i - 2, self.plain_cover(i)) for i in range(1, self.t + 1)}
+        forms = {
+            ("sym", sym): frozenset(plains | set(self.pattern_strands(sym)))
+            for sym in SYMBOL_PATTERNS
+        }
+        for i in range(1, self.t + 1):
+            exposed = plains - {(2 * i - 2, self.plain_cover(i))}
+            forms["head", i] = frozenset(exposed | {(2 * self.t, self.head_cover)})
+        return forms
+
+    @cached_property
+    def form_of(self) -> dict[frozenset[tuple[int, StrandSpec]], tuple[str, object]]:
+        return {cell: form for form, cell in self.cell_forms.items()}
+
     def span_tokens(self, symbol: str, which: int) -> tuple[int, ...]:
         """Domain numbers of span 0 (left) or 1 (right) of a pattern."""
         start, length = SYMBOL_PATTERNS[symbol][which]
@@ -178,20 +196,15 @@ def _probe_state(scheme: CellScheme, symbol: str, side: str) -> tuple[RegisterSt
     """Two-cell register with cell 0 carrying ``symbol`` and an entry toehold
     on the requested side; paired with the probe species for that side."""
     t, d = scheme.t, scheme.d
-    layout = RegisterLayout(2, d)
-    strands = []
-    for cell in (0, 1):
-        base = cell * d
-        for i in range(1, t + 1):
-            if side == "R" and cell == 1 and i == 1:
-                continue  # open entry toehold at the next cell's first region
-            strands.append(BoundStrand(scheme.plain_cover(i), base + 2 * i - 2))
-        if side == "L" and cell == 0:
-            strands.pop()  # drop cover of the last region: left entry toehold
-        sym = symbol if cell == 0 else "_"
-        for off, s in scheme.pattern_strands(sym):
-            strands.append(BoundStrand(s, base + off))
-    state = RegisterState(layout, tuple(strands))
+    strands = {
+        BoundStrand(strand, cell * d + off)
+        for cell, sym in ((0, symbol), (1, "_"))
+        for off, strand in scheme.cell_forms["sym", sym]
+    }
+    # the entry toehold: cell 0's last region (left) or cell 1's first (right)
+    region, offset = (t, 2 * t - 2) if side == "L" else (1, d)
+    strands.remove(BoundStrand(scheme.plain_cover(region), offset))
+    state = RegisterState(RegisterLayout(2, d), tuple(strands))
 
     probes = []
     for sigma in SYMBOL_PATTERNS:
@@ -243,7 +256,7 @@ def encode_config(
     """
     if len(config.tape) != s:
         raise CompileError(f"tape length {len(config.tape)} != register cells {s}")
-    t, d = scheme.t, scheme.d
+    d = scheme.d
     layout = RegisterLayout(s, d)
 
     head_cell: Optional[int] = None
@@ -260,17 +273,8 @@ def encode_config(
 
     strands = []
     for cell in range(s):
-        base = cell * d
-        if cell == head_cell:
-            for i in range(1, t + 1):
-                if i != head_region:
-                    strands.append(BoundStrand(scheme.plain_cover(i), base + 2 * i - 2))
-            strands.append(BoundStrand(scheme.head_cover, base + 2 * t))
-        else:
-            for i in range(1, t + 1):
-                strands.append(BoundStrand(scheme.plain_cover(i), base + 2 * i - 2))
-            for off, strand in scheme.pattern_strands(config.tape[cell]):
-                strands.append(BoundStrand(strand, base + off))
+        form = ("head", head_region) if cell == head_cell else ("sym", config.tape[cell])
+        strands.extend(BoundStrand(strand, cell * d + off) for off, strand in scheme.cell_forms[form])
     return RegisterState(layout, tuple(strands)), lossy
 
 
@@ -282,12 +286,12 @@ def decode_register(
     Exactly one exposed transition region means a running machine; none means
     the tape of a halted/stuck machine.  Anything else is a corrupted run.
     """
-    t, d = scheme.t, scheme.d
+    d = scheme.d
     s = state.layout.cells
     if d != state.layout.domains_per_cell:
         raise CompileError("register layout does not match scheme")
 
-    per_cell: dict[int, list[tuple[int, StrandSpec]]] = {c: [] for c in range(s)}
+    per_cell: list[list[tuple[int, StrandSpec]]] = [[] for _ in range(s)]
     for bs in state.strands:
         bound = bs.bound_positions(state.layout)
         cells = {p // d for p in bound}
@@ -296,40 +300,25 @@ def decode_register(
         cell = cells.pop()
         per_cell[cell].append((bs.offset - cell * d, bs.spec))
 
-    def candidates(cell: int):
-        plains = [(2 * i - 2, scheme.plain_cover(i)) for i in range(1, t + 1)]
-        for sym in SYMBOL_PATTERNS:
-            yield ("sym", sym, sorted(plains + list(scheme.pattern_strands(sym))))
-        for i in range(1, t + 1):
-            form = [p for p in plains if p[0] != 2 * i - 2]
-            form.append((2 * t, scheme.head_cover))
-            yield ("head", i, sorted(form))
-
     tape: list[str] = []
     exposed: list[tuple[int, int]] = []
-    for cell in range(s):
-        got = sorted(per_cell[cell], key=lambda x: (x[0], x[1].sort_key()))
-        match = None
-        for kind, value, form in candidates(cell):
-            if got == sorted(form, key=lambda x: (x[0], x[1].sort_key())):
-                match = (kind, value)
-                break
-        if match is None:
+    for cell, got in enumerate(per_cell):
+        form = scheme.form_of.get(frozenset(got))
+        # a duplicated strand leaves the set as it is: compare the sizes too
+        if form is None or len(got) != len(scheme.cell_forms[form]):
             raise UnrecognizedPatternError(cell)
-        kind, value = match
-        if kind == "sym":
-            tape.append(value)
-        else:
+        kind, value = form
+        if kind == "head":
             exposed.append((cell, value))
-            tape.append(scheme.transition_order[value - 1][1])
+            value = scheme.transition_order[value - 1][1]
+        tape.append(value)
 
     if len(exposed) > 1:
         raise MultipleHeadsError([c for c, _ in exposed])
     if not exposed:
         return TapeOnly(tuple(tape))
     cell, region = exposed[0]
-    q, b = scheme.transition_order[region - 1]
-    return TMConfig(tuple(tape), cell, q, TMStatus.RUNNING)
+    return TMConfig(tuple(tape), cell, scheme.transition_order[region - 1][0], TMStatus.RUNNING)
 
 
 # --- instruction generation --------------------------------------------------

@@ -38,6 +38,7 @@ from .model import (
     RegisterLayout,
     RegisterState,
     StrandSpec,
+    bound_set,
     spec_doc,
     strand_doc,
     strand_violations,
@@ -239,13 +240,6 @@ class InstructionOutcome:
     washed_species: tuple[StrandSpec, ...]
 
 
-@lru_cache(maxsize=65536)
-def _matched_positions(
-    layout: RegisterLayout, spec: StrandSpec, offset: int
-) -> frozenset[int]:
-    return BoundStrand(spec, offset).bound_positions(layout)
-
-
 def _runs(positions: frozenset[int]) -> list[range]:
     """Maximal runs of consecutive positions."""
     out = []
@@ -271,12 +265,14 @@ class _Species:
 
     def __init__(self, instr: Instruction):
         self.reverse = tuple(s for s in instr.species if not s.is_forward)
-        self.by_domain: dict[int, list[tuple[StrandSpec, int]]] = {}
+        by_domain: dict[int, list[tuple[StrandSpec, int]]] = {}
         for spec in instr.species:
             if spec.is_forward:
                 for j, tok in enumerate(spec.tokens):
                     if isinstance(tok, Match):
-                        self.by_domain.setdefault(tok.domain, []).append((spec, j))
+                        by_domain.setdefault(tok.domain, []).append((spec, j))
+        # kept for the life of the process (``_species``): tuples take less memory
+        self.by_domain = {dom: tuple(pairs) for dom, pairs in by_domain.items()}
         self._removers: dict[StrandSpec, tuple[StrandSpec, ...]] = {}
 
     def removers(self, spec: StrandSpec) -> tuple[StrandSpec, ...]:
@@ -289,6 +285,11 @@ class _Species:
                 found = tuple(rv for rv in self.reverse if _find(spec.tokens, rv.tokens) >= 0)
             self._removers[spec] = found
         return found
+
+
+@lru_cache(maxsize=4096)  # well above the instructions of a paper-scale program
+def _species(instr: Instruction) -> _Species:
+    return _Species(instr)
 
 
 class _Index:
@@ -304,9 +305,8 @@ class _Index:
         self.by_spec: dict[StrandSpec, set[BoundStrand]] = {}
         self.strands = list(state.strands)
         self.offsets = [bs.offset for bs in self.strands]
-        self._species: dict[Instruction, _Species] = {}
         for bs in self.strands:
-            bound = _matched_positions(self.layout, bs.spec, bs.offset)
+            bound = bound_set(self.layout, bs.spec, bs.offset)
             self.bound_of[bs] = bound
             self.by_spec.setdefault(bs.spec, set()).add(bs)
             for p in bound:
@@ -321,12 +321,6 @@ class _Index:
         if bad:
             raise EngineError(f"invalid register: {'; '.join(bad)}")
         return cls(state)
-
-    def species(self, instr: Instruction) -> _Species:
-        sp = self._species.get(instr)
-        if sp is None:
-            sp = self._species[instr] = _Species(instr)
-        return sp
 
     def state(self) -> RegisterState:
         return RegisterState.presorted(self.layout, tuple(self.strands))
@@ -352,7 +346,7 @@ class _Index:
             del self.offsets[i], self.strands[i]
             changed |= bound
         for bs in added:
-            bound = _matched_positions(self.layout, bs.spec, bs.offset)
+            bound = bound_set(self.layout, bs.spec, bs.offset)
             bad = strand_violations(bs, bound, self.owner)
             if bad:
                 raise InapplicableReactionError(
@@ -391,7 +385,7 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
     """The attach/displace/exchange reactions of one alignment, and its
     cooperative flank ``(incumbent, M, cover, left, right)`` (or None) when
     it partly covers one incumbent from a toehold on its left or right."""
-    M = _matched_positions(ix.layout, spec, offset)
+    M = bound_set(ix.layout, spec, offset)
     if not M:
         return (), None
     owner = ix.owner
@@ -503,7 +497,7 @@ def applicable_reactions(
     """All reactions the instruction's species can perform on the state.
     ``index`` is the state's occupancy index when the caller keeps one."""
     ix = _Index(state) if index is None else index
-    sp = ix.species(instr)
+    sp = _species(instr)
     out = set(_detaches(sp, ix.by_spec.items()))
     out.update(_forward_reactions(ix, sp, 0, state.layout.total_positions - 1))
     return out
@@ -511,7 +505,7 @@ def applicable_reactions(
 
 def _order_key(r: Reaction, layout: RegisterLayout) -> tuple:
     pos = min(
-        min(_matched_positions(layout, bs.spec, bs.offset), default=0)
+        min(bound_set(layout, bs.spec, bs.offset), default=0)
         for bs in r.added or r.removed
     )
     return (pos, r.rank, r.tie_break())
@@ -541,7 +535,7 @@ class _Firing:
 
     def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
         self.index = index
-        self.species = index.species(instr)
+        self.species = _species(instr)
         self.live: dict[Reaction, tuple] = {}
         self._footprint: dict[Reaction, frozenset[int]] = {}
         self._admit(applicable_reactions(state, instr, index))
@@ -552,7 +546,7 @@ class _Firing:
             if r not in self.live:
                 self.live[r] = _order_key(r, layout)
                 self._footprint[r] = frozenset().union(
-                    *(_matched_positions(layout, bs.spec, bs.offset) for bs in r.added)
+                    *(bound_set(layout, bs.spec, bs.offset) for bs in r.added)
                 )
 
     def fire(self, r: Reaction) -> None:
@@ -595,52 +589,52 @@ def _canonical_steps(state: RegisterState, instr: Instruction, index: _Index):
 
 
 def _verified_steps(state: RegisterState, instr: Instruction, max_states: int, index: _Index):
-    """Expand every state reachable from ``state``, depth first, each on a
-    plain index (it is the validated entry state or was reached by a delta
-    checked where it landed), then apply to ``index`` the walk along the
-    least reaction of each expanded state: the canonical steps."""
-    parent: dict[RegisterState, tuple[RegisterState, Reaction] | None] = {state: None}
+    """Expand every state reachable from ``state``, depth first, on the run's
+    ``index``: a successor is a reaction's delta, checked where it lands, then
+    its inverse; the search enters a new successor by applying the reaction
+    and undoes it after that subtree.  Then apply to ``index`` the walk along
+    the least reaction of each expanded state: the canonical steps."""
+    seen = {state}
     least: dict[RegisterState, tuple[Reaction, RegisterState]] = {}
-    finals: dict[RegisterState, None] = {}
-    stack = [state]
+    finals: dict[RegisterState, tuple[Reaction, ...]] = {}
+    path: list[Reaction] = []
+    # (reaction into a new state, that state), or (reaction to undo, None)
+    stack: list[tuple[Reaction | None, RegisterState | None]] = [(None, state)]
     while stack:
-        cur = stack.pop()
-        if cur in least or cur in finals:
+        r, cur = stack.pop()
+        if cur is None:
+            index.apply(r.added, r.removed)
+            path.pop()
             continue
-        ix = _Index(cur)
+        if r is not None:
+            index.apply(r.removed, r.added)
+            path.append(r)
+            stack.append((r, None))
         reactions = sorted(
-            applicable_reactions(cur, instr, ix), key=lambda x: _order_key(x, cur.layout)
+            applicable_reactions(cur, instr, index), key=lambda x: _order_key(x, cur.layout)
         )
         if not reactions:
-            finals[cur] = None
-        for r in reactions:
-            ix.apply(r.removed, r.added)
-            nxt = ix.state()
-            ix.apply(r.added, r.removed)
-            least.setdefault(cur, (r, nxt))
-            if nxt not in parent:
-                if len(parent) >= max_states:
+            finals[cur] = tuple(path)
+        for x in reactions:
+            index.apply(x.removed, x.added)
+            nxt = index.state()
+            index.apply(x.added, x.removed)
+            least.setdefault(cur, (x, nxt))
+            if nxt not in seen:
+                if len(seen) >= max_states:
                     raise StateBudgetExceededError(max_states, instr.label)
-                parent[nxt] = (cur, r)
-                stack.append(nxt)
+                seen.add(nxt)
+                stack.append((x, nxt))
 
-    def path(node: RegisterState) -> tuple[Reaction, ...]:
-        steps = []
-        while parent[node] is not None:
-            node, r = parent[node]
-            steps.append(r)
-        return tuple(reversed(steps))
-
-    uniq = list(finals)
-    if len(uniq) > 1:
-        a, b = uniq[0], uniq[1]
-        raise NonConfluentError(a, path(a), b, path(b), instr.label)
+    if len(finals) > 1:
+        (a, order_a), (b, order_b) = list(finals.items())[:2]
+        raise NonConfluentError(a, order_a, b, order_b, instr.label)
     cur = state
     while cur in least:
         r, cur = least[cur]
         index.apply(r.removed, r.added)
         yield r, cur
-    if uniq and cur != uniq[0]:  # pragma: no cover
+    if finals and cur not in finals:  # pragma: no cover
         raise EngineError("canonical order disagrees with the verified final state")
 
 

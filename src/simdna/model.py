@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter
 from typing import Union
 
@@ -138,19 +139,26 @@ class BoundStrand(_Record):
     __hash__ = _Record.__hash__
 
     def bound_positions(self, layout: RegisterLayout) -> frozenset[int]:
-        pos = []
-        for j, tok in enumerate(self.spec.tokens):
-            p = self.offset + j
-            if (
-                isinstance(tok, Match)
-                and layout.contains(p)
-                and layout.domain_at(p) == tok.domain
-            ):
-                pos.append(p)
-        return frozenset(pos)
+        return bound_set(layout, self.spec, self.offset)
 
     def sort_key(self) -> tuple:
         return (self.offset, self.spec.sort_key())
+
+
+@lru_cache(maxsize=65536)
+def bound_set(layout: RegisterLayout, spec: StrandSpec, offset: int) -> frozenset[int]:
+    """Positions a strand of ``spec`` with its leftmost token over ``offset``
+    binds (or would bind): its Match tokens over a position of their domain."""
+    pos = []
+    for j, tok in enumerate(spec.tokens):
+        p = offset + j
+        if (
+            isinstance(tok, Match)
+            and layout.contains(p)
+            and layout.domain_at(p) == tok.domain
+        ):
+            pos.append(p)
+    return frozenset(pos)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,13 +18,13 @@ from typing import Optional, Sequence
 
 from . import engine
 from .model import (
-    BoundStrand,
     Instruction,
     Match,
     RegisterState,
     StrandSpec,
     _expect,
     _load_json,
+    bound_set,
 )
 
 
@@ -95,7 +95,7 @@ def _best_alignment(state: RegisterState, spec: StrandSpec) -> int:
     best = (0, 0)
     found = False
     for off in range(-len(spec.tokens) + 1, layout.total_positions):
-        n = len(BoundStrand(spec, off).bound_positions(layout))
+        n = len(bound_set(layout, spec, off))
         if not found or n > best[0] or (n == best[0] and off < best[1]):
             if n > 0:
                 best = (n, off)
@@ -211,7 +211,7 @@ def render_text(scene: RenderScene) -> str:
         items.append((col(ps.offset), col(ps.offset + len(ps.spec.tokens) - 1)))
     lanes = _pack_lanes(items)
     for ps, lane in zip(scene.pending, lanes):
-        bound = BoundStrand(ps.spec, ps.offset).bound_positions(layout) if ps.spec.is_forward else frozenset()
+        bound = bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset()
         pend_rows.append((lane, strand_row(ps.spec, ps.offset, bound, not ps.reactive)))
 
     def stack(rows: list[tuple[int, list[str]]]) -> list[str]:
@@ -329,11 +329,7 @@ def _scene_fragment(scene: RenderScene, style: StyleTable, y_top: int, x0: int) 
         )
     for ps, lane in zip(scene.pending, pend_lanes):
         y = y_base - 6 - (n_bound + 1 + lane) * style.lane_height
-        bound = (
-            BoundStrand(ps.spec, ps.offset).bound_positions(layout)
-            if ps.spec.is_forward
-            else frozenset()
-        )
+        bound = bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset()
         parts += _strand_svg(ps.spec, ps.offset, bound, y, not ps.reactive, style, x0)
 
     if scene.label:

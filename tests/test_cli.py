@@ -138,6 +138,42 @@ def test_check_alias_ok(prog_path, reg_path):
     assert main(["check", str(prog_path), str(reg_path)]) == 0
 
 
+def test_traces_hold_one_line_per_instruction_run(tmp_path, prog_path, reg_path, increment_path):
+    # no instruction run: both commands write an empty trace
+    assert main(["simulate", str(prog_path), str(reg_path), "-n", "0", "--out-dir", str(tmp_path / "sim0")]) == 0
+    assert (tmp_path / "sim0" / "trace-0.jsonl").read_bytes() == b""
+    tm_argv = ["run-tm", str(increment_path), "--cells", "3", "--out-dir"]
+    assert main([*tm_argv, str(tmp_path / "tm0"), "--max-iters", "0"]) == 0
+    assert (tmp_path / "tm0" / "trace.jsonl").read_bytes() == b""
+    instructions = len(json.loads(prog_path.read_text())["instructions"])
+    assert main(["simulate", str(prog_path), str(reg_path), "--out-dir", str(tmp_path / "sim1")]) == 0
+    assert main([*tm_argv, str(tmp_path / "tm1"), "--max-iters", "1"]) == 0
+    for trace in (tmp_path / "sim1" / "trace-0.jsonl", tmp_path / "tm1" / "trace.jsonl"):
+        raw = trace.read_bytes()
+        assert raw.endswith(b"}\n") and raw.count(b"\n") == instructions
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("check", "--max-states", "0"),
+        ("check", "--max-states", "-5"),
+        ("simulate", "--max-states", "0"),
+        ("simulate", "--iterations", "-1"),
+        ("simulate", "-n", "-1"),
+        ("run-tm", "--max-iters", "-1"),
+        ("run-tm", "--max-states", "0"),
+    ],
+)
+def test_meaningless_numeric_flags_exit_2(capsys, prog_path, reg_path, increment_path, command, flag, value):
+    inputs = [str(increment_path), "--cells", "3"] if command == "run-tm" else [str(prog_path), str(reg_path)]
+    capsys.readouterr()
+    assert main([command, *inputs, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("--iterations" if flag == "-n" else flag) in err
+
+
 # two four-token challengers over one incumbent: order decides the final
 RACE_PROGRAM = {
     "layout": {"cells": 1, "domains_per_cell": 6},

@@ -167,6 +167,15 @@ def test_decode_unrecognized(increment_spec):
         decode_register(increment_spec, scheme, RegisterState(reg.layout, strands))
 
 
+def test_decode_rejects_a_duplicated_strand(increment_spec):
+    scheme = build_scheme(increment_spec)
+    reg, _ = encode_config(increment_spec, scheme, TMConfig(("0", "1"), 0, "a"), 2)
+    for bs in reg.strands:
+        with pytest.raises(UnrecognizedPatternError) as err:
+            decode_register(increment_spec, scheme, RegisterState(reg.layout, reg.strands + (bs,)))
+        assert err.value.cell == bs.offset // scheme.d
+
+
 def test_sublist_skeleton(increment_spec):
     scheme = build_scheme(increment_spec)
     for key in scheme.transition_order:

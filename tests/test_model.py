@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from generators import random_tokens
 
 from simdna.model import (
     BoundStrand,
@@ -14,6 +18,7 @@ from simdna.model import (
     RegisterState,
     SchemaError,
     StrandSpec,
+    bound_set,
     fwd,
     parse_program,
     parse_register,
@@ -46,6 +51,26 @@ def test_bound_positions_skip_mismatch_and_overhang():
     # position 2 carries domain 3 (bind), 3 is Ortho, 4 carries domain 5
     # (bind), 5 carries domain 6 but the token wants 1 (mismatch)
     assert bs.bound_positions(layout) == {2, 4}
+
+
+def test_bound_set_is_the_token_by_token_definition():
+    rng = random.Random(72)
+    for _ in range(500):
+        layout = RegisterLayout(rng.randint(1, 3), rng.randint(2, 6))
+        n = layout.total_positions
+        tokens = random_tokens(rng, layout.domains_per_cell, rng.randint(1, 8), runny=rng.random() < 0.5)
+        spec = StrandSpec(tokens)
+        # offsets that put tokens off either register end
+        for offset in range(-len(tokens), n + 1):
+            expected = set()
+            for j, tok in enumerate(tokens):
+                p = offset + j
+                if type(tok) is Match and 0 <= p < n and p % layout.domains_per_cell + 1 == tok.domain:
+                    expected.add(p)
+            assert bound_set(layout, spec, offset) == expected
+            assert BoundStrand(spec, offset).bound_positions(layout) == expected
+    assert bound_set(RegisterLayout(1, 6), fwd(Ortho("x"), Match(1), Match(2)), -1) == {0, 1}
+    assert bound_set(RegisterLayout(1, 6), fwd(Match(6), Ortho("x"), Match(2)), 5) == {5}
 
 
 def test_validate_state_empty_is_clean():

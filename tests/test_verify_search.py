@@ -1,5 +1,5 @@
-"""The confluence search, which steps one occupancy index per state it
-expands, against the canonical run and the from-scratch reaction functions.
+"""The confluence search, which steps the run's occupancy index with apply
+and undo, against the canonical run and the from-scratch reaction functions.
 
 ``VerifyConfluent`` takes its witness order from the search itself: the
 least reaction of every expanded state, walked from the start.  These tests
@@ -128,6 +128,42 @@ def test_verified_run_leaves_the_program_index_at_the_final_state(increment_spec
         canon = engine.run_program(st, cp.program, Canonical())
         verified = engine.run_program(st, cp.program, VerifyConfluent())
         assert verified == canon
+
+
+INDEX_FIELDS = ("owner", "unbound", "bound_of", "by_spec", "strands", "offsets")
+
+
+def _assert_index_is_fresh(index, state):
+    """Every field of the run's index equals that of an index built anew."""
+    fresh = engine._Index(state)
+    for field in INDEX_FIELDS:
+        assert getattr(index, field) == getattr(fresh, field), field
+
+
+def test_search_leaves_the_run_index_equal_to_a_fresh_one(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    reactions = 0
+    for st in _incrementor_registers(increment_spec, cp):
+        index = engine._Index.validated(st)
+        for instr in cp.program.instructions:
+            out = run_instruction(st, instr, VerifyConfluent(), index)
+            st = out.final_state
+            _assert_index_is_fresh(index, st)
+            reactions += len(out.applied)
+    assert reactions > 100
+    rng = random.Random(5150)
+    fired = 0
+    for _ in range(600):
+        st = random_state(rng)
+        instr = random_instruction(rng, st)
+        index = engine._Index.validated(st)
+        try:
+            out = run_instruction(st, instr, VerifyConfluent(2_000), index)
+        except EngineError:
+            continue  # the search stopped: its index is dropped
+        _assert_index_is_fresh(index, out.final_state)
+        fired += bool(out.applied)
+    assert fired > 150
 
 
 def _budget_boundary(st, instr):
