@@ -244,15 +244,16 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
         label = f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()
         scenes.append(render.RenderScene(state, (), label))
         counts.append(len(applied))
-    if not scenes:
-        raise CliError("trace file carries no outcomes")
     return scenes, counts
 
 
 def _is_trace(raw: bytes) -> bool:
-    """A trace's first line is a JSON object with an "instr" key; a register
-    file is one JSON document, which may span lines."""
-    line = next((line for line in raw.splitlines() if line.strip()), b"")
+    """A trace's first line is a JSON object with an "instr" key, and a
+    trace of no instructions has no line at all; a register file is one
+    JSON document, which may span lines."""
+    line = next((line for line in raw.splitlines() if line.strip()), None)
+    if line is None:
+        return True
     try:
         doc = json.loads(line)
     except ValueError:
@@ -266,6 +267,8 @@ def cmd_render(args, argv) -> int:
     try:
         if _is_trace(raw):
             scenes, counts = _scenes_from_trace(raw)
+            if not scenes:
+                raise CliError(f"{args.input}: trace file carries no outcomes")
             if args.format == "text":
                 payload = "\n".join(render.render_text(s) for s in scenes)
             else:

@@ -192,9 +192,9 @@ def build_scheme(spec: TMSpec) -> CellScheme:
     return scheme
 
 
-def _probe_state(scheme: CellScheme, symbol: str, side: str) -> tuple[RegisterState, Instruction]:
+def _probe_state(scheme: CellScheme, symbol: str, side: str) -> RegisterState:
     """Two-cell register with cell 0 carrying ``symbol`` and an entry toehold
-    on the requested side; paired with the probe species for that side."""
+    on the requested side."""
     t, d = scheme.t, scheme.d
     strands = {
         BoundStrand(strand, cell * d + off)
@@ -204,9 +204,13 @@ def _probe_state(scheme: CellScheme, symbol: str, side: str) -> tuple[RegisterSt
     # the entry toehold: cell 0's last region (left) or cell 1's first (right)
     region, offset = (t, 2 * t - 2) if side == "L" else (1, d)
     strands.remove(BoundStrand(scheme.plain_cover(region), offset))
-    state = RegisterState(RegisterLayout(2, d), tuple(strands))
+    return RegisterState(RegisterLayout(2, d), tuple(strands))
 
-    probes = []
+
+def _probes(scheme: CellScheme, side: str) -> dict[str, StrandSpec]:
+    """The probe species of each symbol pattern, entering from ``side``."""
+    t = scheme.t
+    probes = {}
     for sigma in SYMBOL_PATTERNS:
         if side == "L":
             span = scheme.span_tokens(sigma, 0)
@@ -214,20 +218,19 @@ def _probe_state(scheme: CellScheme, symbol: str, side: str) -> tuple[RegisterSt
         else:
             span = scheme.span_tokens(sigma, 1)
             toks = tuple(Match(x) for x in span[1:]) + (Match(1),)
-        probes.append((sigma, fwd(*toks)))
-    return state, probes
+        probes[sigma] = fwd(*toks)
+    return probes
 
 
 def _check_pattern_distinguishability(scheme: CellScheme) -> None:
     """Every ordered pair of symbols must be separable by a displacement
     cascade entering the symbol region from either end."""
     for side in ("L", "R"):
-        fired: dict[str, set[str]] = {}
-        for probe_sym in SYMBOL_PATTERNS:
-            fired[probe_sym] = set()
-            for actual in SYMBOL_PATTERNS:
-                state, probes = _probe_state(scheme, actual, side)
-                probe = dict(probes)[probe_sym]
+        probes = _probes(scheme, side)
+        fired: dict[str, set[str]] = {sigma: set() for sigma in SYMBOL_PATTERNS}
+        for actual in SYMBOL_PATTERNS:
+            state = _probe_state(scheme, actual, side)
+            for probe_sym, probe in probes.items():
                 if engine.applicable_reactions(state, Instruction((probe,))):
                     fired[probe_sym].add(actual)
         for a in SYMBOL_PATTERNS:

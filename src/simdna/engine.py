@@ -47,7 +47,14 @@ from .model import (
 
 
 class EngineError(Exception):
-    pass
+    """``instr`` is the number (from 1, as in a trace) of the instruction in
+    its program, when ``run_program`` raised the error."""
+
+    instr: int | None = None
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.instr is None else f"instruction {self.instr}: {message}"
 
 
 class InapplicableReactionError(EngineError):
@@ -525,13 +532,14 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
 
 
 class _Firing:
-    """The canonical run of one instruction on an index, one reaction at a
-    time.  ``live`` maps every reaction that applies to the index's current
-    state to its sort key.  A reaction depends only on the occupancy of its
-    alignments' matched positions (its footprint) and, for a detach, on its
-    target being there.  So after each step only the reactions whose
-    footprint meets the changed positions, or whose incumbent left, are
-    dropped, and only around the changed positions is searched again."""
+    """One instruction's reactions on an index, fired (and, for the
+    confluence search, undone) one at a time.  ``live`` maps every reaction
+    that applies to the index's current state to its sort key.  A reaction
+    depends only on the occupancy of its alignments' matched positions (its
+    footprint) and, for a detach, on its target being there.  So after each
+    step only the reactions whose footprint meets the changed positions, or
+    whose incumbent left, are dropped, and only around the changed positions
+    is searched again."""
 
     def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
         self.index = index
@@ -551,8 +559,16 @@ class _Firing:
 
     def fire(self, r: Reaction) -> None:
         """Apply one live reaction and bring ``live`` up to date."""
-        changed = self.index.apply(r.removed, r.added)
-        gone = set(r.removed)
+        self._step(r.removed, r.added)
+
+    def undo(self, r: Reaction) -> None:
+        """Take back the reaction that led to the current state."""
+        self._step(r.added, r.removed)
+
+    def _step(self, removed, added) -> None:
+        # any delta: what it changed is all a reaction can newly need or lose
+        changed = self.index.apply(removed, added)
+        gone = set(removed)
         stale = [
             x
             for x, footprint in self._footprint.items()
@@ -561,7 +577,7 @@ class _Firing:
         for x in stale:
             del self.live[x], self._footprint[x]
         self._admit(_forward_reactions(self.index, self.species, min(changed), max(changed)))
-        self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in r.added)))
+        self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in added)))
 
 
 def _outcome(state: RegisterState, instr: Instruction, steps) -> InstructionOutcome:
@@ -580,22 +596,89 @@ def _outcome(state: RegisterState, instr: Instruction, steps) -> InstructionOutc
     return InstructionOutcome(state, tuple(applied), tuple(washed))
 
 
-def _canonical_steps(state: RegisterState, instr: Instruction, index: _Index):
-    firing = _Firing(state, instr, index)
+def _canonical_steps(firing: _Firing):
     while firing.live:
         r = min(firing.live, key=firing.live.__getitem__)
         firing.fire(r)
-        yield r, index.state()
+        yield r, firing.index.state()
 
 
-def _verified_steps(state: RegisterState, instr: Instruction, max_states: int, index: _Index):
-    """Expand every state reachable from ``state``, depth first, on the run's
-    ``index``: a successor is a reaction's delta, checked where it lands, then
-    its inverse; the search enters a new successor by applying the reaction
-    and undoes it after that subtree.  Then apply to ``index`` the walk along
-    the least reaction of each expanded state: the canonical steps."""
+def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
+    """Split the positions that the instruction's reactions may bind or
+    free, from the index's state on, into parts that no reaction spans.
+    Maps each such position to a representative of its part.
+
+    Whether a reaction applies depends only on the occupancy of its
+    footprint (its alignments' matched positions and the bound sets of the
+    strands it removes), and it changes nothing else.  A forward alignment
+    acts only while one of its matched positions is unbound.  So an
+    alignment is live when it holds a position that may ever be unbound:
+    one unbound now, or bound by a strand that may leave, which is one a
+    reverse species grabs or a live alignment overlaps.  (A strand added
+    later binds positions that were unbound, or freed by the strand it
+    replaced.)  Every footprint is a chain of overlapping live alignments
+    and strands that may leave; the parts are their connected groups."""
+    layout = ix.layout
+    d = layout.domains_per_cell
+    covering: dict[int, list[frozenset[int]]] = {}
+    for p in range(layout.total_positions):
+        for spec, j in sp.by_domain.get(p % d + 1, ()):
+            M = bound_set(layout, spec, p - j)
+            if len(M) >= 2:  # a strand binds at least two positions
+                covering.setdefault(p, []).append(M)
+    may_leave = {bs for bs in ix.bound_of if sp.removers(bs.spec)}
+    may_free = set(ix.unbound).union(*(ix.bound_of[bs] for bs in may_leave))
+    live: set[frozenset[int]] = set()
+    todo = list(may_free)
+    while todo:
+        for M in covering.get(todo.pop(), ()):
+            if M in live:
+                continue
+            live.add(M)
+            for bs in {ix.owner[q] for q in M if q in ix.owner} - may_leave:
+                may_leave.add(bs)
+                fresh = ix.bound_of[bs] - may_free
+                may_free |= fresh
+                todo.extend(fresh)
+    parent: dict[int, int] = {}
+
+    def root(p: int) -> int:
+        while parent.setdefault(p, p) != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    for group in live | {ix.bound_of[bs] for bs in may_leave}:
+        first, *rest = group
+        for p in rest:
+            parent[root(p)] = root(first)
+    return {p: root(p) for p in parent}
+
+
+def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: str):
+    """Every final state reachable from ``state``, each with one reaction
+    order that reaches it, found depth first on ``firing``, which ends where
+    it started.  A successor is a reaction's delta on the index, checked
+    where it lands, then its inverse; the search enters a new successor by
+    firing the reaction and undoes it after that subtree.
+
+    The search is reduced with stubborn sets (Valmari 1990; Godefroid,
+    LNCS 1032, 1996): a state expands only the reactions in the part
+    (``_parts``) of its least reaction.  No reaction outside that part can
+    enable, disable or fail to commute with one inside it, so every final
+    state stays reachable, while independent reactions are taken in one
+    order instead of in all of them.  The parts are drawn at the first
+    state with two reactions; every state searched after it is reachable
+    from it.  Raises ``StateBudgetExceededError`` past ``max_states``
+    distinct states."""
+    index, live = firing.index, firing.live
+    layout = index.layout
+    parts: dict[int, int] = {}
+
+    def part(r: Reaction) -> int:
+        bs = (r.added or r.removed)[0]
+        return parts[min(bound_set(layout, bs.spec, bs.offset))]
+
     seen = {state}
-    least: dict[RegisterState, tuple[Reaction, RegisterState]] = {}
     finals: dict[RegisterState, tuple[Reaction, ...]] = {}
     path: list[Reaction] = []
     # (reaction into a new state, that state), or (reaction to undo, None)
@@ -603,73 +686,100 @@ def _verified_steps(state: RegisterState, instr: Instruction, max_states: int, i
     while stack:
         r, cur = stack.pop()
         if cur is None:
-            index.apply(r.added, r.removed)
+            firing.undo(r)
             path.pop()
             continue
         if r is not None:
-            index.apply(r.removed, r.added)
+            firing.fire(r)
             path.append(r)
             stack.append((r, None))
-        reactions = sorted(
-            applicable_reactions(cur, instr, index), key=lambda x: _order_key(x, cur.layout)
-        )
+        reactions = sorted(live, key=live.__getitem__)
         if not reactions:
             finals[cur] = tuple(path)
+        elif len(reactions) > 1:
+            if not parts:
+                parts = _parts(index, firing.species)
+            least = part(reactions[0])
+            reactions = [x for x in reactions if part(x) == least]
         for x in reactions:
             index.apply(x.removed, x.added)
             nxt = index.state()
             index.apply(x.added, x.removed)
-            least.setdefault(cur, (x, nxt))
             if nxt not in seen:
                 if len(seen) >= max_states:
-                    raise StateBudgetExceededError(max_states, instr.label)
+                    raise StateBudgetExceededError(max_states, label)
                 seen.add(nxt)
                 stack.append((x, nxt))
+    return finals
 
-    if len(finals) > 1:
-        (a, order_a), (b, order_b) = list(finals.items())[:2]
-        raise NonConfluentError(a, order_a, b, order_b, instr.label)
-    cur = state
-    while cur in least:
-        r, cur = least[cur]
-        index.apply(r.removed, r.added)
-        yield r, cur
-    if finals and cur not in finals:  # pragma: no cover
-        raise EngineError("canonical order disagrees with the verified final state")
+
+# The last final state ``run_instruction`` returned, with the index it left
+# at that state: {"last": (state, index)}.  ``dict.pop`` takes it in one
+# step, so no two runs share an index, even across threads.
+_handoff: dict[str, tuple[RegisterState, _Index]] = {}
+
+
+def _take_index(state: RegisterState) -> _Index:
+    """The index handed off with ``state`` itself, or else a new index of
+    ``state`` once it passes the full ``validate_state``.  A handed-off
+    state was built by the engine from a validated one, each delta checked
+    where it landed.  The slot is emptied either way, so a run that raises
+    leaves no index behind."""
+    kept = _handoff.pop("last", None)
+    if kept is not None and kept[0] is state:
+        return kept[1]
+    return _Index.validated(state)
+
+
+def _hand_off(state: RegisterState, index: _Index) -> None:
+    _handoff["last"] = (state, index)
 
 
 def run_instruction(
-    state: RegisterState,
-    instr: Instruction,
-    mode: Mode = Canonical(),
-    index: _Index | None = None,
+    state: RegisterState, instr: Instruction, mode: Mode = Canonical()
 ) -> InstructionOutcome:
-    """Run one instruction to its fixed point.  ``index`` is the occupancy
-    index of ``state`` that ``run_program`` keeps for a whole run; without
-    it the state is validated in full and indexed here."""
-    if index is None:
-        index = _Index.validated(state)
+    """Run one instruction to its fixed point.
+
+    The run keeps its occupancy index for the ``final_state`` object it
+    returns: a call on that very object continues from the index and skips
+    the full validation and the rebuild; any other state is validated and
+    indexed anew.  ``VerifyConfluent`` first searches every final state;
+    the outcome is then the canonical run, which must end in the unique
+    one."""
+    index = _take_index(state)
+    firing = _Firing(state, instr, index)
+    finals = None
     if isinstance(mode, VerifyConfluent):
-        steps = _verified_steps(state, instr, mode.max_states, index)
-    else:
-        steps = _canonical_steps(state, instr, index)
-    return _outcome(state, instr, steps)
+        finals = _deadlocks(state, firing, mode.max_states, instr.label)
+        if len(finals) > 1:
+            (a, order_a), (b, order_b) = list(finals.items())[:2]
+            raise NonConfluentError(a, order_a, b, order_b, instr.label)
+    out = _outcome(state, instr, _canonical_steps(firing))
+    if finals is not None and out.final_state not in finals:  # pragma: no cover
+        raise EngineError("canonical order disagrees with the verified final state")
+    _hand_off(out.final_state, index)
+    return out
 
 
 def run_program(
     state: RegisterState, prog: Program, mode: Mode = Canonical()
 ) -> tuple[RegisterState, tuple[InstructionOutcome, ...]]:
-    """Run every instruction in order.  The register is validated in full
-    once and indexed once; each reaction then updates the index and is
-    checked where it lands."""
+    """Run every instruction in order; the register is validated up front
+    (once, unless it is the final state of the last run) and each
+    instruction continues from the index of the one before.  An engine
+    error names the instruction's number in the program (``instr``)."""
     if state.layout != prog.layout:
         raise EngineError(
             f"register layout {state.layout} does not match program layout {prog.layout}"
         )
-    index = _Index.validated(state)
+    _hand_off(state, _take_index(state))  # checked here even when no instruction runs
     outcomes = []
-    for instr in prog.instructions:
-        out = run_instruction(state, instr, mode, index)
+    for number, instr in enumerate(prog.instructions, 1):
+        try:
+            out = run_instruction(state, instr, mode)
+        except EngineError as e:
+            e.instr = number
+            raise
         outcomes.append(out)
         state = out.final_state
     return state, tuple(outcomes)

@@ -279,6 +279,19 @@ def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extr
     assert named in err
 
 
+def test_render_empty_trace_exits_2(tmp_path, prog_path, reg_path, capsys):
+    # simulate -n 0 runs no instruction and writes an empty trace
+    assert main(["simulate", str(prog_path), str(reg_path), "-n", "0", "--out-dir", str(tmp_path / "sim0")]) == 0
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text(" \n\n\t\n")
+    for trace in (tmp_path / "sim0" / "trace-0.jsonl", blank):
+        capsys.readouterr()
+        assert main(["render", str(trace), "--format", "text"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {trace}: trace file carries no outcomes" in err
+        assert "Traceback" not in err
+
+
 def test_render_one_line_trace(tmp_path, capsys):
     # a one-instruction program leaves a trace of a single line
     prog = tmp_path / "one.json"

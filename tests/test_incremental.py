@@ -62,6 +62,35 @@ def test_kept_reactions_match_scratch_on_random_states(order):
     assert steps > 500
 
 
+def test_kept_reactions_match_scratch_after_undo():
+    # the confluence search takes reactions back as it backtracks: walk
+    # forward and back at random, checking the kept set after every step
+    rng = random.Random(20261019)
+    steps = 0
+    for _ in range(800):
+        state = random_state(rng)
+        instr = random_instruction(rng, state)
+        index = engine._Index.validated(state)
+        firing = engine._Firing(state, instr, index)
+        path = []
+        for _ in range(12):
+            if path and (not firing.live or rng.random() < 0.4):
+                firing.undo(path.pop())
+            elif firing.live:
+                r = rng.choice(sorted(firing.live, key=firing.live.__getitem__))
+                firing.fire(r)
+                path.append(r)
+            else:
+                break
+            cur = index.state()
+            assert set(firing.live) == brute_force_reactions(cur, instr), (cur, instr)
+            steps += 1
+        while path:
+            firing.undo(path.pop())
+        assert index.state() == state
+    assert steps > 2000
+
+
 def test_cooperative_flank_found_beyond_the_changed_window():
     # Y blocks the right flank's toehold; once Y is carried off, the pair
     # with the left flank, whose toehold is at the far end of the

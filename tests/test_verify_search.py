@@ -1,22 +1,29 @@
 """The confluence search, which steps the run's occupancy index with apply
-and undo, against the canonical run and the from-scratch reaction functions.
+and undo, against the canonical run, the from-scratch reaction functions
+and the full-search oracle.
 
-``VerifyConfluent`` takes its witness order from the search itself: the
-least reaction of every expanded state, walked from the start.  These tests
-pin that this walk is the canonical run, and pin the search's loop, budget
-and error behaviour.
+``VerifyConfluent`` searches a stubborn subset of each state's reactions,
+then takes its outcome from the canonical run.  These tests pin that the
+reduced search finds the final states of the full one, that the outcome is
+the canonical one, the index each call hands off to the next, and the
+search's loop, budget and error behaviour.
 """
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+from full_search import full_search
 from generators import random_instruction, random_state
 
 from simdna import engine
-from simdna.compiler import encode_config, reachable_configs
+from simdna.compiler import compile_tm, configs_equivalent, decode_register, encode_config, reachable_configs
 from simdna.engine import (
     Canonical,
     EngineError,
@@ -26,7 +33,8 @@ from simdna.engine import (
     VerifyConfluent,
     run_instruction,
 )
-from simdna.model import BoundStrand, Instruction, Match, RegisterLayout, RegisterState, fwd
+from simdna.model import BoundStrand, Instruction, Match, Ortho, Program, RegisterLayout, RegisterState, fwd, rev
+from simdna.tm import parse_tm_spec, tm_step
 
 L6 = RegisterLayout(1, 6)
 INCUMBENT = BoundStrand(fwd(Match(3), Match(4)), 2)
@@ -120,11 +128,11 @@ def test_verify_reports_livelock():
 def test_verified_run_leaves_the_program_index_at_the_final_state(increment_spec, increment_compiled_s3):
     cp = increment_compiled_s3
     for st in _incrementor_registers(increment_spec, cp)[:4]:
-        index = engine._Index.validated(st)
         cur = st
         for instr in cp.program.instructions:
-            cur = run_instruction(cur, instr, VerifyConfluent(), index).final_state
-            assert index.state() == cur
+            cur = run_instruction(cur, instr, VerifyConfluent()).final_state
+            kept, index = engine._handoff["last"]
+            assert kept is cur and index.state() == cur
         canon = engine.run_program(st, cp.program, Canonical())
         verified = engine.run_program(st, cp.program, VerifyConfluent())
         assert verified == canon
@@ -140,40 +148,182 @@ def _assert_index_is_fresh(index, state):
         assert getattr(index, field) == getattr(fresh, field), field
 
 
-def test_search_leaves_the_run_index_equal_to_a_fresh_one(increment_spec, increment_compiled_s3):
-    cp = increment_compiled_s3
+def _chain_keeps_a_fresh_index(registers, instructions, mode) -> int:
+    """Step each register through the instructions, one ``run_instruction``
+    call each on the state the last call returned: after every call the
+    index handed off with that state equals a fresh one.  Returns the
+    number of reactions."""
     reactions = 0
-    for st in _incrementor_registers(increment_spec, cp):
-        index = engine._Index.validated(st)
-        for instr in cp.program.instructions:
-            out = run_instruction(st, instr, VerifyConfluent(), index)
+    for st in registers:
+        for instr in instructions:
+            out = run_instruction(st, instr, mode)
             st = out.final_state
+            kept, index = engine._handoff["last"]
+            assert kept is st
             _assert_index_is_fresh(index, st)
             reactions += len(out.applied)
-    assert reactions > 100
+    return reactions
+
+
+def test_search_leaves_the_run_index_equal_to_a_fresh_one(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    registers = _incrementor_registers(increment_spec, cp)
+    assert _chain_keeps_a_fresh_index(registers, cp.program.instructions, VerifyConfluent()) > 100
     rng = random.Random(5150)
     fired = 0
     for _ in range(600):
         st = random_state(rng)
         instr = random_instruction(rng, st)
-        index = engine._Index.validated(st)
         try:
-            out = run_instruction(st, instr, VerifyConfluent(2_000), index)
+            out = run_instruction(st, instr, VerifyConfluent(2_000))
         except EngineError:
-            continue  # the search stopped: its index is dropped
-        _assert_index_is_fresh(index, out.final_state)
+            assert not engine._handoff  # the search stopped: its index is dropped
+            continue
+        _assert_index_is_fresh(engine._handoff["last"][1], out.final_state)
         fired += bool(out.applied)
     assert fired > 150
 
 
-def _budget_boundary(st, instr):
-    n = _reachable(st, instr)
+def test_canonical_run_hands_off_a_fresh_index(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    registers = _incrementor_registers(increment_spec, cp)
+    assert _chain_keeps_a_fresh_index(registers, cp.program.instructions, Canonical()) > 100
+    rng = random.Random(5151)
+    for _ in range(300):
+        st = random_state(rng)
+        instrs = [random_instruction(rng, st) for _ in range(3)]
+        try:
+            _chain_keeps_a_fresh_index([st], instrs, Canonical())
+        except EngineError:
+            assert not engine._handoff
+
+
+def test_handed_off_state_is_not_validated_again(monkeypatch, increment_spec, increment_compiled_s3):
+    calls = []
+    monkeypatch.setattr(engine, "validate_state", lambda st: calls.append(st) or [])
+    st = _incrementor_registers(increment_spec, increment_compiled_s3)[0]
+    for mode in (Canonical(), VerifyConfluent()):
+        cur = RegisterState(st.layout, st.strands)  # equal, but not the object handed off
+        for instr in increment_compiled_s3.program.instructions:
+            cur = run_instruction(cur, instr, mode).final_state
+        engine.run_program(cur, increment_compiled_s3.program, mode)
+    assert len(calls) == 2
+
+
+def test_second_call_on_a_state_gives_an_equal_outcome(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    for st in _incrementor_registers(increment_spec, cp)[:3]:
+        for instr in cp.program.instructions:
+            for mode in (Canonical(), VerifyConfluent()):
+                first = run_instruction(st, instr, mode)
+                assert run_instruction(st, instr, mode) == first
+            st = first.final_state
+
+
+def test_threads_never_share_an_index():
+    # threads step one shared state object, with the interpreter switching
+    # threads as often as it can: an index handed off with that object and
+    # taken by two calls at once would run one of them from a wrong state
+    st = RegisterState(L6, (INCUMBENT,))
+    displace = Instruction((fwd(Match(1), Match(2), Match(3), Match(4)),), "displace")
+    expected = run_instruction(RegisterState(L6, st.strands), displace)
+    wrong = []
+
+    def worker() -> None:
+        for _ in range(1500):
+            run_instruction(st, Instruction(()))  # hands off an index at st
+            try:
+                out = run_instruction(st, displace)
+            except EngineError as e:
+                out = e
+            if out != expected:
+                wrong.append(out)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        run_instruction(st, instr, VerifyConfluent(max_states=n))
-    except NonConfluentError:
-        pass
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+K = 6
+# K cells, each with a strand that carries an overhang and one reverse
+# species that grabs every one of them: K independent detaches
+DETACHABLE = fwd(Match(1), Match(2), Ortho("x"))
+K_STRANDS = RegisterState(RegisterLayout(K, 4), tuple(BoundStrand(DETACHABLE, 4 * i) for i in range(K)))
+K_DETACHES = Instruction((rev(Match(1), Match(2), Ortho("x")),), "detach-all")
+# and K independent attaches on the emptied register
+K_ATTACHES = Instruction((fwd(Match(2), Match(3)),), "attach-all")
+
+
+def test_reduced_budget_boundary():
+    # the search takes independent reactions in one order: a chain of K + 1
+    # states, where the full search needs every subset, 2^K
+    empty = RegisterState(K_STRANDS.layout, ())
+    for st, instr in ((K_STRANDS, K_DETACHES), (empty, K_ATTACHES)):
+        assert _reachable(st, instr) == 2**K
+        out = run_instruction(st, instr, VerifyConfluent(max_states=K + 1))
+        assert len(out.applied) == K
+        with pytest.raises(StateBudgetExceededError) as err:
+            run_instruction(st, instr, VerifyConfluent(max_states=K))
+        assert err.value.budget == K
+        assert len(full_search(st, instr, 2**K)) == 1
+        with pytest.raises(StateBudgetExceededError):
+            full_search(st, instr, 2**K - 1)
+
+
+def test_failed_search_leaves_no_stale_index():
+    # the search stops with the index K - 1 detaches away from its state;
+    # a rerun on that state object must not start from there
+    st = run_instruction(K_STRANDS, Instruction(())).final_state
+    assert engine._handoff["last"][0] is st
+    with pytest.raises(StateBudgetExceededError):
+        run_instruction(st, K_DETACHES, VerifyConfluent(max_states=K))
+    rerun = run_instruction(st, K_DETACHES)
+    assert rerun == run_instruction(RegisterState(st.layout, st.strands), K_DETACHES)
+    assert rerun.final_state.strands == ()
+
+
+def _papermachine():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "papermachine.py"
+    spec = importlib.util.spec_from_file_location("papermachine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paper_scale_pass_verifies_under_the_default_budget():
+    # t = 32, d = 72, s = 4: the left-moving transition whose sublist
+    # detaches 32 strands in one instruction and attaches 33 in the next
+    pm = _papermachine()
+    spec = parse_tm_spec(pm.machine_document(pm.MACHINE_SEED))
+    cp = compile_tm(spec, 4)
+    assert (cp.scheme.t, cp.scheme.d) == (32, 72)
+    config = pm.left_move_config(spec, list(cp.scheme.transition_order), 4, random.Random(0))
+    st = encode_config(spec, cp.scheme, config, 4)[0]
+    widest = 0
+    for instr in cp.program.instructions:
+        out = run_instruction(st, instr, VerifyConfluent())
+        widest = max(widest, len(out.applied))
+        st = out.final_state
+    assert widest >= 32
+    assert configs_equivalent(spec, tm_step(spec, config), decode_register(spec, cp.scheme, st))
+
+
+def _budget_boundary(st, instr):
+    """The full-search oracle stores ``n`` states: it passes at budget n and
+    raises at n - 1."""
+    n = _reachable(st, instr)
+    full_search(st, instr, max_states=n)
     with pytest.raises(StateBudgetExceededError) as err:
-        run_instruction(st, instr, VerifyConfluent(max_states=n - 1))
+        full_search(st, instr, max_states=n - 1)
     assert err.value.budget == n - 1
     return n
 
@@ -192,9 +342,39 @@ def test_budget_boundary_confluent(increment_spec, increment_compiled_s3):
 
 def test_budget_boundary_refuted():
     st = RegisterState(L6, (INCUMBENT,))
+    n = _reachable(st, RACE)
     with pytest.raises(NonConfluentError):
-        run_instruction(st, RACE, VerifyConfluent(max_states=_reachable(st, RACE)))
+        run_instruction(st, RACE, VerifyConfluent(max_states=n))
+    assert len(full_search(st, RACE, n)) == 2
     assert _budget_boundary(st, RACE) >= 3
+
+
+def test_reduced_search_finds_the_final_states_of_the_full_one(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    compared = 0
+    for st in _incrementor_registers(increment_spec, cp):
+        for instr in cp.program.instructions:
+            assert set(_reduced_finals(st, instr)) == set(full_search(st, instr))
+            st = run_instruction(st, instr).final_state
+            compared += 1
+    assert compared > 1000
+    rng = random.Random(6160)
+    refuted = 0
+    for _ in range(1500):
+        st = random_state(rng)
+        instr = random_instruction(rng, st)
+        try:
+            full = full_search(st, instr, 2_000)
+        except StateBudgetExceededError:
+            continue
+        assert set(_reduced_finals(st, instr)) == set(full), (st, instr)
+        refuted += len(full) > 1
+    assert refuted > 20
+
+
+def _reduced_finals(st, instr):
+    firing = engine._Firing(st, instr, engine._Index.validated(st))
+    return engine._deadlocks(st, firing, 100_000, instr.label)
 
 
 def test_search_errors_name_the_instruction():
@@ -202,9 +382,24 @@ def test_search_errors_name_the_instruction():
     with pytest.raises(NonConfluentError) as err:
         run_instruction(st, RACE, VerifyConfluent())
     assert err.value.label == "race" and "'race'" in str(err.value)
+    assert err.value.instr is None
     with pytest.raises(StateBudgetExceededError) as err:
         run_instruction(st, RACE, VerifyConfluent(max_states=1))
     assert err.value.label == "race" and "'race'" in str(err.value)
+    # run_program adds the instruction's number in the program, from 1
+    prog = Program(L6, (Instruction((), "noop"), RACE))
+    with pytest.raises(NonConfluentError) as err:
+        engine.run_program(st, prog, VerifyConfluent())
+    assert err.value.instr == 2 and str(err.value).startswith("instruction 2: ")
+    with pytest.raises(StateBudgetExceededError) as err:
+        engine.run_program(st, prog, VerifyConfluent(max_states=1))
+    assert err.value.instr == 2 and "instruction 2: " in str(err.value)
+    loop = Instruction((fwd(Match(2), Match(3), Match(4)), fwd(Match(3), Match(4), Match(5))), "loop")
+    for mode in (Canonical(), VerifyConfluent()):
+        with pytest.raises(EngineError, match="reaction loop") as err:
+            engine.run_program(st, Program(L6, (Instruction(()), loop)), mode)
+        assert err.value.instr == 2 and "instruction 2: " in str(err.value)
+        assert type(err.value) is EngineError
 
 
 def test_apply_reaction_rejects_what_cannot_apply():
