@@ -18,6 +18,7 @@ from . import compiler, engine, render
 from .model import (
     RegisterState,
     SchemaError,
+    canon_with_state,
     parse_register,
     register_doc,
     register_from_doc,
@@ -46,19 +47,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _state_hash(state: RegisterState) -> str:
-    return hashlib.sha256(serialize_register(state)).hexdigest()
-
-
-def _outcome_line(index: int, label: str, outcome: engine.InstructionOutcome) -> bytes:
-    doc = {
-        "instr": index,
-        "label": label,
-        "applied": [r.doc() for r in outcome.applied],
-        "state_hash": _state_hash(outcome.final_state),
-        "state": register_doc(outcome.final_state),
-    }
-    return _canon(doc)
+def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome]) -> list[bytes]:
+    """One trace line per outcome; ``instr`` counts from 1."""
+    return [
+        canon_with_state(
+            {"instr": k, "label": label, "applied": [r.doc() for r in out.applied]}, out.final_state
+        )
+        for k, (label, out) in enumerate(zip(labels, outcomes), 1)
+    ]
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[str, str]):
@@ -87,11 +83,20 @@ def _read(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {e}") from e
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the file's bytes, with an input error prefixed by its path."""
+    raw = _read(path)
+    try:
+        return parse(raw)
+    except (SchemaError, TMSpecError) as e:
+        raise CliError(f"{path}: {e}") from e
+
+
 # --- compile ------------------------------------------------------------------
 
 
 def cmd_compile(args, argv) -> int:
-    spec, _extras = parse_tm_document(_read(args.machine))
+    spec, _extras = _parse_file(args.machine, parse_tm_document)
     compiled = compiler.compile_tm(spec, args.cells)
     payload = compiler.serialize_compiled(compiled) + b"\n"
     stats = compiled.stats
@@ -112,10 +117,10 @@ def cmd_compile(args, argv) -> int:
 
 
 def cmd_simulate(args, argv) -> int:
-    program = compiler.load_program_file(_read(args.program))
+    program = _parse_file(args.program, compiler.load_program_file)
     registers = []
     for path in args.registers:
-        st = parse_register(_read(path))
+        st = _parse_file(path, parse_register)
         if st.layout != program.layout:
             raise CliError(f"{path}: register layout does not match the program")
         registers.append(st)
@@ -136,8 +141,8 @@ def cmd_simulate(args, argv) -> int:
         try:
             for _ in range(args.iterations):
                 state, outcomes = engine.run_program(state, program, mode)
-                for k, out in enumerate(outcomes):
-                    lines.append(_outcome_line(k + 1, labels[k], out))
+                if out_dir:
+                    lines += _outcome_lines(labels, outcomes)
         except engine.NonConfluentError as e:
             doc = {
                 "register": i,
@@ -156,10 +161,11 @@ def cmd_simulate(args, argv) -> int:
         except engine.StateBudgetExceededError as e:
             print(f"register {i}: {e}", file=sys.stderr)
             return EXIT_NONCONFLUENT
+        final = serialize_register(state)
         if out_dir:
             _write_trace(out_dir / f"trace-{i}.jsonl", lines)
-            (out_dir / f"final-{i}.json").write_bytes(serialize_register(state) + b"\n")
-        print(f"register {i}: {_state_hash(state)}")
+            (out_dir / f"final-{i}.json").write_bytes(final + b"\n")
+        print(f"register {i}: {hashlib.sha256(final).hexdigest()}")
     return EXIT_OK
 
 
@@ -167,7 +173,7 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_run_tm(args, argv) -> int:
-    spec, extras = parse_tm_document(_read(args.machine))
+    spec, extras = _parse_file(args.machine, parse_tm_document)
     input_str = args.input if args.input is not None else extras.get("input", "")
     try:
         config = initial_config(spec, input_str, args.cells)
@@ -199,8 +205,8 @@ def cmd_run_tm(args, argv) -> int:
                 print(f"stopped: {e}", file=sys.stderr)
                 break
         state, outcomes = engine.run_program(state, compiled.program, mode)
-        for k, out in enumerate(outcomes):
-            trace_lines.append(_outcome_line(k + 1, labels[k], out))
+        if out_dir:
+            trace_lines += _outcome_lines(labels, outcomes)
         try:
             decoded = compiler.decode_register(spec, compiled.scheme, state)
         except compiler.DecodeError as e:
@@ -228,8 +234,12 @@ def cmd_run_tm(args, argv) -> int:
 
 
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
+    """Every line is parsed and checked; each distinct state document (by its
+    canonical bytes) is decoded once, and lines that repeat it share the
+    register."""
     scenes = []
     counts = []
+    states: dict[bytes, RegisterState] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
@@ -237,7 +247,13 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
         doc = _load_json(raw, where)
         if not isinstance(doc, dict) or "state" not in doc:
             raise SchemaError(where, "missing key 'state'")
-        state = register_from_doc(doc["state"])
+        key = _canon(doc["state"])
+        state = states.get(key)
+        if state is None:
+            try:
+                state = states[key] = register_from_doc(doc["state"])
+            except SchemaError as e:
+                raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")

@@ -8,6 +8,7 @@ position carrying its domain, an Ortho token never pairs with the register.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -286,20 +287,32 @@ def _parse_tokens(doc, path: str, d: int) -> tuple[Token, ...]:
     _expect(isinstance(doc, list), path, "tokens must be an array")
     _expect(len(doc) >= 1, path, "token list must be nonempty")
     out = []
-    for i, tok in enumerate(doc):
-        tpath = f"{path}[{i}]"
-        _expect(isinstance(tok, dict) and len(tok) == 1, tpath, 'must be {"m": int} or {"o": str}')
-        if "m" in tok:
-            m = tok["m"]
-            _expect(isinstance(m, int) and not isinstance(m, bool), tpath, "domain index must be an integer")
-            _expect(1 <= m <= d, tpath, f"domain index {m} out of range 1..{d}")
-            out.append(Match(m))
-        elif "o" in tok:
-            _expect(isinstance(tok["o"], str) and tok["o"], tpath, "overhang tag must be a nonempty string")
-            out.append(Ortho(tok["o"]))
-        else:
-            raise SchemaError(tpath, 'must be {"m": int} or {"o": str}')
+    for tok in doc:
+        if isinstance(tok, dict) and len(tok) == 1:
+            if "m" in tok:
+                m = tok["m"]
+                if isinstance(m, int) and not isinstance(m, bool) and 1 <= m <= d:
+                    out.append(Match(m))
+                    continue
+            else:
+                o = tok.get("o")
+                if isinstance(o, str) and o:
+                    out.append(Ortho(o))
+                    continue
+        _token_error(tok, f"{path}[{len(out)}]", d)
     return tuple(out)
+
+
+def _token_error(tok, tpath: str, d: int):
+    """Raise the SchemaError that says why ``tok`` is not a valid token."""
+    _expect(isinstance(tok, dict) and len(tok) == 1, tpath, 'must be {"m": int} or {"o": str}')
+    if "m" in tok:
+        m = tok["m"]
+        _expect(isinstance(m, int) and not isinstance(m, bool), tpath, "domain index must be an integer")
+        raise SchemaError(tpath, f"domain index {m} out of range 1..{d}")
+    if "o" in tok:
+        raise SchemaError(tpath, "overhang tag must be a nonempty string")
+    raise SchemaError(tpath, 'must be {"m": int} or {"o": str}')
 
 
 def parse_program(text: bytes) -> Program:
@@ -384,7 +397,10 @@ def register_from_doc(doc) -> RegisterState:
         off = sdoc["offset"]
         _expect(isinstance(off, int) and not isinstance(off, bool), f"{spath}.offset", "must be an integer")
         tokens = _parse_tokens(sdoc.get("tokens"), f"{spath}.tokens", layout.domains_per_cell)
-        strands.append(BoundStrand(specs.setdefault(tokens, StrandSpec(tokens)), off))
+        spec = specs.get(tokens)
+        if spec is None:
+            spec = specs[tokens] = StrandSpec(tokens)
+        strands.append(BoundStrand(spec, off))
     state = RegisterState(layout, tuple(strands))
     bad = validate_state(state)
     if bad:
@@ -399,5 +415,28 @@ def register_doc(state: RegisterState) -> dict:
     }
 
 
+@lru_cache(maxsize=65536)
+def _tokens_bytes(spec: StrandSpec) -> bytes:
+    return _canon([_token_doc(t) for t in spec.tokens])
+
+
 def serialize_register(state: RegisterState) -> bytes:
-    return _canon(register_doc(state))
+    """``_canon(register_doc(state))``, built from each spec's token list
+    encoded once."""
+    layout = state.layout
+    strands = b",".join([
+        b'{"offset":%d,"tokens":%s}' % (bs.offset, _tokens_bytes(bs.spec)) for bs in state.strands
+    ])
+    return b'{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[%s]}' % (
+        layout.cells, layout.domains_per_cell, strands
+    )
+
+
+def canon_with_state(head: dict, state: RegisterState) -> bytes:
+    """``_canon`` of ``head`` plus the keys ``"state"``, the register
+    document of ``state``, and ``"state_hash"``, the sha256 of exactly the
+    bytes embedded under ``"state"``.  The state is encoded once.  ``head``
+    must be nonempty, and each of its keys must sort before ``"state"``."""
+    body = serialize_register(state)
+    digest = hashlib.sha256(body).hexdigest().encode()
+    return b'%s,"state":%s,"state_hash":"%s"}' % (_canon(head)[:-1], body, digest)

@@ -153,77 +153,51 @@ def render_text(scene: RenderScene) -> str:
     pending instruction strands (dashed as dots when inert) on top."""
     layout = scene.state.layout
     d, n = layout.domains_per_cell, layout.total_positions
+    bound_rows = [
+        (bs.spec, bs.offset, bound_set(layout, bs.spec, bs.offset), False) for bs in scene.state.strands
+    ]
+    pend_rows = [
+        (ps.spec, ps.offset, bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset(),
+         not ps.reactive)
+        for ps in scene.pending
+    ]
 
-    spans: list[tuple[int, int]] = []
-    all_tokens: list[int] = [0, n - 1]
-    for bs in scene.state.strands:
-        all_tokens += [bs.offset, bs.offset + len(bs.spec.tokens) - 1]
-    for ps in scene.pending:
-        all_tokens += [ps.offset, ps.offset + len(ps.spec.tokens) - 1]
-    left_pad = max(0, -min(all_tokens))
-    right_pad = max(0, max(all_tokens) - (n - 1))
+    ends = [0, n - 1]
+    for spec, offset, _, _ in bound_rows + pend_rows:
+        ends += [offset, offset + len(spec.tokens) - 1]
+    left_pad = max(0, -min(ends))
+    right_pad = max(0, max(ends) - (n - 1))
+    # the column of position p is cols[left_pad + p]; a gap column precedes
+    # each cell and follows the register
+    beyond = left_pad + 1 + n + layout.cells
+    cols = [
+        *range(1, left_pad + 1),
+        *(left_pad + 1 + p + p // d for p in range(n)),
+        *range(beyond, beyond + right_pad),
+    ]
+    width = beyond + right_pad
 
-    def col(p: int) -> int:
-        if p < 0:
-            return left_pad + 1 + p
-        if p >= n:
-            return left_pad + 1 + p + layout.cells
-        return left_pad + 1 + p + p // d
-
-    width = left_pad + n + layout.cells + 1 + right_pad
     ruler = [" "] * width
     for p in range(n):
-        ruler[col(p)] = str(layout.domain_at(p) % 10)
+        ruler[cols[left_pad + p]] = str(layout.domain_at(p) % 10)
     for c in range(layout.cells):
-        ruler[col(c * d) - 1] = "|"
-    ruler[col(n - 1) + 1] = "|"
+        ruler[cols[left_pad + c * d] - 1] = "|"
+    ruler[cols[left_pad + n - 1] + 1] = "|"
 
-    def strand_row(spec: StrandSpec, offset: int, bound: frozenset[int], dashed: bool) -> list[str]:
-        row = [" "] * width
-        for j, tok in enumerate(spec.tokens):
-            p = offset + j
-            if dashed:
-                ch = "."
-            elif p in bound:
-                ch = "="
+    def stack(strands: list[tuple[StrandSpec, int, frozenset[int], bool]]) -> list[str]:
+        """Each strand written straight into its lane's row, in order, so a
+        later strand overwrites an earlier one where they share a column."""
+        spans = [cols[left_pad + off:left_pad + off + len(spec.tokens)] for spec, off, _, _ in strands]
+        lanes = _pack_lanes([(span[0], span[-1]) for span in spans])
+        grid = [[" "] * width for _ in range(max(lanes, default=-1) + 1)]
+        for (spec, offset, bound, dashed), span, lane in zip(strands, spans, lanes):
+            row = grid[lane]
+            for p, c in enumerate(span, offset):
+                row[c] = "." if dashed else "=" if p in bound else "/"
+            if spec.is_forward:
+                row[span[-1]] = ">"
             else:
-                ch = "/"
-            row[col(p)] = ch
-        if spec.is_forward:
-            row[col(offset + len(spec.tokens) - 1)] = ">"
-        else:
-            row[col(offset)] = "<"
-        return row
-
-    bound_rows: list[tuple[int, list[str]]] = []
-    items = []
-    for bs in scene.state.strands:
-        items.append((col(bs.offset), col(bs.offset + len(bs.spec.tokens) - 1)))
-    lanes = _pack_lanes(items)
-    for bs, lane in zip(scene.state.strands, lanes):
-        bound_rows.append(
-            (lane, strand_row(bs.spec, bs.offset, bs.bound_positions(layout), False))
-        )
-
-    pend_rows: list[tuple[int, list[str]]] = []
-    items = []
-    for ps in scene.pending:
-        items.append((col(ps.offset), col(ps.offset + len(ps.spec.tokens) - 1)))
-    lanes = _pack_lanes(items)
-    for ps, lane in zip(scene.pending, lanes):
-        bound = bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset()
-        pend_rows.append((lane, strand_row(ps.spec, ps.offset, bound, not ps.reactive)))
-
-    def stack(rows: list[tuple[int, list[str]]]) -> list[str]:
-        if not rows:
-            return []
-        depth = max(lane for lane, _ in rows) + 1
-        grid = [[" "] * width for _ in range(depth)]
-        for lane, row in rows:
-            target = grid[lane]
-            for i, ch in enumerate(row):
-                if ch != " ":
-                    target[i] = ch
+                row[span[0]] = "<"
         return ["".join(g).rstrip() for g in reversed(grid)]
 
     lines = []

@@ -382,3 +382,152 @@ def test_trace_goldens(tmp_path, prog_path, reg_path):
     assert main(["simulate", str(prog_path), str(reg_path), "-n", "2", "--out-dir", str(out_dir)]) == 0
     digest = hashlib.sha256((out_dir / "trace-0.jsonl").read_bytes()).hexdigest()
     assert digest == INCREMENT_TRACE_SHA256
+
+
+# sha256 of `render` of that trace: text, SVG at the default stride, SVG
+# with --every 1; and of trace.jsonl from `run-tm --input 01 --cells 3
+# --oracle --out-dir` on the same machine
+INCREMENT_RENDER_SHA256 = {
+    ("--format", "text"): "0e3dc758d26ffd7de686a4aeb98df3ad32b48627f0719b2503980f91d1ea65fc",
+    ("--format", "svg"): "f0427f9aa3347118c7e8c96c180bd1626f1a6f93252957683d89117fabb6a10d",
+    ("--format", "svg", "--every", "1"): "ccdec11b636995a1f0c2f4edd62497b376db156b4a044cfa48a1c315bed717bb",
+}
+RUN_TM_TRACE_SHA256 = "75fa8e3f70622d9e55f804eb8d3c533e2584d46d360a109947f355130ed6ef40"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _canonical(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+@pytest.fixture()
+def increment_trace(tmp_path, prog_path, reg_path) -> Path:
+    out_dir = tmp_path / "inc"
+    assert main(["simulate", str(prog_path), str(reg_path), "-n", "2", "--out-dir", str(out_dir)]) == 0
+    trace = out_dir / "trace-0.jsonl"
+    assert _sha256(trace) == INCREMENT_TRACE_SHA256
+    return trace
+
+
+@pytest.mark.parametrize("flags", list(INCREMENT_RENDER_SHA256), ids=["text", "svg", "svg-every-1"])
+def test_render_of_increment_trace_pinned(tmp_path, increment_trace, flags):
+    out = tmp_path / "render.out"
+    assert main(["render", str(increment_trace), *flags, "-o", str(out)]) == 0
+    assert _sha256(out) == INCREMENT_RENDER_SHA256[flags]
+
+
+def test_run_tm_trace_pinned(tmp_path, increment_path):
+    out_dir = tmp_path / "tm"
+    argv = ["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--oracle", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    assert _sha256(out_dir / "trace.jsonl") == RUN_TM_TRACE_SHA256
+
+
+def test_state_hash_is_the_sha256_of_the_state_bytes(tmp_path, increment_trace, increment_path):
+    assert main(["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--out-dir", str(tmp_path / "tm")]) == 0
+    for trace in (increment_trace, tmp_path / "tm" / "trace.jsonl"):
+        for raw in trace.read_bytes().splitlines():
+            doc = json.loads(raw)
+            state = _canonical(doc["state"])
+            assert doc["state_hash"] == hashlib.sha256(state).hexdigest()
+            assert b'"state":' + state + b',' in raw
+
+
+# --- input errors name the file, and render names the trace line ---------------
+
+
+@pytest.mark.parametrize("command", ["compile", "run-tm"])
+def test_bad_machine_file_is_named(tmp_path, capsys, command):
+    machine = tmp_path / "bad.yaml"
+    machine.write_text("table: {a: [1\n")
+    assert main([command, str(machine), "--cells", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {machine}: not valid YAML")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+@pytest.mark.parametrize("bad", ["program", "register"])
+def test_bad_program_or_register_file_is_named(tmp_path, capsys, prog_path, reg_path, command, bad):
+    broken = tmp_path / "broken.json"
+    broken.write_bytes((prog_path if bad == "program" else reg_path).read_bytes()[:40])
+    inputs = [broken, reg_path] if bad == "program" else [prog_path, reg_path, broken]
+    assert main([command, *map(str, inputs)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {broken}: $: not valid UTF-8 JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+def test_render_names_the_line_of_a_bad_state(tmp_path, capsys, increment_trace, fmt):
+    # the bad state sits on a line where nothing fired: the default SVG
+    # stride does not draw it, but the line is still checked
+    lines = increment_trace.read_bytes().splitlines()
+    docs = [json.loads(raw) for raw in lines]
+    k = max(i for i, doc in enumerate(docs) if not doc["applied"] and i > 0)
+    strands = docs[k]["state"]["strands"]
+    strands.append(dict(strands[0]))
+    lines[k] = _canonical(docs[k])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["render", str(bad), "--format", fmt, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: trace line {k + 1}: $.state.strands: ")
+    assert "bound by two strands" in err
+
+
+# --- the trace path does each piece of work once --------------------------------
+
+
+def _counting(monkeypatch, fn, *modules) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, increment_trace):
+    from simdna import cli, model
+
+    states = {_canonical(json.loads(raw)["state"]) for raw in increment_trace.read_bytes().splitlines()}
+    assert 1 < len(states) < len(increment_trace.read_bytes().splitlines())
+    for fmt in ("svg", "text"):
+        calls = _counting(monkeypatch, model.register_from_doc, cli)
+        assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
+        assert len(calls) == len(states)
+
+
+def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, increment_path):
+    from simdna import cli, model
+
+    lines = _counting(monkeypatch, model.canon_with_state, cli)
+    encodes = _counting(monkeypatch, model.serialize_register, cli, model)
+    argv = ["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--oracle"]
+    assert main(argv) == 0
+    assert (len(lines), len(encodes)) == (0, 0)
+    assert main([*argv, "--out-dir", str(tmp_path / "tm")]) == 0
+    written = len((tmp_path / "tm" / "trace.jsonl").read_bytes().splitlines())
+    # one encoding per outcome line and one for final.json
+    assert (len(lines), len(encodes)) == (written, written + 1)
+
+
+def test_simulate_encodes_each_outcome_state_once(tmp_path, monkeypatch, prog_path, reg_path):
+    from simdna import cli, model
+
+    encodes = _counting(monkeypatch, model.serialize_register, cli, model)
+    assert main(["simulate", str(prog_path), str(reg_path), "-n", "2", "--out-dir", str(tmp_path / "sim")]) == 0
+    written = len((tmp_path / "sim" / "trace-0.jsonl").read_bytes().splitlines())
+    # one per outcome, and one final encoding for final-0.json and the printed hash
+    assert len(encodes) == written + 1
+    encodes.clear()
+    assert main(["check", str(prog_path), str(reg_path)]) == 0
+    assert len(encodes) == 1

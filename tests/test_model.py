@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from generators import random_tokens
+from generators import random_state, random_tokens
 
 from simdna.model import (
     BoundStrand,
@@ -19,9 +21,12 @@ from simdna.model import (
     SchemaError,
     StrandSpec,
     bound_set,
+    canon_with_state,
     fwd,
     parse_program,
     parse_register,
+    register_doc,
+    register_from_doc,
     serialize_program,
     serialize_register,
     validate_state,
@@ -212,3 +217,52 @@ def test_register_file_shares_one_spec_per_token_list():
     assert a.spec == b.spec and a.offset != b.offset
     assert a.spec is b.spec
     assert mid.spec is not a.spec
+
+
+def _canonical(doc) -> bytes:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def test_serialize_register_is_the_canonical_register_doc():
+    rng = random.Random(3)
+    states = [random_state(rng) for _ in range(300)]
+    tags = fwd(Ortho('q"\\'), Ortho("\u00e9\n"), Ortho("x"), Match(1), Match(2))
+    states.append(RegisterState(RegisterLayout(1, 4), (BoundStrand(tags, -3),)))
+    for state in states:
+        data = serialize_register(state)
+        assert data == _canonical(register_doc(state))
+        assert parse_register(data) == state
+
+
+def test_canon_with_state_embeds_and_hashes_the_state_bytes():
+    state = RegisterState(RegisterLayout(2, 4), (BoundStrand(fwd(Match(3), Match(4), Ortho("t")), 2),))
+    head = {"instr": 7, "label": "L(a,1)#2", "applied": [{"rule": "attach"}]}
+    body = serialize_register(state)
+    want = {**head, "state": register_doc(state), "state_hash": hashlib.sha256(body).hexdigest()}
+    assert canon_with_state(head, state) == _canonical(want)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ({"m": True}, "domain index must be an integer"),
+        ({"m": "1"}, "domain index must be an integer"),
+        ({"m": None}, "domain index must be an integer"),
+        ({"m": 0}, "domain index 0 out of range 1..4"),
+        ({"m": 5}, "domain index 5 out of range 1..4"),
+        ({"o": ""}, "overhang tag must be a nonempty string"),
+        ({"o": 5}, "overhang tag must be a nonempty string"),
+        ({"x": 1}, 'must be {"m": int} or {"o": str}'),
+        ({"m": 1, "o": "a"}, 'must be {"m": int} or {"o": str}'),
+        ({}, 'must be {"m": int} or {"o": str}'),
+        ("m", 'must be {"m": int} or {"o": str}'),
+    ],
+)
+def test_token_errors_name_the_token(token, message):
+    doc = {
+        "layout": {"cells": 1, "domains_per_cell": 4},
+        "strands": [{"offset": 0, "tokens": [{"m": 1}, {"m": 2}]}, {"offset": 2, "tokens": [{"m": 3}, token]}],
+    }
+    with pytest.raises(SchemaError) as err:
+        register_from_doc(doc)
+    assert str(err.value) == f"$.strands[1].tokens[1]: {message}"
