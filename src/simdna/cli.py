@@ -128,12 +128,8 @@ def cmd_simulate(args, argv) -> int:
     mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        _write_manifest(
-            out_dir,
-            "check" if args.verify and args.iterations == 1 else "simulate",
-            argv,
-            {"program": args.program, "registers": ",".join(args.registers)},
-        )
+        files = {"program": args.program, "registers": ",".join(args.registers)}
+        _write_manifest(out_dir, args.command, argv, files)
 
     labels = [ins.label for ins in program.instructions]
     for i, state in enumerate(registers):

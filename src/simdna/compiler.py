@@ -723,7 +723,6 @@ class VerifyEntry:
     config: TMConfig
     ok: bool
     detail: str
-    reaction_counts: tuple[int, ...]
 
 
 @dataclass
@@ -737,23 +736,6 @@ class VerificationReport:
     @property
     def violations(self) -> list[str]:
         return [e.detail for e in self.entries if not e.ok]
-
-    def to_doc(self) -> dict:
-        return {
-            "ok": self.ok,
-            "entries": [
-                {
-                    "tape": "".join(e.config.tape),
-                    "head": e.config.head,
-                    "state": e.config.state,
-                    "status": e.config.status.value,
-                    "ok": e.ok,
-                    "detail": e.detail,
-                    "reactions": list(e.reaction_counts),
-                }
-                for e in self.entries
-            ],
-        }
 
 
 def verify_compilation(
@@ -770,8 +752,7 @@ def verify_compilation(
     entries = []
     for config in inputs:
         reg, lossy = encode_config(spec, compiled.scheme, config, s)
-        final, outcomes = engine.run_program(reg, compiled.program, mode)
-        counts = tuple(len(o.applied) for o in outcomes)
+        final, _ = engine.run_program(reg, compiled.program, mode)
         steppable = (
             config.status is TMStatus.RUNNING
             and config.head is not None
@@ -782,12 +763,12 @@ def verify_compilation(
             try:
                 got = decode_register(spec, compiled.scheme, final)
             except DecodeError as e:
-                entries.append(VerifyEntry(config, False, f"decode failed: {e}", counts))
+                entries.append(VerifyEntry(config, False, f"decode failed: {e}"))
                 continue
             ok = configs_equivalent(spec, expected, got)
             detail = "" if ok else f"expected {expected}, decoded {got}"
         else:
             ok = final == reg
             detail = "" if ok else "terminal register was modified by the program"
-        entries.append(VerifyEntry(config, ok, detail, counts))
+        entries.append(VerifyEntry(config, ok, detail))
     return VerificationReport(entries)

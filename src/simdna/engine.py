@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import ClassVar, Union
 
 from .model import (
@@ -299,11 +300,14 @@ def _species(instr: Instruction) -> _Species:
     return _Species(instr)
 
 
+_offset = attrgetter("offset")
+
+
 class _Index:
     """Occupancy index of one register, kept for one run and updated from
     each reaction's delta: the strand owning each position, the unbound
     positions in order, each strand's bound set, the strands of each spec,
-    and the strands in canonical order with their offsets."""
+    and the strands in canonical order (by offset, then spec)."""
 
     def __init__(self, state: RegisterState):
         self.layout = state.layout
@@ -311,7 +315,6 @@ class _Index:
         self.bound_of: dict[BoundStrand, frozenset[int]] = {}
         self.by_spec: dict[StrandSpec, set[BoundStrand]] = {}
         self.strands = list(state.strands)
-        self.offsets = [bs.offset for bs in self.strands]
         for bs in self.strands:
             bound = bound_set(self.layout, bs.spec, bs.offset)
             self.bound_of[bs] = bound
@@ -349,8 +352,8 @@ class _Index:
             group.discard(bs)
             if not group:
                 del self.by_spec[bs.spec]
-            i = self.strands.index(bs, bisect_left(self.offsets, bs.offset))
-            del self.offsets[i], self.strands[i]
+            i = bisect_left(self.strands, bs.offset, key=_offset)
+            del self.strands[self.strands.index(bs, i)]
             changed |= bound
         for bs in added:
             bound = bound_set(self.layout, bs.spec, bs.offset)
@@ -364,12 +367,11 @@ class _Index:
                 del self.unbound[bisect_left(self.unbound, p)]
             self.bound_of[bs] = bound
             self.by_spec.setdefault(bs.spec, set()).add(bs)
-            i = bisect_left(self.offsets, bs.offset)
-            j = bisect_right(self.offsets, bs.offset)
+            i = bisect_left(self.strands, bs.offset, key=_offset)
+            j = bisect_right(self.strands, bs.offset, key=_offset)
             if i < j:  # strands at the same offset: canonical order by spec
                 key = bs.sort_key()
                 i += sum(other.sort_key() < key for other in self.strands[i:j])
-            self.offsets.insert(i, bs.offset)
             self.strands.insert(i, bs)
             changed |= bound
         return changed
@@ -580,27 +582,30 @@ class _Firing:
         self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in added)))
 
 
-def _outcome(state: RegisterState, instr: Instruction, steps) -> InstructionOutcome:
-    """The outcome of firing ``steps``, (reaction, post-state) pairs, from
-    ``state``; a post-state seen before is a reaction loop."""
-    applied = []
-    seen = {state}
-    for r, state in steps:
-        applied.append(r)
-        if state in seen:
-            raise EngineError(
-                f"reaction loop revisited a state while applying {instr.label!r}"
-            )
-        seen.add(state)
-    washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
-    return InstructionOutcome(state, tuple(applied), tuple(washed))
+def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> InstructionOutcome:
+    """Fire the least live reaction until none is left, from ``state``.
 
-
-def _canonical_steps(firing: _Firing):
-    while firing.live:
-        r = min(firing.live, key=firing.live.__getitem__)
+    Each step is a function of the register, so a run that revisits a state
+    cycles for ever, and the cycle shows as its strand list coming back to
+    the one it held at its last power-of-two step (Brent, BIT 20, 1980):
+    one copy of the list, refreshed after steps 1, 2, 4, 8 and so on, is all
+    the check keeps.  The final state is built once, and a run that fires
+    nothing returns ``state`` itself."""
+    index, live = firing.index, firing.live
+    applied: list[Reaction] = []
+    kept = index.strands.copy()
+    while live:
+        r = min(live, key=live.__getitem__)
         firing.fire(r)
-        yield r, firing.index.state()
+        applied.append(r)
+        if index.strands == kept:
+            raise EngineError(f"reaction loop revisited a state while applying {label!r}")
+        if len(applied) & (len(applied) - 1) == 0:
+            kept = index.strands.copy()
+    if not applied:
+        return InstructionOutcome(state, (), ())
+    washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
+    return InstructionOutcome(index.state(), tuple(applied), tuple(washed))
 
 
 def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
@@ -671,12 +676,10 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
     from it.  Raises ``StateBudgetExceededError`` past ``max_states``
     distinct states."""
     index, live = firing.index, firing.live
-    layout = index.layout
     parts: dict[int, int] = {}
 
     def part(r: Reaction) -> int:
-        bs = (r.added or r.removed)[0]
-        return parts[min(bound_set(layout, bs.spec, bs.offset))]
+        return parts[live[r][0]]  # the least position the reaction binds or frees
 
     seen = {state}
     finals: dict[RegisterState, tuple[Reaction, ...]] = {}
@@ -754,7 +757,7 @@ def run_instruction(
         if len(finals) > 1:
             (a, order_a), (b, order_b) = list(finals.items())[:2]
             raise NonConfluentError(a, order_a, b, order_b, instr.label)
-    out = _outcome(state, instr, _canonical_steps(firing))
+    out = _canonical_run(firing, state, instr.label)
     if finals is not None and out.final_state not in finals:  # pragma: no cover
         raise EngineError("canonical order disagrees with the verified final state")
     _hand_off(out.final_state, index)

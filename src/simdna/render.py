@@ -340,12 +340,7 @@ def _extent(scene: RenderScene) -> tuple[int, int]:
 
 
 def render_svg(scene: RenderScene, style: Optional[StyleTable] = None) -> str:
-    style = style or load_style()
-    lo, hi = _extent(scene)
-    x0 = style.margin - lo * style.unit_width
-    parts, h = _scene_fragment(scene, style, style.margin, x0)
-    width = style.margin * 2 + (hi - lo) * style.unit_width
-    return _document(parts, width, h + 2 * style.margin)
+    return render_trace([scene], style=style)
 
 
 def render_trace(

@@ -138,6 +138,42 @@ def test_check_alias_ok(prog_path, reg_path):
     assert main(["check", str(prog_path), str(reg_path)]) == 0
 
 
+@pytest.mark.parametrize("command, flags", [("simulate", ["--verify", "-n", "1"]), ("check", [])])
+def test_manifest_names_the_command_given(tmp_path, prog_path, reg_path, command, flags):
+    out_dir = tmp_path / "out"
+    assert main([command, str(prog_path), str(reg_path), *flags, "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "manifest.json").read_bytes())["command"] == command
+
+
+def test_run_tm_oracle_mismatch_exits_4(monkeypatch, increment_path, capsys):
+    from simdna import cli
+
+    # an oracle that stays put disagrees with the register, which moves
+    monkeypatch.setattr(cli, "tm_step", lambda spec, config: config)
+    argv = ["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--oracle"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert "oracle mismatch at iteration 1" in captured.err and captured.out == ""
+
+
+def test_run_tm_register_that_no_longer_decodes_exits_4(monkeypatch, increment_path, capsys):
+    from simdna import compiler
+
+    decode = compiler.decode_register
+    calls = []
+
+    def garbled_after_the_first_pass(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise compiler.DecodeError("garbled")
+        return decode(*args)
+
+    monkeypatch.setattr(compiler, "decode_register", garbled_after_the_first_pass)
+    assert main(["run-tm", str(increment_path), "--input", "01", "--cells", "3"]) == 4
+    captured = capsys.readouterr()
+    assert "iteration 1: register no longer decodes: garbled" in captured.err and captured.out == ""
+
+
 def test_traces_hold_one_line_per_instruction_run(tmp_path, prog_path, reg_path, increment_path):
     # no instruction run: both commands write an empty trace
     assert main(["simulate", str(prog_path), str(reg_path), "-n", "0", "--out-dir", str(tmp_path / "sim0")]) == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from simdna import engine
 from simdna.engine import (
     Attach,
     Canonical,
@@ -218,6 +219,55 @@ def test_livelock_is_reported():
     ins = Instruction((fwd(Match(2), Match(3), Match(4)), fwd(Match(3), Match(4), Match(5))))
     with pytest.raises(EngineError):
         run_instruction(st, ins, Canonical())
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 12])
+def test_loop_after_a_prefix_is_reported(monkeypatch, cells):
+    # every cell but the last is blocked over domains 2-5; junction strands
+    # bind domain 6 and the next cell's domain 1 from left to right, then the
+    # last cell's challengers attach and take it in turns for ever
+    layout = RegisterLayout(cells, 6)
+    blocker = fwd(Match(2), Match(3), Match(4), Match(5))
+    st = state(layout, *(BoundStrand(blocker, 6 * c + 1) for c in range(cells - 1)))
+    junction = fwd(Match(6), Match(1))
+    ins = Instruction((junction, fwd(Match(2), Match(3), Match(4)), fwd(Match(3), Match(4), Match(5))))
+    prefix, period = cells, 2  # the junctions and the first attach, then the cycle
+    limit = 2 * max(prefix, period) + period  # Brent's bound on the steps to see it
+    fired = []
+    fire = engine._Firing.fire
+
+    def counted(self, r):
+        fired.append(r)
+        assert len(fired) <= limit, "the reaction loop went unreported"
+        fire(self, r)
+
+    monkeypatch.setattr(engine._Firing, "fire", counted)
+    with pytest.raises(EngineError, match="reaction loop") as err:
+        run_instruction(st, ins, Canonical())
+    assert type(err.value) is EngineError
+    assert [r.spec for r in fired[: cells - 1]] == [junction] * (cells - 1)
+    assert isinstance(fired[cells - 1], Attach)
+    assert all(isinstance(r, ToeholdExchange) for r in fired[prefix:])
+    assert len(fired) >= prefix + period  # the first revisit
+
+
+def test_canonical_run_builds_its_final_state_once(monkeypatch):
+    calls = []
+    build = engine._Index.state
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(engine._Index, "state", counted)
+    st = state(L6)
+    ins = Instruction((fwd(Match(1), Match(2)), fwd(Match(4), Match(5))))
+    out = run_instruction(st, ins, Canonical())
+    assert len(out.applied) == 2 and len(calls) == 1
+    calls.clear()
+    again = run_instruction(out.final_state, ins, Canonical())
+    assert again.applied == () and again.final_state is out.final_state
+    assert calls == []
 
 
 def test_state_budget():

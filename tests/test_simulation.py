@@ -178,11 +178,20 @@ table:
     _: {write: _, move: L, next: h}
 """
 
+T1_LEFT = b"""
+start state: a
+halt state: h
+table:
+  a:
+    0: {write: 1, move: L, next: a}
+"""
 
-@pytest.mark.parametrize("doc", [J1_LEFT_MIXED, J1_LEFT_ALL_DEFINED])
+
+@pytest.mark.parametrize("doc", [J1_LEFT_MIXED, J1_LEFT_ALL_DEFINED, T1_LEFT])
 def test_first_region_left_moves(doc):
     """Left moves whose transition owns the first region need the widened
-    crossing strand; check the full one-step claim on such machines."""
+    crossing strand (with t = 1, the whole cell opens with one exchange);
+    check the full one-step claim on such machines."""
     spec = parse_tm_spec(doc)
     scheme_order = compile_tm(spec, 3).scheme.transition_order
     assert scheme_order[0][1] == "0" and spec.transitions[scheme_order[0]][2] == "L"
@@ -228,8 +237,7 @@ def test_last_region_right_move():
     configs = _steppable_configs(spec, 3)
     report = verify_compilation(spec, 3, cp, configs, engine.Canonical())
     assert report.ok, report.violations[:3]
-    doc = report.to_doc()
-    assert doc["ok"] and len(doc["entries"]) == len(configs)
+    assert len(report.entries) == len(configs)
 
 
 def test_run_many_reports_register_index(increment_spec, increment_compiled_s3):

@@ -138,7 +138,7 @@ def test_verified_run_leaves_the_program_index_at_the_final_state(increment_spec
         assert verified == canon
 
 
-INDEX_FIELDS = ("owner", "unbound", "bound_of", "by_spec", "strands", "offsets")
+INDEX_FIELDS = ("owner", "unbound", "bound_of", "by_spec", "strands")
 
 
 def _assert_index_is_fresh(index, state):
