@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -64,8 +65,12 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[st
 
 
 def _write_trace(path: Path, lines: list[bytes]) -> None:
-    """One outcome line per instruction run; no lines is an empty file."""
-    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    """One outcome line per instruction run; no lines is an empty file.
+    The lines are written one by one, not joined into a second copy."""
+    with path.open("wb") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write(b"\n")
 
 
 def _check_flags(args) -> None:
@@ -229,31 +234,78 @@ def cmd_run_tm(args, argv) -> int:
 # --- render ---------------------------------------------------------------------
 
 
+_STATE_MARK = b',"state":'
+# characters XML 1.0 forbids: C0 controls but tab, LF and CR, lone
+# surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _state_of(doc, where: str) -> RegisterState:
+    try:
+        return register_from_doc(doc)
+    except SchemaError as e:
+        raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
+
+
+def _split_line(raw: bytes, where: str, tails: dict) -> Optional[tuple[dict, RegisterState]]:
+    """The document of trace line ``raw`` and its decoded state, from the
+    line split at its first ``,"state":`` into a head ``H`` and a tail
+    ``T``: ``H + "}"`` is parsed on every line, the object ``"{" + T[1:]``
+    and its register once per distinct tail bytes (``tails`` keeps them,
+    with the tail's keys other than ``state``).  None if the line does not
+    split so: no mark, a head or a tail that is not valid JSON, or an empty
+    head.
+
+    This is exact.  A head that parses as a nonempty object puts the mark
+    at depth 1 right after a member, so the line is valid JSON if and only
+    if the tail object is, and a later duplicate key wins in both."""
+    cut = raw.find(_STATE_MARK)
+    if cut < 0:
+        return None
+    try:
+        head = json.loads((raw[:cut] + b"}").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not (isinstance(head, dict) and head):
+        return None
+    tail = raw[cut:]
+    known = tails.get(tail)
+    if known is None:
+        try:
+            rest = json.loads((b"{" + tail[1:]).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        known = tails[tail] = (rest, _state_of(rest.pop("state"), where))
+    rest, state = known
+    return {**head, **rest}, state
+
+
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
-    """Every line is parsed and checked; each distinct state document (by its
-    canonical bytes) is decoded once, and lines that repeat it share the
-    register."""
+    """Every line is parsed and checked; each distinct state (by the exact
+    bytes of its line from ``,"state":`` on) is parsed and decoded once, and
+    lines that repeat it share the register.  A line that does not split
+    (see ``_split_line``) is parsed whole."""
     scenes = []
     counts = []
-    states: dict[bytes, RegisterState] = {}
+    tails: dict[bytes, tuple[dict, RegisterState]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         where = f"trace line {lineno}"
-        doc = _load_json(raw, where)
-        if not isinstance(doc, dict) or "state" not in doc:
-            raise SchemaError(where, "missing key 'state'")
-        key = _canon(doc["state"])
-        state = states.get(key)
-        if state is None:
-            try:
-                state = states[key] = register_from_doc(doc["state"])
-            except SchemaError as e:
-                raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
+        split = _split_line(raw, where, tails)
+        if split is None:
+            doc = _load_json(raw, where)
+            if not isinstance(doc, dict) or "state" not in doc:
+                raise SchemaError(where, "missing key 'state'")
+            split = doc, _state_of(doc["state"], where)
+        doc, state = split
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")
         label = f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()
+        bad = _NOT_XML.search(label)
+        if bad:
+            raise SchemaError(where, f"label holds U+{ord(bad.group()):04X}, which XML 1.0 does not allow")
         scenes.append(render.RenderScene(state, (), label))
         counts.append(len(applied))
     return scenes, counts

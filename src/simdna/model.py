@@ -296,11 +296,17 @@ def _parse_tokens(doc, path: str, d: int) -> tuple[Token, ...]:
                     continue
             else:
                 o = tok.get("o")
-                if isinstance(o, str) and o:
+                if isinstance(o, str) and o and _is_text(o):
                     out.append(Ortho(o))
                     continue
         _token_error(tok, f"{path}[{len(out)}]", d)
     return tuple(out)
+
+
+def _is_text(s: str) -> bool:
+    """Whether ``s`` is Unicode text: JSON's escapes can also spell a lone
+    surrogate, which has no UTF-8 encoding."""
+    return s.isascii() or not any("\ud800" <= c <= "\udfff" for c in s)
 
 
 def _token_error(tok, tpath: str, d: int):
@@ -311,7 +317,9 @@ def _token_error(tok, tpath: str, d: int):
         _expect(isinstance(m, int) and not isinstance(m, bool), tpath, "domain index must be an integer")
         raise SchemaError(tpath, f"domain index {m} out of range 1..{d}")
     if "o" in tok:
-        raise SchemaError(tpath, "overhang tag must be a nonempty string")
+        o = tok["o"]
+        _expect(isinstance(o, str) and o, tpath, "overhang tag must be a nonempty string")
+        raise SchemaError(tpath, "overhang tag must be Unicode text, without lone surrogates")
     raise SchemaError(tpath, 'must be {"m": int} or {"o": str}')
 
 

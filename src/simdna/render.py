@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import engine
@@ -149,17 +150,25 @@ def _pack_lanes(items: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def render_text(scene: RenderScene) -> str:
-    """Fixed-width picture: ruler line at the bottom, bound strands above it,
-    pending instruction strands (dashed as dots when inert) on top."""
-    layout = scene.state.layout
+    """Fixed-width picture under the scene's label: ruler line at the
+    bottom, bound strands above it, pending instruction strands (dashed as
+    dots when inert) on top."""
+    picture = _text_picture(scene.state, scene.pending)
+    return f"{scene.label}\n{picture}" if scene.label else picture
+
+
+@lru_cache(maxsize=1024)
+def _text_picture(state: RegisterState, pending: tuple[PendingStrand, ...]) -> str:
+    """The picture of ``render_text``, drawn once per distinct scene body."""
+    layout = state.layout
     d, n = layout.domains_per_cell, layout.total_positions
     bound_rows = [
-        (bs.spec, bs.offset, bound_set(layout, bs.spec, bs.offset), False) for bs in scene.state.strands
+        (bs.spec, bs.offset, bound_set(layout, bs.spec, bs.offset), False) for bs in state.strands
     ]
     pend_rows = [
         (ps.spec, ps.offset, bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset(),
          not ps.reactive)
-        for ps in scene.pending
+        for ps in pending
     ]
 
     ends = [0, n - 1]
@@ -200,10 +209,7 @@ def render_text(scene: RenderScene) -> str:
                 row[span[0]] = "<"
         return ["".join(g).rstrip() for g in reversed(grid)]
 
-    lines = []
-    if scene.label:
-        lines.append(scene.label)
-    lines += stack(pend_rows)
+    lines = stack(pend_rows)
     lines += stack(bound_rows)
     lines.append("".join(ruler).rstrip())
     return "\n".join(lines) + "\n"
@@ -212,11 +218,17 @@ def render_text(scene: RenderScene) -> str:
 # --- SVG ----------------------------------------------------------------------
 
 
-def _color(spec: StrandSpec, style: StyleTable) -> str:
+@lru_cache(maxsize=65536)
+def _spec_crc(spec: StrandSpec) -> int:
+    """crc32 of the spec's token key, which picks its palette color."""
     key = ";".join(
         f"m{t.domain}" if isinstance(t, Match) else f"o{t.tag}" for t in spec.tokens
     )
-    return style.palette[zlib.crc32(key.encode()) % len(style.palette)]
+    return zlib.crc32(key.encode())
+
+
+def _color(spec: StrandSpec, style: StyleTable) -> str:
+    return style.palette[_spec_crc(spec) % len(style.palette)]
 
 
 def _strand_svg(

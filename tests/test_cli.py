@@ -240,8 +240,11 @@ def _check_race(tmp_path) -> Path:
 
 
 def test_nonconfluent_program_exit_3(tmp_path, capsys):
-    cx = json.loads(_check_race(tmp_path).read_text())
+    cx_path = _check_race(tmp_path)
+    cx = json.loads(cx_path.read_text())
     assert cx["final_a"] != cx["final_b"]
+    # a register whose run fails leaves no trace file
+    assert not (cx_path.parent / "trace-0.jsonl").exists()
 
 
 def test_render_register_svg(tmp_path, reg_path):
@@ -278,6 +281,11 @@ TWO_LINE_TRACE = "".join(
     json.dumps({"instr": i, "state": {"layout": {"cells": 1, "domains_per_cell": 6}, "strands": []}}) + "\n"
     for i in (1, 2)
 )
+# a register whose overhang tag is a lone surrogate, legal in JSON's escapes
+SURROGATE_TAG_REGISTER = json.dumps({
+    "layout": {"cells": 1, "domains_per_cell": 4},
+    "strands": [{"offset": 0, "tokens": [{"m": 1}, {"m": 2}, {"o": "\ud800"}]}],
+})
 
 
 @pytest.mark.parametrize(
@@ -292,11 +300,13 @@ TWO_LINE_TRACE = "".join(
         (TWO_LINE_TRACE, None, ["--every", "0"]),
         (TWO_LINE_TRACE, None, ["--every", "0", "--format", "text"]),
         (TWO_LINE_TRACE.replace('"instr": 2', '"instr": 2, "applied": 5'), None, []),
+        (SURROGATE_TAG_REGISTER, None, []),
+        (SURROGATE_TAG_REGISTER, None, ["--format", "text"]),
     ],
     ids=[
         "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
         "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
-        "applied-not-array",
+        "applied-not-array", "surrogate-tag-svg", "surrogate-tag-text",
     ],
 )
 def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):
@@ -516,6 +526,112 @@ def test_render_names_the_line_of_a_bad_state(tmp_path, capsys, increment_trace,
     assert "bound by two strands" in err
 
 
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+@pytest.mark.parametrize("label", ["\ud800", "\u0001"], ids=["lone-surrogate", "c0-control"])
+def test_render_refuses_a_label_xml_cannot_hold(tmp_path, capsys, fmt, label):
+    trace = tmp_path / "trace.jsonl"
+    state = {"layout": {"cells": 1, "domains_per_cell": 6}, "strands": []}
+    trace.write_text(json.dumps({"instr": 1, "label": label, "applied": [], "state": state}) + "\n")
+    assert main(["render", str(trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: trace line 1: label holds U+{ord(label):04X}")
+    assert "Traceback" not in err
+
+
+# --- the split trace reader agrees with a whole-line reader ---------------------
+
+
+def _whole_line_scenes(text: bytes):
+    """The trace reader that parses every line whole and decodes every state."""
+    from simdna.model import SchemaError, _load_json, register_from_doc
+    from simdna.render import RenderScene
+
+    scenes, counts = [], []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        if not raw.strip():
+            continue
+        where = f"trace line {lineno}"
+        doc = _load_json(raw, where)
+        if not isinstance(doc, dict) or "state" not in doc:
+            raise SchemaError(where, "missing key 'state'")
+        try:
+            state = register_from_doc(doc["state"])
+        except SchemaError as e:
+            raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
+        applied = doc.get("applied", [])
+        if not isinstance(applied, list):
+            raise SchemaError(where, "'applied' must be an array")
+        scenes.append(RenderScene(state, (), f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()))
+        counts.append(len(applied))
+    return scenes, counts
+
+
+def _reading(reader, text: bytes) -> tuple:
+    from simdna.model import SchemaError
+
+    try:
+        return reader(text)
+    except SchemaError as e:
+        return "error", str(e)
+
+
+def _retyped(raw: bytes, fix) -> bytes:
+    """The line with its first strand passed through ``fix``."""
+    doc = json.loads(raw)
+    fix(doc["state"]["strands"][0])
+    return _canonical(doc)
+
+
+def _bool_offset(strand):
+    strand["offset"] = bool(strand["offset"])
+
+
+def _float_domain(strand):
+    tok = next(t for t in strand["tokens"] if "m" in t)
+    tok["m"] = float(tok["m"])
+
+
+# edit of a valid trace line -> the label of the edited line (None: unchanged)
+# or a part of the error it raises
+SPLIT_CASES = {
+    "nested-mark-in-applied": (
+        lambda raw: raw.replace(b'"applied":[', b'"applied":[{"rule":"x","state":1},', 1), None),
+    "tail-repeats-label-and-instr": (lambda raw: raw[:-1] + b',"label":"again","instr":99}', "#99 again"),
+    "head-holds-a-state": (lambda raw: b'{"state":7,' + raw[1:], None),
+    "head-holds-a-later-state": (lambda raw: b'{"x":1,"state":7,' + raw[1:], None),
+    "bom": (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),
+    "empty-head": (lambda raw: b"{" + raw[raw.index(b',"state":'):], "Expecting property name"),
+    "space-around-mark": (lambda raw: raw.replace(b',"state":', b' , "state" : ', 1), None),
+    "space-after-mark": (lambda raw: raw.replace(b',"state":', b',"state": ', 1), None),
+    "bool-offset": (lambda raw: _retyped(raw, _bool_offset), "offset: must be an integer"),
+    "float-domain": (lambda raw: _retyped(raw, _float_domain), "domain index must be an integer"),
+    "bad-utf8-in-head": (lambda raw: raw.replace(b'"label":"', b'"label":"\xff', 1), "invalid start byte"),
+    "bad-utf8-in-tail": (lambda raw: raw[:-2] + b"\xff" + raw[-2:], "invalid start byte"),
+    "bad-json-in-tail": (lambda raw: raw[:-1], "Expecting ',' delimiter"),
+}
+
+
+@pytest.mark.parametrize("case", list(SPLIT_CASES))
+def test_split_trace_reader_agrees_with_a_whole_line_reader(increment_trace, case):
+    from simdna.cli import _scenes_from_trace
+
+    lines = increment_trace.read_bytes().splitlines()
+    edit, expect = SPLIT_CASES[case]
+    # the edited line follows the line it was made from, whose state is
+    # valid and whose "applied" is not empty
+    j = next(i for i, raw in enumerate(lines) if b'"applied":[{' in raw)
+    k = len(lines) + 1
+    text = b"\n".join([*lines, edit(lines[j]), lines[j]]) + b"\n"
+    want = _reading(_whole_line_scenes, text)
+    assert _reading(_scenes_from_trace, text) == want
+    if want[0] == "error":
+        assert want[1].startswith(f"trace line {k}: ") and expect in want[1]
+    else:
+        scenes = want[0]
+        assert scenes[k - 1].state == scenes[j].state
+        assert scenes[k - 1].label == (expect or scenes[j].label)
+
+
 # --- the trace path does each piece of work once --------------------------------
 
 
@@ -540,6 +656,24 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
         calls = _counting(monkeypatch, model.register_from_doc, cli)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
         assert len(calls) == len(states)
+
+
+def test_render_draws_each_distinct_picture_and_color_once(tmp_path, increment_trace):
+    from simdna import render
+
+    docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
+    states = {_canonical(doc["state"]) for doc in docs}
+    strands = [strand["tokens"] for doc in docs for strand in doc["state"]["strands"]]
+    specs = {_canonical(tokens) for tokens in strands}
+    assert 1 < len(specs) < len(strands)
+    render._text_picture.cache_clear()
+    assert main(["render", str(increment_trace), "--format", "text", "-o", str(tmp_path / "out")]) == 0
+    pictures = render._text_picture.cache_info()
+    assert (pictures.misses, pictures.hits + pictures.misses) == (len(states), len(docs))
+    render._spec_crc.cache_clear()
+    assert main(["render", str(increment_trace), "--every", "1", "-o", str(tmp_path / "out")]) == 0
+    colors = render._spec_crc.cache_info()
+    assert (colors.misses, colors.hits + colors.misses) == (len(specs), len(strands))
 
 
 def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, increment_path):

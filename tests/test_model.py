@@ -256,6 +256,7 @@ def test_canon_with_state_embeds_and_hashes_the_state_bytes():
         ({"m": 1, "o": "a"}, 'must be {"m": int} or {"o": str}'),
         ({}, 'must be {"m": int} or {"o": str}'),
         ("m", 'must be {"m": int} or {"o": str}'),
+        ({"o": "\ud800"}, "overhang tag must be Unicode text, without lone surrogates"),
     ],
 )
 def test_token_errors_name_the_token(token, message):
