@@ -159,8 +159,10 @@ def cmd_simulate(args, argv) -> int:
             else:
                 print(f"nonconfluent: register {i}: {e}", file=sys.stderr)
             return EXIT_NONCONFLUENT
-        except engine.StateBudgetExceededError as e:
-            print(f"register {i}: {e}", file=sys.stderr)
+        except engine.EngineError as e:
+            # any other engine failure (a budget overrun, a reaction loop):
+            # the run has no well-defined outcome
+            print(f"register {i} ({args.registers[i]}): {e}", file=sys.stderr)
             return EXIT_NONCONFLUENT
         final = serialize_register(state)
         if out_dir:
@@ -176,10 +178,7 @@ def cmd_simulate(args, argv) -> int:
 def cmd_run_tm(args, argv) -> int:
     spec, extras = _parse_file(args.machine, parse_tm_document)
     input_str = args.input if args.input is not None else extras.get("input", "")
-    try:
-        config = initial_config(spec, input_str, args.cells)
-    except TMError as e:
-        raise CliError(str(e)) from e
+    config = initial_config(spec, input_str, args.cells)
     compiled = compiler.compile_tm(spec, args.cells)
     mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
 

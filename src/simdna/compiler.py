@@ -14,6 +14,12 @@ that do not apply to them by plug strands: a pre-plug covers the exposed
 region until its transition's sublist runs, and a post-plug covers the next
 transition's region from the moment a register has been processed until the
 final deprotecting instruction.
+
+Each transition's sublist is made of named steps: the unplug detaches its
+pre-plug; tear and strip (``_SublistBuilder.tear``) opens a stretch of a cell
+with a handle-carrying exchange chain, then detaches the chain; ``rebuild``
+covers the regions and writes the new symbol; branch detectors read the
+symbol the head moves onto; the post-plug covers the next transition's region.
 """
 from __future__ import annotations
 
@@ -107,8 +113,8 @@ class CellScheme:
 
     # --- strand species (tokens are cell-local domain numbers) -----------
 
-    # Covers and patterns are built once per scheme: every cell of every
-    # register shares the same spec objects.
+    # Covers, and the patterns of ``cell_forms``, are built once per scheme:
+    # every cell of every register shares the same spec objects.
 
     @cached_property
     def _plain_covers(self) -> dict[int, StrandSpec]:
@@ -121,20 +127,15 @@ class CellScheme:
     def head_cover(self) -> StrandSpec:
         return fwd(*(Match(self.y(k)) for k in range(1, 9)))
 
-    @cached_property
-    def _patterns(self) -> dict[str, tuple[tuple[int, StrandSpec], ...]]:
-        out = {}
-        for symbol, spans in SYMBOL_PATTERNS.items():
-            strands = []
-            for start, length in spans:
-                toks = tuple(Match(self.y(k)) for k in range(start, start + length))
-                strands.append((self.y(start) - 1, fwd(*toks)))
-            out[symbol] = tuple(strands)
-        return out
+    def span(self, symbol: str, which: int) -> tuple[Match, ...]:
+        """Tokens of span 0 (left) or 1 (right) of a symbol's pattern."""
+        start, length = SYMBOL_PATTERNS[symbol][which]
+        return _mrange(self.y(start), self.y(start + length - 1))
 
     def pattern_strands(self, symbol: str) -> tuple[tuple[int, StrandSpec], ...]:
         """(cell-local offset, strand) pairs covering the symbol region."""
-        return self._patterns[symbol]
+        spans = (self.span(symbol, 0), self.span(symbol, 1))
+        return tuple((span[0].domain - 1, fwd(*span)) for span in spans)
 
     @cached_property
     def cell_forms(self) -> dict[tuple[str, object], frozenset[tuple[int, StrandSpec]]]:
@@ -154,26 +155,24 @@ class CellScheme:
     def form_of(self) -> dict[frozenset[tuple[int, StrandSpec]], tuple[str, object]]:
         return {cell: form for form, cell in self.cell_forms.items()}
 
-    def span_tokens(self, symbol: str, which: int) -> tuple[int, ...]:
-        """Domain numbers of span 0 (left) or 1 (right) of a pattern."""
-        start, length = SYMBOL_PATTERNS[symbol][which]
-        return tuple(self.y(k) for k in range(start, start + length))
-
     def pre_plug(self, key: TransitionKey) -> StrandSpec:
         i = self.region_index(key)
         return fwd(Match(2 * i - 1), Match(2 * i), Ortho(f"pre:{key[0]},{key[1]}"))
 
     def pre_plug_remover(self, key: TransitionKey) -> StrandSpec:
-        i = self.region_index(key)
-        return rev(Match(2 * i - 1), Match(2 * i), Ortho(f"pre:{key[0]},{key[1]}"))
+        return _remover(self.pre_plug(key))
 
     def post_plug(self, key: TransitionKey) -> StrandSpec:
         i = self.region_index(key)
         return fwd(Ortho(f"post:{key[0]},{key[1]}"), Match(2 * i - 1), Match(2 * i))
 
     def post_plug_remover(self, key: TransitionKey) -> StrandSpec:
-        i = self.region_index(key)
-        return rev(Ortho(f"post:{key[0]},{key[1]}"), Match(2 * i - 1), Match(2 * i))
+        return _remover(self.post_plug(key))
+
+
+def _remover(spec: StrandSpec) -> StrandSpec:
+    """The reverse strand that detaches ``spec`` through its handle."""
+    return rev(*spec.tokens)
 
 
 def _mrange(a: int, b: int) -> tuple[Match, ...]:
@@ -209,16 +208,12 @@ def _probe_state(scheme: CellScheme, symbol: str, side: str) -> RegisterState:
 
 def _probes(scheme: CellScheme, side: str) -> dict[str, StrandSpec]:
     """The probe species of each symbol pattern, entering from ``side``."""
-    t = scheme.t
     probes = {}
     for sigma in SYMBOL_PATTERNS:
         if side == "L":
-            span = scheme.span_tokens(sigma, 0)
-            toks = (Match(2 * t),) + tuple(Match(x) for x in span[:-1])
+            probes[sigma] = fwd(Match(2 * scheme.t), *scheme.span(sigma, 0)[:-1])
         else:
-            span = scheme.span_tokens(sigma, 1)
-            toks = tuple(Match(x) for x in span[1:]) + (Match(1),)
-        probes[sigma] = fwd(*toks)
+            probes[sigma] = fwd(*scheme.span(sigma, 1)[1:], Match(1))
     return probes
 
 
@@ -248,6 +243,16 @@ def _check_pattern_distinguishability(scheme: CellScheme) -> None:
 # --- encoding ---------------------------------------------------------------
 
 
+def _steppable(spec: TMSpec, config: TMConfig) -> bool:
+    """Whether the register form shows the head: the machine runs and its
+    head reads a (state, symbol) pair with a defined transition."""
+    return (
+        config.status is TMStatus.RUNNING
+        and config.head is not None
+        and spec.defined(config.state, config.tape[config.head])
+    )
+
+
 def encode_config(
     spec: TMSpec, scheme: CellScheme, config: TMConfig, s: int
 ) -> tuple[RegisterState, bool]:
@@ -264,11 +269,7 @@ def encode_config(
 
     head_cell: Optional[int] = None
     head_region: Optional[int] = None
-    if (
-        config.status is TMStatus.RUNNING
-        and config.head is not None
-        and spec.defined(config.state, config.tape[config.head])
-    ):
+    if _steppable(spec, config):
         head_cell = config.head
         head_region = scheme.region_index((config.state, config.tape[config.head]))
     # lossy: the head existed but the register form cannot show it
@@ -331,54 +332,52 @@ class _SublistBuilder:
     """Shared vocabulary for one transition's instruction sublist."""
 
     def __init__(self, spec: TMSpec, scheme: CellScheme, key: TransitionKey):
-        self.spec = spec
         self.scheme = scheme
-        self.key = key
         self.q, self.b = key
-        self.nxt, self.write, self.move = spec.transitions[key]
+        nxt, self.write, self.move = spec.transitions[key]
         self.j = scheme.region_index(key)
         self.t = scheme.t
         self.d = scheme.d
         self.instructions: list[Instruction] = []
-        self._n = 0
+        # the branches on the symbol under the moved head: (symbol, next
+        # transition input, its region) in region order where the machine
+        # continues, and the symbols where it has no transition
+        nexts = {sym: (nxt, sym) for sym in ("0", "1", "_")}
+        self.defined: list[tuple[str, TransitionKey, int]] = sorted(
+            ((sym, k, scheme.region_index(k)) for sym, k in nexts.items() if spec.defined(*k)),
+            key=lambda branch: branch[2],
+        )
+        self.undefined = [sym for sym, k in nexts.items() if not spec.defined(*k)]
 
     def tag(self, role: str) -> str:
         return f"h:{self.q},{self.b}:{role}"
 
     def emit(self, species: list[StrandSpec]) -> None:
-        self._n += 1
-        label = f"L({self.q},{self.b})#{self._n}"
+        label = f"L({self.q},{self.b})#{len(self.instructions) + 1}"
         self.instructions.append(Instruction(tuple(species), label))
 
     def y(self, k: int) -> int:
         return self.scheme.y(k)
 
-    def branch_targets(self) -> list[tuple[str, Optional[TransitionKey]]]:
-        """Per possible symbol under the moved head: the next transition input
-        (None when undefined or the machine halts there)."""
-        out = []
-        for sym in ("0", "1", "_"):
-            key = (self.nxt, sym)
-            out.append((sym, key if self.spec.defined(self.nxt, sym) else None))
-        return out
+    # steps of the construction -----------------------------------------
 
-    def defined_branches(self) -> list[tuple[str, TransitionKey, int]]:
-        byidx = [
-            (sym, key, self.scheme.region_index(key))
-            for sym, key in self.branch_targets()
-            if key is not None
-        ]
-        return sorted(byidx, key=lambda x: x[2])
+    def tear(self, chain: list[tuple[str, tuple[Match, ...]]]) -> None:
+        """Tear and strip: the named toehold-exchange chain, each strand with
+        its detachment handle, opens a stretch of the cell; then the chain's
+        removers strip it off and leave the stretch uncovered."""
+        strands = [fwd(*toks, Ortho(self.tag(name))) for name, toks in chain]
+        self.emit(strands)
+        self.emit([_remover(s) for s in strands])
 
-    def undefined_branches(self) -> list[str]:
-        return [sym for sym, key in self.branch_targets() if key is None]
+    def rebuild(self, first: int) -> None:
+        """Cover regions ``first``..t and write the symbol's pattern: its
+        span 0 together with the covers, its span 1 after them."""
+        sch = self.scheme
+        plains = [sch.plain_cover(i) for i in range(first, self.t + 1)]
+        self.emit(plains + [fwd(*sch.span(self.write, 0))])
+        self.emit([fwd(*sch.span(self.write, 1))])
 
-    # common pieces -------------------------------------------------------
-
-    def unplug(self) -> None:
-        self.emit([self.scheme.pre_plug_remover(self.key)])
-
-    def rightward_tear(self, with_handles: bool) -> list[StrandSpec]:
+    def rightward_tear(self) -> list[tuple[str, tuple[Match, ...]]]:
         """Toehold-exchange chain opening cell k from the exposed region
         through the symbol-region cover; vacates the cell's last domain."""
         j, t = self.j, self.t
@@ -392,52 +391,32 @@ class _SublistBuilder:
                 a = 2 * j + 2 * m - 2
                 chain.append((f"A{m}", (Match(a), Match(a + 1))))
             chain.append(("Asym", (Match(2 * t),) + _mrange(self.y(1), self.y(7))))
-        out = []
-        for name, toks in chain:
-            if with_handles:
-                toks = toks + (Ortho(self.tag(name)),)
-            out.append(fwd(*toks))
-        return out
+        return chain
 
 
-def _sublist_halting(b: _SublistBuilder) -> list[Instruction]:
+def _sublist_halting(b: _SublistBuilder) -> None:
     """Transition whose destination has no defined transitions (halt state or
     a dead state): write the output symbol, cover everything, touch no
     neighbor cell."""
-    sch = b.scheme
-    b.unplug()
-    tear = b.rightward_tear(with_handles=True)
-    b.emit(tear)
-    b.emit([rev(*s.tokens) for s in tear])
-    plains = [sch.plain_cover(i) for i in range(b.j, b.t + 1)]
-    span1 = fwd(*(Match(x) for x in sch.span_tokens(b.write, 0)))
-    b.emit(plains + [span1])
-    b.emit([fwd(*(Match(x) for x in sch.span_tokens(b.write, 1)))])
-    return b.instructions
+    b.tear(b.rightward_tear())
+    b.rebuild(b.j)
 
 
-def _sublist_right(b: _SublistBuilder) -> list[Instruction]:
+def _sublist_right(b: _SublistBuilder) -> None:
     sch, t, j = b.scheme, b.t, b.j
     y = b.y
-    defined = b.defined_branches()
-    undefined = b.undefined_branches()
-
-    b.unplug()
 
     # previous cell: open from the exposed region to the cell's right edge,
     # then rebuild with the written symbol, keeping the last domain open as
     # the toehold into the next cell.
-    tear = b.rightward_tear(with_handles=True)
-    b.emit(tear)
-    b.emit([rev(*s.tokens) for s in tear])
+    b.tear(b.rightward_tear())
     plains = [sch.plain_cover(i) for i in range(j, t + 1)]
     if b.write == "1":
         b.emit(plains + [fwd(*_mrange(y(1), y(5)))])
         b.emit([fwd(Match(y(6)), Match(y(7)))])
     else:
-        b.emit(plains + [fwd(*(Match(x) for x in sch.span_tokens(b.write, 0)))])
-        span2 = sch.span_tokens(b.write, 1)
-        b.emit([fwd(*(Match(x) for x in span2[:-1]))])
+        b.emit(plains + [fwd(*sch.span(b.write, 0))])
+        b.emit([fwd(*sch.span(b.write, 1)[:-1])])
 
     # next cell: cross the boundary and walk every transition-region cover.
     # These shingles are later displaced by the rebuild chains, so they carry
@@ -450,74 +429,57 @@ def _sublist_right(b: _SublistBuilder) -> list[Instruction]:
     # branch detectors: tear the first span of the symbol pattern.
     e_strands = {}
     for sym in ("0", "1", "_"):
-        span1 = sch.span_tokens(sym, 0)
-        toks = (Match(2 * t),) + tuple(Match(x) for x in span1[:-1]) + (Ortho(b.tag(f"E{sym}")),)
-        e_strands[sym] = fwd(*toks)
+        e_strands[sym] = fwd(Match(2 * t), *sch.span(sym, 0)[:-1], Ortho(b.tag(f"E{sym}")))
     b.emit(list(e_strands.values()))
 
     # second-span tear, only where the branch continues.
     f_strands = {}
-    for sym, key, _ in defined:
-        span2 = sch.span_tokens(sym, 1)
-        nick = sch.span_tokens(sym, 0)[-1]  # vacated by the E strand's exchange
-        toks = (Match(nick),) + tuple(Match(x) for x in span2[:-1])
-        f_strands[sym] = fwd(*(toks + (Ortho(b.tag(f"F{sym}")),)))
+    for sym, key, _ in b.defined:
+        nick = sch.span(sym, 0)[-1]  # vacated by the E strand's exchange
+        f_strands[sym] = fwd(nick, *sch.span(sym, 1)[:-1], Ortho(b.tag(f"F{sym}")))
     if f_strands:
         b.emit(list(f_strands.values()))
 
-    for sym, key, i2 in defined:
-        b.emit([rev(*e_strands[sym].tokens), rev(*f_strands[sym].tokens), sch.head_cover])
+    for sym, key, i2 in b.defined:
+        b.emit([_remover(e_strands[sym]), _remover(f_strands[sym]), sch.head_cover])
         chain = [sch.plain_cover(i) for i in range(1, t + 1) if i != i2]
         b.emit(chain + [sch.post_plug(key)])
 
-    if undefined:
-        b.emit([
-            fwd(*(Match(x) for x in sch.span_tokens(sym, 0))) for sym in undefined
-        ])
+    if b.undefined:
+        b.emit([fwd(*sch.span(sym, 0)) for sym in b.undefined])
         b.emit([sch.plain_cover(i) for i in range(1, t + 1)])
 
     # seal the previous cell's last domain with the written symbol's pattern.
     if b.write == "1":
         b.emit([fwd(Match(y(7)), Match(y(8))), fwd(*_mrange(y(1), y(6)))])
     else:
-        b.emit([fwd(*(Match(x) for x in sch.span_tokens(b.write, 1)))])
-    return b.instructions
+        b.emit([fwd(*sch.span(b.write, 1))])
 
 
-def _sublist_left(b: _SublistBuilder) -> list[Instruction]:
+def _sublist_left(b: _SublistBuilder) -> None:
     sch, t, j = b.scheme, b.t, b.j
     y = b.y
-    defined = b.defined_branches()
-    undefined = b.undefined_branches()
-
-    b.unplug()
 
     # open the current cell's left flank and cross into the neighbor's symbol
     # region; the crossing strand family is the branch detector.
     n0: list[StrandSpec] = []
     if j >= 2:
-        if j == 2:
-            n0.append(fwd(Match(2), Match(3), Match(4)))
-        else:
-            n0.append(fwd(Match(2 * j - 2), Match(2 * j - 1), Match(2 * j)))
-            for m in range(2, j):
-                a = 2 * j - 2 * m
-                n0.append(fwd(Match(a), Match(a + 1)))
-    crosses = {}
+        n0.append(fwd(Match(2 * j - 2), Match(2 * j - 1), Match(2 * j)))
+        for m in range(2, j):
+            a = 2 * j - 2 * m
+            n0.append(fwd(Match(a), Match(a + 1)))
     for sym in ("0", "1", "_"):
-        sp2 = sch.span_tokens(sym, 1)
-        toks = tuple(Match(x) for x in sp2[1:]) + (Match(1),)
+        toks = sch.span(sym, 1)[1:] + (Match(1),)
         if j == 1:
             toks = toks + (Match(2),)
-        crosses[sym] = fwd(*toks)
-    n0.extend(crosses.values())
+        n0.append(fwd(*toks))
     b.emit(n0)
 
-    x_strands = {}
-    for sym, key, i2 in defined:
-        sp1 = sch.span_tokens(sym, 0)
-        nick = y(len(sp1) + 1)  # leftmost domain of the second span
-        b.emit([fwd(*(_mrange(y(2), nick) + (Ortho(b.tag(f"H{sym}")),)))])
+    x_strands = []
+    for sym, key, i2 in b.defined:
+        nick = sch.span(sym, 1)[0]  # leftmost domain of the second span
+        h = fwd(*_mrange(y(2), nick.domain), Ortho(b.tag(f"H{sym}")))
+        b.emit([h])
 
         kchain = [fwd(Match(2 * t), Match(y(1)))]
         for m in range(2, t - i2 + 2):
@@ -528,39 +490,34 @@ def _sublist_left(b: _SublistBuilder) -> list[Instruction]:
         b.emit([sch.post_plug(key)])
 
         rchain = [sch.plain_cover(i) for i in range(i2 + 1, t + 1)]
-        h_toks = _mrange(y(2), nick) + (Ortho(b.tag(f"H{sym}")),)
-        b.emit(rchain + [rev(*h_toks)])
+        b.emit(rchain + [_remover(h)])
 
         if j == 1:
-            toks = _mrange(y(1), y(8)) + (Match(1), Match(2), Ortho(b.tag(f"X{sym}")))
-            x = fwd(*toks)
-            x_strands[sym] = x
+            x = fwd(*_mrange(y(1), y(8)), Match(1), Match(2), Ortho(b.tag(f"X{sym}")))
+            x_strands.append(x)
             b.emit([x])
         else:
             b.emit([sch.head_cover])
 
     p_strands = {}
-    if undefined:
+    if b.undefined:
         batch = []
-        for sym in undefined:
-            sp2 = sch.span_tokens(sym, 1)
+        for sym in b.undefined:
             if j == 1:
-                p = fwd(*(tuple(Match(x) for x in sp2) + (Match(1), Match(2), Ortho(b.tag(f"P{sym}")))))
+                p = fwd(*sch.span(sym, 1), Match(1), Match(2), Ortho(b.tag(f"P{sym}")))
                 p_strands[sym] = p
                 batch.append(p)
             else:
-                batch.append(fwd(*(Match(x) for x in sp2)))
+                batch.append(fwd(*sch.span(sym, 1)))
         b.emit(batch)
 
     if j == 1:
-        shared1 = [rev(*x.tokens) for x in x_strands.values()]
-        if defined:
+        shared1 = [_remover(x) for x in x_strands]
+        if b.defined:
             shared1.append(sch.head_cover)
             b.emit(shared1)
-        shared2 = [rev(*p.tokens) for p in p_strands.values()]
-        shared2.extend(
-            fwd(*(Match(x) for x in sch.span_tokens(sym, 1))) for sym in p_strands
-        )
+        shared2 = [_remover(p) for p in p_strands.values()]
+        shared2.extend(fwd(*sch.span(sym, 1)) for sym in p_strands)
         if shared2:
             b.emit(shared2)
 
@@ -582,13 +539,8 @@ def _sublist_left(b: _SublistBuilder) -> list[Instruction]:
         for m in range(t - j):
             chain.append((f"pB{m}", (Match(2 * j + 2 * m), Match(2 * j + 2 * m + 1))))
         chain.append(("pAsym", (Match(2 * t),) + _mrange(y(1), y(7))))
-    pa = [fwd(*(toks + (Ortho(b.tag(name)),))) for name, toks in chain]
-    b.emit(pa)
-    b.emit([rev(*s.tokens) for s in pa])
-    plains = [sch.plain_cover(i) for i in range(1, t + 1)]
-    b.emit(plains + [fwd(*(Match(x) for x in sch.span_tokens(b.write, 0)))])
-    b.emit([fwd(*(Match(x) for x in sch.span_tokens(b.write, 1)))])
-    return b.instructions
+    b.tear(chain)
+    b.rebuild(1)
 
 
 def compile_transition(
@@ -597,12 +549,14 @@ def compile_transition(
     """Instruction sublist advancing registers whose applicable transition is
     ``key``; inert on every other register."""
     b = _SublistBuilder(spec, scheme, key)
-    nxt = spec.transitions[key][0]
-    if not any(spec.defined(nxt, sym) for sym in ("0", "1", "_")):
-        return _sublist_halting(b)
-    if b.move == "R":
-        return _sublist_right(b)
-    return _sublist_left(b)
+    b.emit([scheme.pre_plug_remover(key)])  # unplug
+    if not b.defined:
+        _sublist_halting(b)
+    elif b.move == "R":
+        _sublist_right(b)
+    else:
+        _sublist_left(b)
+    return b.instructions
 
 
 @dataclass(frozen=True)
@@ -683,12 +637,7 @@ def configs_equivalent(
 ) -> bool:
     """Equality up to the encoding: configurations the register cannot
     represent (halted, stuck, or head on an undefined pair) compare by tape."""
-    representable = (
-        expected.status is TMStatus.RUNNING
-        and expected.head is not None
-        and spec.defined(expected.state, expected.tape[expected.head])
-    )
-    if representable:
+    if _steppable(spec, expected):
         return (
             isinstance(got, TMConfig)
             and got.tape == expected.tape
@@ -753,12 +702,7 @@ def verify_compilation(
     for config in inputs:
         reg, lossy = encode_config(spec, compiled.scheme, config, s)
         final, _ = engine.run_program(reg, compiled.program, mode)
-        steppable = (
-            config.status is TMStatus.RUNNING
-            and config.head is not None
-            and spec.defined(config.state, config.tape[config.head])
-        )
-        if steppable:
+        if _steppable(spec, config):
             expected = tm_step(spec, config)
             try:
                 got = decode_register(spec, compiled.scheme, final)

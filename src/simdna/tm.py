@@ -14,6 +14,8 @@ from typing import Mapping, Optional
 
 import yaml
 
+from .model import _is_text
+
 SYMBOLS = ("0", "1", "_")
 BLANK = "_"
 MOVES = ("L", "R")
@@ -157,6 +159,13 @@ def _norm_symbol(raw, where: str) -> str:
     return raw
 
 
+def _state_name(raw, where: str) -> str:
+    name = str(raw)
+    if not _is_text(name):
+        raise TMSpecError(f"{where}: state name {name!r} is not Unicode text")
+    return name
+
+
 def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
     """Parse a machine file; returns the spec plus extras (e.g. default input)."""
     try:
@@ -173,12 +182,13 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
     if blank != BLANK:
         raise TMSpecError(f'blank must be "_", got {blank!r}')
     start = str(doc["start state"])
-    halt = str(doc["halt state"])
+    halt = _state_name(doc["halt state"], "halt state")
     table = doc["table"]
     if not isinstance(table, dict):
         raise TMSpecError("table must be a mapping of states")
 
-    states = {str(k) for k in table} | {halt}
+    # the start and next states must be among these, so they are text too
+    states = {_state_name(k, "table") for k in table} | {halt}
     if halt in table:
         raise TMSpecError(f"halt state {halt!r} must not have table entries")
     if start not in states:

@@ -247,6 +247,44 @@ def test_nonconfluent_program_exit_3(tmp_path, capsys):
     assert not (cx_path.parent / "trace-0.jsonl").exists()
 
 
+# on an empty cell the canonical run of 'loopy' revisits a state; on a
+# fully covered one nothing fires
+LOOPY_PROGRAM = {
+    "layout": {"cells": 1, "domains_per_cell": 6},
+    "instructions": [
+        {
+            "label": "loopy",
+            "strands": [
+                {"orientation": "fwd", "tokens": [{"m": 2}, {"m": 3}, {"m": 4}]},
+                {"orientation": "fwd", "tokens": [{"m": 3}, {"m": 4}, {"m": 5}]},
+                {"orientation": "fwd", "tokens": [{"m": 6}, {"m": 1}]},
+            ],
+        }
+    ],
+}
+
+
+@pytest.mark.parametrize("command, flags, failure", [
+    ("simulate", [], "instruction 1: reaction loop revisited a state while applying 'loopy'"),
+    ("check", ["--max-states", "1"], "instruction 1: confluence search of 'loopy' exceeded 1 distinct states"),
+], ids=["reaction-loop", "state-budget"])
+def test_engine_failure_names_the_register_and_its_file(tmp_path, capsys, command, flags, failure):
+    prog = tmp_path / "loopy.json"
+    prog.write_text(json.dumps(LOOPY_PROGRAM))
+    covered = tmp_path / "covered.json"
+    domains = [{"m": k} for k in range(1, 7)]
+    covered.write_text(json.dumps({"layout": LOOPY_PROGRAM["layout"], "strands": [{"offset": 0, "tokens": domains}]}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"layout": LOOPY_PROGRAM["layout"], "strands": []}))
+    assert main([command, str(prog), str(covered), str(empty), *flags]) == 3
+    assert capsys.readouterr().err == f"register 1 ({empty}): {failure}\n"
+
+
+def test_run_tm_bad_input_exits_2(capsys, increment_path):
+    assert main(["run-tm", str(increment_path), "--input", "2", "--cells", "3"]) == 2
+    assert capsys.readouterr().err == "error: input may only contain 0 and 1, got ['2']\n"
+
+
 def test_render_register_svg(tmp_path, reg_path):
     out = tmp_path / "reg.svg"
     assert main(["render", str(reg_path), "-o", str(out)]) == 0
@@ -493,6 +531,16 @@ def test_bad_machine_file_is_named(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {machine}: not valid YAML")
     assert "Traceback" not in err
+
+
+def test_compile_refuses_a_state_name_that_is_not_text(tmp_path, capsys):
+    # the YAML escape spells a lone surrogate, which no program file can hold
+    machine = tmp_path / "surrogate.yaml"
+    machine.write_text('start state: "\\ud800"\nhalt state: h\ntable:\n  "\\ud800": {0: {write: 1, move: R, next: h}}\n')
+    out = tmp_path / "prog.json"
+    assert main(["compile", str(machine), "--cells", "3", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {machine}: table: state name '\\ud800' is not Unicode text\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])

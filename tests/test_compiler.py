@@ -4,6 +4,9 @@ import itertools
 
 import pytest
 
+from compile_corpus import digest, incrementor, one_state_machines, paper_machine
+from test_simulation import J1_LEFT_ALL_DEFINED, J1_LEFT_MIXED, LAST_REGION_RIGHT, T1_LEFT
+
 from simdna.compiler import (
     CompileError,
     MultipleHeadsError,
@@ -19,7 +22,7 @@ from simdna.compiler import (
     serialize_compiled,
 )
 from simdna.model import BoundStrand, Match, Orientation, Ortho, RegisterState
-from simdna.tm import TMConfig, TMSpec, TMStatus
+from simdna.tm import TMConfig, TMSpec, TMStatus, parse_tm_spec
 
 
 def _tm_with_transitions(n: int) -> TMSpec:
@@ -270,3 +273,18 @@ def test_program_match_tokens_in_range(increment_spec):
             for tok in sp.tokens:
                 if isinstance(tok, Match):
                     assert 1 <= tok.domain <= d
+
+
+# sha256 of a fast slice of the compile corpus (tests/compile_corpus.py):
+# any change to the bytes of one of its compiled programs moves it
+COMPILE_SLICE_SHA256 = "226517d9bb1da9ecaebedba8d1cb7291a4178da133d27801dde4419d685bf2a7"
+
+
+def test_compiled_programs_pinned():
+    inc = incrementor()
+    hand = (J1_LEFT_MIXED, J1_LEFT_ALL_DEFINED, T1_LEFT, LAST_REGION_RIGHT)
+    entries = [(inc, s) for s in range(2, 6)]
+    entries.append((paper_machine(0), 4))
+    entries += [(parse_tm_spec(doc), 3) for doc in hand]
+    entries += [(spec, 3) for spec in one_state_machines()[::16]]
+    assert digest(entries) == COMPILE_SLICE_SHA256

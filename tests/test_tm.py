@@ -160,3 +160,14 @@ def test_step_purity(increment_spec):
     c = TMConfig(("0", "1", "_"), 1, "a")
     assert tm_step(increment_spec, c) == tm_step(increment_spec, c)
     assert c.tape == ("0", "1", "_")
+
+
+@pytest.mark.parametrize("where, doc", [
+    ("table", '{"start state": "\\ud800", "halt state": "h", "table": {"\\ud800": {}}}'),
+    ("halt state", '{"start state": "a", "halt state": "\\ud800", "table": {"a": {}}}'),
+], ids=["table", "halt-state"])
+def test_parse_rejects_a_state_name_that_is_not_text(where, doc):
+    # a JSON or YAML escape can spell a lone surrogate, which has no UTF-8
+    # encoding, and state names end up in the program's tags and labels
+    with pytest.raises(TMSpecError, match=rf"^{where}: state name '\\ud800' is not Unicode text$"):
+        parse_tm_spec(doc.encode())
