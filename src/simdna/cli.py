@@ -1,13 +1,20 @@
 """Command-line workbench: compile, simulate, run-tm, render, check.
 
-Exit codes: 0 ok, 2 input error, 3 nonconfluent instruction, 4 oracle
-mismatch.  Every command that takes --out-dir records its invocation in
-``manifest.json`` there; outputs carry no timestamps so reruns are
-byte-identical.
+A command that fails prints one line, ``<kind>: <where>: <message>``, and
+exits with the code ``_FAILURES`` gives its failure: ``error`` 2 for an
+input error; ``nonconfluent`` 3 for a nonconfluent instruction; ``error``
+3 for a budget overrun or a reaction loop; ``error`` 4 for a register that
+no longer decodes or that the interpreter disagrees with.  ``<where>``
+names the input: the file of an input error in a file, and a trace's line;
+``MACHINE: iteration N`` in run-tm; ``register i (PATH)`` in simulate and
+check, then ``counterexample in PATH`` when one is written.
+Commands with --out-dir record their invocation in ``manifest.json``;
+outputs carry no timestamps so reruns are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import re
@@ -30,22 +37,44 @@ from .model import (
 from .tm import (
     SpaceBoundViolationError,
     TMError,
-    TMSpecError,
     initial_config,
     parse_tm_document,
     tm_step,
 )
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_NONCONFLUENT = 3
-EXIT_ORACLE = 4
-
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """An input error that the command line itself finds."""
+
+
+class Mismatch(Exception):
+    """The register no longer follows the machine: it does not decode, or
+    the interpreter disagrees with it."""
+
+
+# failure class -> exit code and the kind that starts its line; a class
+# not listed takes the entry of its nearest listed base.  A budget overrun
+# or a reaction loop, like nonconfluence, leaves the run with no
+# well-defined outcome.
+_FAILURES = {
+    engine.NonConfluentError: (3, "nonconfluent"),
+    engine.EngineError: (3, "error"),
+    Mismatch: (4, "error"),
+    **dict.fromkeys(
+        (CliError, SchemaError, TMError, compiler.CompileError, compiler.DecodeError, OSError), (2, "error")
+    ),
+}
+
+
+@contextlib.contextmanager
+def _naming(where: str):
+    """A failure raised inside is reported after ``where``, the input it
+    concerns; an enclosing ``_naming`` puts its own ``where`` first."""
+    try:
+        yield
+    except tuple(_FAILURES) as e:
+        e.where = (where, *getattr(e, "where", ()))
+        raise
 
 
 def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome]) -> list[bytes]:
@@ -81,26 +110,16 @@ def _check_flags(args) -> None:
             raise CliError(f"{flag} must be at least {least}, got {value}")
 
 
-def _read(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from e
-
-
 def _parse_file(path: str, parse):
-    """``parse`` of the file's bytes, with an input error prefixed by its path."""
-    raw = _read(path)
-    try:
-        return parse(raw)
-    except (SchemaError, TMSpecError) as e:
-        raise CliError(f"{path}: {e}") from e
+    """``parse`` of the file's bytes, a failure named by the path."""
+    with _naming(path):
+        return parse(Path(path).read_bytes())
 
 
 # --- compile ------------------------------------------------------------------
 
 
-def cmd_compile(args, argv) -> int:
+def cmd_compile(args, argv) -> None:
     spec, _extras = _parse_file(args.machine, parse_tm_document)
     compiled = compiler.compile_tm(spec, args.cells)
     payload = compiler.serialize_compiled(compiled) + b"\n"
@@ -115,19 +134,19 @@ def cmd_compile(args, argv) -> int:
     else:
         sys.stdout.buffer.write(payload)
         print("\n".join(lines), file=sys.stderr)
-    return EXIT_OK
 
 
 # --- simulate / check -----------------------------------------------------------
 
 
-def cmd_simulate(args, argv) -> int:
+def cmd_simulate(args, argv) -> None:
     program = _parse_file(args.program, compiler.load_program_file)
     registers = []
     for path in args.registers:
-        st = _parse_file(path, parse_register)
-        if st.layout != program.layout:
-            raise CliError(f"{path}: register layout does not match the program")
+        with _naming(path):
+            st = parse_register(Path(path).read_bytes())
+            if st.layout != program.layout:
+                raise CliError("register layout does not match the program")
         registers.append(st)
 
     mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
@@ -137,48 +156,44 @@ def cmd_simulate(args, argv) -> int:
         _write_manifest(out_dir, args.command, argv, files)
 
     labels = [ins.label for ins in program.instructions]
-    for i, state in enumerate(registers):
+    for i, (path, state) in enumerate(zip(args.registers, registers)):
         lines: list[bytes] = []
-        try:
-            for _ in range(args.iterations):
-                state, outcomes = engine.run_program(state, program, mode)
-                if out_dir:
-                    lines += _outcome_lines(labels, outcomes)
-        except engine.NonConfluentError as e:
-            doc = {
-                "register": i,
-                "final_a": register_doc(e.state_a),
-                "order_a": [r.doc() for r in e.order_a],
-                "final_b": register_doc(e.state_b),
-                "order_b": [r.doc() for r in e.order_b],
-            }
-            if out_dir:
-                path = out_dir / f"nonconfluent-{i}.json"
-                path.write_bytes(_canon(doc) + b"\n")
-                print(f"nonconfluent: register {i}, counterexample in {path}", file=sys.stderr)
-            else:
-                print(f"nonconfluent: register {i}: {e}", file=sys.stderr)
-            return EXIT_NONCONFLUENT
-        except engine.EngineError as e:
-            # any other engine failure (a budget overrun, a reaction loop):
-            # the run has no well-defined outcome
-            print(f"register {i} ({args.registers[i]}): {e}", file=sys.stderr)
-            return EXIT_NONCONFLUENT
+        with _naming(f"register {i} ({path})"):
+            try:
+                for _ in range(args.iterations):
+                    state, outcomes = engine.run_program(state, program, mode)
+                    if out_dir:
+                        lines += _outcome_lines(labels, outcomes)
+            except engine.NonConfluentError as e:
+                if not out_dir:
+                    raise
+                doc = {
+                    "register": i,
+                    "final_a": register_doc(e.state_a),
+                    "order_a": [r.doc() for r in e.order_a],
+                    "final_b": register_doc(e.state_b),
+                    "order_b": [r.doc() for r in e.order_b],
+                }
+                cx = out_dir / f"nonconfluent-{i}.json"
+                cx.write_bytes(_canon(doc) + b"\n")
+                with _naming(f"counterexample in {cx}"):
+                    raise
         final = serialize_register(state)
         if out_dir:
             _write_trace(out_dir / f"trace-{i}.jsonl", lines)
             (out_dir / f"final-{i}.json").write_bytes(final + b"\n")
         print(f"register {i}: {hashlib.sha256(final).hexdigest()}")
-    return EXIT_OK
 
 
 # --- run-tm ---------------------------------------------------------------------
 
 
-def cmd_run_tm(args, argv) -> int:
+def cmd_run_tm(args, argv) -> None:
     spec, extras = _parse_file(args.machine, parse_tm_document)
     input_str = args.input if args.input is not None else extras.get("input", "")
-    config = initial_config(spec, input_str, args.cells)
+    # an input the machine file gives is named by the file
+    with _naming(args.machine) if args.input is None else contextlib.nullcontext():
+        config = initial_config(spec, input_str, args.cells)
     compiled = compiler.compile_tm(spec, args.cells)
     mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
 
@@ -193,41 +208,39 @@ def cmd_run_tm(args, argv) -> int:
     trace_lines: list[bytes] = []
     decoded = compiler.decode_register(spec, compiled.scheme, state)
     current = config
-    for it in range(args.max_iters):
-        if isinstance(decoded, compiler.TapeOnly):
-            break
-        if args.oracle:
-            try:
-                expected = tm_step(spec, current)
-            except SpaceBoundViolationError as e:
-                # the machine would leave the tape: terminal for the run, not
-                # a simulation mismatch
-                print(f"stopped: {e}", file=sys.stderr)
+    with _naming(args.machine):
+        for it in range(1, args.max_iters + 1):
+            if isinstance(decoded, compiler.TapeOnly):
                 break
-        state, outcomes = engine.run_program(state, compiled.program, mode)
-        if out_dir:
-            trace_lines += _outcome_lines(labels, outcomes)
-        try:
-            decoded = compiler.decode_register(spec, compiled.scheme, state)
-        except compiler.DecodeError as e:
-            print(f"iteration {it + 1}: register no longer decodes: {e}", file=sys.stderr)
-            return EXIT_ORACLE
-        # a terminal `expected` matches only a TapeOnly decode, which ends the loop
-        if args.oracle and not compiler.configs_equivalent(spec, expected, decoded):
-            print(
-                f"oracle mismatch at iteration {it + 1}: "
-                f"machine says {expected}, register decodes to {decoded}",
-                file=sys.stderr,
-            )
-            return EXIT_ORACLE
-        current = decoded
+            if args.oracle:
+                try:
+                    expected = tm_step(spec, current)
+                except SpaceBoundViolationError as e:
+                    # the machine would leave the tape: terminal for the run,
+                    # not a simulation mismatch
+                    print(f"stopped: {e}", file=sys.stderr)
+                    break
+            with _naming(f"iteration {it}"):
+                state, outcomes = engine.run_program(state, compiled.program, mode)
+            if out_dir:
+                trace_lines += _outcome_lines(labels, outcomes)
+            try:
+                decoded = compiler.decode_register(spec, compiled.scheme, state)
+            except compiler.DecodeError as e:
+                raise Mismatch(f"iteration {it}: register no longer decodes: {e}") from e
+            # a terminal `expected` matches only a TapeOnly decode, which ends the loop
+            if args.oracle and not compiler.configs_equivalent(spec, expected, decoded):
+                raise Mismatch(
+                    f"oracle mismatch at iteration {it}: "
+                    f"machine says {expected}, register decodes to {decoded}"
+                )
+            current = decoded
 
     tape = decoded.tape_str()
     if out_dir:
         _write_trace(out_dir / "trace.jsonl", trace_lines)
         (out_dir / "final.json").write_bytes(serialize_register(state) + b"\n")
     print(tape)
-    return EXIT_OK
 
 
 # --- render ---------------------------------------------------------------------
@@ -324,35 +337,27 @@ def _is_trace(raw: bytes) -> bool:
     return isinstance(doc, dict) and "instr" in doc
 
 
-def cmd_render(args, argv) -> int:
-    raw = _read(args.input)
+def cmd_render(args, argv) -> None:
     style = render.load_style(args.style)
-    try:
+    with _naming(args.input):
+        raw = Path(args.input).read_bytes()
         if _is_trace(raw):
             scenes, counts = _scenes_from_trace(raw)
             if not scenes:
-                raise CliError(f"{args.input}: trace file carries no outcomes")
-            if args.format == "text":
-                payload = "\n".join(render.render_text(s) for s in scenes)
-            else:
-                payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
+                raise CliError("trace file carries no outcomes")
         else:
             doc = _load_json(raw, "$")
             if not (isinstance(doc, dict) and "strands" in doc and "layout" in doc):
-                raise CliError(f"{args.input}: not a register or trace file")
-            scene = render.RenderScene(register_from_doc(doc))
-            payload = (
-                render.render_text(scene)
-                if args.format == "text"
-                else render.render_svg(scene, style)
-            )
-    except SchemaError as e:
-        raise CliError(f"{args.input}: {e}") from e
+                raise CliError("not a register or trace file")
+            scenes, counts = [render.RenderScene(register_from_doc(doc))], None
+        if args.format == "text":
+            payload = "\n".join(render.render_text(s) for s in scenes)
+        else:
+            payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
     if args.output:
         Path(args.output).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
-    return EXIT_OK
 
 
 # --- entry ----------------------------------------------------------------------
@@ -415,24 +420,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         _check_flags(args)
-        return args.func(args, argv)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (SchemaError, TMSpecError, TMError, compiler.CompileError, compiler.DecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except engine.NonConfluentError as e:
-        print(f"nonconfluent: {e}", file=sys.stderr)
-        return EXIT_NONCONFLUENT
-    except engine.EngineError as e:
-        # livelocks and budget blowups are program pathologies, like
-        # nonconfluence: the run has no well-defined outcome
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NONCONFLUENT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        args.func(args, argv)
+    except tuple(_FAILURES) as e:
+        code, kind = next(_FAILURES[cls] for cls in type(e).__mro__ if cls in _FAILURES)
+        print(": ".join((kind, *getattr(e, "where", ()), str(e))), file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

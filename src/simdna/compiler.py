@@ -43,7 +43,7 @@ from .model import (
     rev,
     _canon,
 )
-from .tm import TMConfig, TMSpec, TMStatus, TransitionKey, tm_step
+from .tm import SpaceBoundViolationError, TMConfig, TMSpec, TMStatus, TransitionKey, initial_config, tm_step
 
 SYMBOL_RANK = {"0": 0, "1": 1, "_": 2}
 
@@ -653,8 +653,6 @@ def reachable_configs(
     """Trajectory configs from an input; True if the run ends by walking off
     the tape.  The configuration whose step violates the space bound is not
     returned: its step is undefined, so it is outside the one-step claim."""
-    from .tm import SpaceBoundViolationError, initial_config
-
     configs = [initial_config(spec, input_str, s)]
     for _ in range(max_steps):
         c = configs[-1]

@@ -264,11 +264,21 @@ LOOPY_PROGRAM = {
 }
 
 
-@pytest.mark.parametrize("command, flags, failure", [
-    ("simulate", [], "instruction 1: reaction loop revisited a state while applying 'loopy'"),
-    ("check", ["--max-states", "1"], "instruction 1: confluence search of 'loopy' exceeded 1 distinct states"),
-], ids=["reaction-loop", "state-budget"])
-def test_engine_failure_names_the_register_and_its_file(tmp_path, capsys, command, flags, failure):
+@pytest.mark.parametrize("argv, failure", [
+    (["simulate", "{loopy}", "{covered}", "{empty}"],
+     "error: register 1 ({empty}): instruction 1: reaction loop revisited a state while applying 'loopy'"),
+    (["check", "{loopy}", "{covered}", "{empty}", "--max-states", "1"],
+     "error: register 1 ({empty}): instruction 1: confluence search of 'loopy' exceeded 1 distinct states"),
+    (["run-tm", "{machine}", "--input", "01", "--cells", "3", "--verify", "--max-states", "1"],
+     "error: {machine}: iteration 1: instruction 1: confluence search of 'pre-plug' exceeded 1 distinct states"),
+    (["check", "{race}", "{race_reg}"],
+     "nonconfluent: register 0 ({race_reg}): instruction 1: instruction 'race' is not confluent: "
+     "1-step and 1-step orders end in different states"),
+    (["check", "{race}", "{race_reg}", "--out-dir", "{out}"],
+     "nonconfluent: register 0 ({race_reg}): counterexample in {out}/nonconfluent-0.json: instruction 1: "
+     "instruction 'race' is not confluent: 1-step and 1-step orders end in different states"),
+], ids=["reaction-loop", "state-budget", "run-tm-state-budget", "nonconfluent", "nonconfluent-out-dir"])
+def test_engine_failure_names_the_register_and_its_file(tmp_path, capsys, increment_path, argv, failure):
     prog = tmp_path / "loopy.json"
     prog.write_text(json.dumps(LOOPY_PROGRAM))
     covered = tmp_path / "covered.json"
@@ -276,13 +286,25 @@ def test_engine_failure_names_the_register_and_its_file(tmp_path, capsys, comman
     covered.write_text(json.dumps({"layout": LOOPY_PROGRAM["layout"], "strands": [{"offset": 0, "tokens": domains}]}))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"layout": LOOPY_PROGRAM["layout"], "strands": []}))
-    assert main([command, str(prog), str(covered), str(empty), *flags]) == 3
-    assert capsys.readouterr().err == f"register 1 ({empty}): {failure}\n"
+    race, race_reg = tmp_path / "race.json", tmp_path / "race-reg.json"
+    race.write_text(json.dumps(RACE_PROGRAM))
+    race_reg.write_text(json.dumps(RACE_REGISTER))
+    names = {"loopy": prog, "covered": covered, "empty": empty, "machine": increment_path,
+             "race": race, "race_reg": race_reg, "out": tmp_path / "out"}
+    assert main([arg.format(**names) for arg in argv]) == 3
+    assert capsys.readouterr().err == failure.format(**names) + "\n"
 
 
 def test_run_tm_bad_input_exits_2(capsys, increment_path):
     assert main(["run-tm", str(increment_path), "--input", "2", "--cells", "3"]) == 2
     assert capsys.readouterr().err == "error: input may only contain 0 and 1, got ['2']\n"
+
+
+def test_run_tm_bad_input_in_the_machine_file_names_it(tmp_path, capsys, increment_path):
+    machine = tmp_path / "bad-input.yaml"
+    machine.write_text(increment_path.read_text().replace('input: "01"', 'input: "2"'))
+    assert main(["run-tm", str(machine), "--cells", "3"]) == 2
+    assert capsys.readouterr().err == f"error: {machine}: input may only contain 0 and 1, got ['2']\n"
 
 
 def test_render_register_svg(tmp_path, reg_path):

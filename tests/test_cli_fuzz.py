@@ -3,7 +3,8 @@
 Every command gets drawn arguments and input files that are valid files
 with a few bytes deleted, inserted or cut off.  Whatever it is given, the
 CLI must exit with a documented code (0 ok, 2 input error, 3 nonconfluent
-or no outcome, 4 oracle mismatch) and must not print a traceback.
+or no outcome, 4 oracle mismatch) and must not print a traceback, and a
+failure with code 3 or 4 must name one of the drawn input files.
 
 Inserted bytes carry no digits, and every numeric flag is small, so no
 drawn input asks for a register of more than a few hundred cells.
@@ -103,6 +104,8 @@ def invocation(draw) -> tuple[list, dict[str, bytes]]:
             if draw(optional):
                 argv.append(flag)
         if draw(optional):
+            argv += ["--max-states", draw(small)]
+        if draw(optional):
             argv += ["--out-dir", "{out}/tm"]
     elif command in ("simulate", "check"):
         race = draw(optional)
@@ -152,3 +155,6 @@ def test_cli_exits_with_a_documented_code(case):
                 code = e.code
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # a failure of the run, not of the arguments, names the input it concerns
+    if code in (3, 4):
+        assert any(names[key] in err.getvalue() for key in files), (argv, err.getvalue())
