@@ -7,7 +7,8 @@ input error; ``nonconfluent`` 3 for a nonconfluent instruction; ``error``
 no longer decodes or that the interpreter disagrees with.  ``<where>``
 names the input: the file of an input error in a file, and a trace's line;
 ``MACHINE: iteration N`` in run-tm; ``register i (PATH)`` in simulate and
-check, then ``counterexample in PATH`` when one is written.
+check, then ``counterexample in PATH`` when one is written.  A file that
+cannot be read or written fails as ``error: PATH: strerror``.
 Commands with --out-dir record their invocation in ``manifest.json``;
 outputs carry no timestamps so reruns are byte-identical.
 """
@@ -77,26 +78,34 @@ def _naming(where: str):
         raise
 
 
-def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome]) -> list[bytes]:
-    """One trace line per outcome; ``instr`` counts from 1."""
+def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome], tails: dict) -> list[bytes]:
+    """One trace line per outcome; ``instr`` counts from 1.  ``tails`` holds
+    the encoded states of the run (see ``canon_with_state``)."""
     return [
         canon_with_state(
-            {"instr": k, "label": label, "applied": [r.doc() for r in out.applied]}, out.final_state
+            {"instr": k, "label": label, "applied": [r.doc() for r in out.applied]}, out.final_state, tails
         )
         for k, (label, out) in enumerate(zip(labels, outcomes), 1)
     ]
 
 
+def _write(path: Path, data: bytes) -> None:
+    """``data`` written to ``path``, a failure named by the path."""
+    with _naming(str(path)):
+        path.write_bytes(data)
+
+
 def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[str, str]):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _naming(str(out_dir)):
+        out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"command": command, "argv": argv, "files": files}
-    (out_dir / "manifest.json").write_bytes(_canon(doc) + b"\n")
+    _write(out_dir / "manifest.json", _canon(doc) + b"\n")
 
 
 def _write_trace(path: Path, lines: list[bytes]) -> None:
     """One outcome line per instruction run; no lines is an empty file.
     The lines are written one by one, not joined into a second copy."""
-    with path.open("wb") as fh:
+    with _naming(str(path)), path.open("wb") as fh:
         for line in lines:
             fh.write(line)
             fh.write(b"\n")
@@ -129,7 +138,7 @@ def cmd_compile(args, argv) -> None:
         " ".join(f"nucleotides(k={k})={stats.nucleotides(k)}" for k in (5, 6, 7)),
     ]
     if args.output:
-        Path(args.output).write_bytes(payload)
+        _write(Path(args.output), payload)
         print("\n".join(lines))
     else:
         sys.stdout.buffer.write(payload)
@@ -158,12 +167,13 @@ def cmd_simulate(args, argv) -> None:
     labels = [ins.label for ins in program.instructions]
     for i, (path, state) in enumerate(zip(args.registers, registers)):
         lines: list[bytes] = []
+        tails: dict = {}
         with _naming(f"register {i} ({path})"):
             try:
                 for _ in range(args.iterations):
                     state, outcomes = engine.run_program(state, program, mode)
                     if out_dir:
-                        lines += _outcome_lines(labels, outcomes)
+                        lines += _outcome_lines(labels, outcomes, tails)
             except engine.NonConfluentError as e:
                 if not out_dir:
                     raise
@@ -175,13 +185,13 @@ def cmd_simulate(args, argv) -> None:
                     "order_b": [r.doc() for r in e.order_b],
                 }
                 cx = out_dir / f"nonconfluent-{i}.json"
-                cx.write_bytes(_canon(doc) + b"\n")
+                _write(cx, _canon(doc) + b"\n")
                 with _naming(f"counterexample in {cx}"):
                     raise
         final = serialize_register(state)
         if out_dir:
             _write_trace(out_dir / f"trace-{i}.jsonl", lines)
-            (out_dir / f"final-{i}.json").write_bytes(final + b"\n")
+            _write(out_dir / f"final-{i}.json", final + b"\n")
         print(f"register {i}: {hashlib.sha256(final).hexdigest()}")
 
 
@@ -206,6 +216,7 @@ def cmd_run_tm(args, argv) -> None:
         print("note: initial configuration is not head-representable", file=sys.stderr)
     labels = [ins.label for ins in compiled.program.instructions]
     trace_lines: list[bytes] = []
+    tails: dict = {}
     decoded = compiler.decode_register(spec, compiled.scheme, state)
     current = config
     with _naming(args.machine):
@@ -223,7 +234,7 @@ def cmd_run_tm(args, argv) -> None:
             with _naming(f"iteration {it}"):
                 state, outcomes = engine.run_program(state, compiled.program, mode)
             if out_dir:
-                trace_lines += _outcome_lines(labels, outcomes)
+                trace_lines += _outcome_lines(labels, outcomes, tails)
             try:
                 decoded = compiler.decode_register(spec, compiled.scheme, state)
             except compiler.DecodeError as e:
@@ -239,7 +250,7 @@ def cmd_run_tm(args, argv) -> None:
     tape = decoded.tape_str()
     if out_dir:
         _write_trace(out_dir / "trace.jsonl", trace_lines)
-        (out_dir / "final.json").write_bytes(serialize_register(state) + b"\n")
+        _write(out_dir / "final.json", serialize_register(state) + b"\n")
     print(tape)
 
 
@@ -252,21 +263,21 @@ _STATE_MARK = b',"state":'
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _state_of(doc, where: str) -> RegisterState:
+def _state_of(doc, where: str, table: dict) -> RegisterState:
     try:
-        return register_from_doc(doc)
+        return register_from_doc(doc, table)
     except SchemaError as e:
         raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
 
 
-def _split_line(raw: bytes, where: str, tails: dict) -> Optional[tuple[dict, RegisterState]]:
+def _split_line(raw: bytes, where: str, tails: dict, table: dict) -> Optional[tuple[dict, RegisterState]]:
     """The document of trace line ``raw`` and its decoded state, from the
     line split at its first ``,"state":`` into a head ``H`` and a tail
     ``T``: ``H + "}"`` is parsed on every line, the object ``"{" + T[1:]``
     and its register once per distinct tail bytes (``tails`` keeps them,
-    with the tail's keys other than ``state``).  None if the line does not
-    split so: no mark, a head or a tail that is not valid JSON, or an empty
-    head.
+    with the tail's keys other than ``state``; ``table`` is the decoding
+    table of ``register_from_doc``).  None if the line does not split so:
+    no mark, a head or a tail that is not valid JSON, or an empty head.
 
     This is exact.  A head that parses as a nonempty object puts the mark
     at depth 1 right after a member, so the line is valid JSON if and only
@@ -287,7 +298,7 @@ def _split_line(raw: bytes, where: str, tails: dict) -> Optional[tuple[dict, Reg
             rest = json.loads((b"{" + tail[1:]).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
-        known = tails[tail] = (rest, _state_of(rest.pop("state"), where))
+        known = tails[tail] = (rest, _state_of(rest.pop("state"), where, table))
     rest, state = known
     return {**head, **rest}, state
 
@@ -295,21 +306,23 @@ def _split_line(raw: bytes, where: str, tails: dict) -> Optional[tuple[dict, Reg
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
     """Every line is parsed and checked; each distinct state (by the exact
     bytes of its line from ``,"state":`` on) is parsed and decoded once, and
-    lines that repeat it share the register.  A line that does not split
-    (see ``_split_line``) is parsed whole."""
+    lines that repeat it share the register.  One decoding table serves the
+    whole trace, so each distinct layout and token list is decoded once.  A
+    line that does not split (see ``_split_line``) is parsed whole."""
     scenes = []
     counts = []
     tails: dict[bytes, tuple[dict, RegisterState]] = {}
+    table: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         where = f"trace line {lineno}"
-        split = _split_line(raw, where, tails)
+        split = _split_line(raw, where, tails, table)
         if split is None:
             doc = _load_json(raw, where)
             if not isinstance(doc, dict) or "state" not in doc:
                 raise SchemaError(where, "missing key 'state'")
-            split = doc, _state_of(doc["state"], where)
+            split = doc, _state_of(doc["state"], where, table)
         doc, state = split
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
@@ -355,7 +368,7 @@ def cmd_render(args, argv) -> None:
         else:
             payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
     if args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
+        _write(Path(args.output), payload.encode("utf-8"))
     else:
         sys.stdout.write(payload)
 
@@ -423,7 +436,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.func(args, argv)
     except tuple(_FAILURES) as e:
         code, kind = next(_FAILURES[cls] for cls in type(e).__mro__ if cls in _FAILURES)
-        print(": ".join((kind, *getattr(e, "where", ()), str(e))), file=sys.stderr)
+        where, message = getattr(e, "where", ()), str(e)
+        if isinstance(e, OSError) and e.strerror:
+            # ``PATH: strerror``: the path is named once, by ``where`` or else
+            # by the error, whose own text would name it again
+            where, message = where or ((e.filename,) if e.filename else ()), e.strerror
+        print(": ".join((kind, *where, message)), file=sys.stderr)
         return code
     return 0
 

@@ -21,6 +21,7 @@ from . import engine
 from .model import (
     Instruction,
     Match,
+    RegisterLayout,
     RegisterState,
     StrandSpec,
     _expect,
@@ -231,53 +232,93 @@ def _color(spec: StrandSpec, style: StyleTable) -> str:
     return style.palette[_spec_crc(spec) % len(style.palette)]
 
 
-def _strand_svg(
+def _y_template(draw) -> tuple[str, tuple[int, ...]]:
+    """SVG text with its y coordinates left open, from ``draw(at)``, in
+    which ``at(dy)`` stands for the coordinate ``y + dy``: a format string
+    whose field i is ``y + dys[i]``, and ``dys``.  ``draw`` doubles the
+    braces of any other text it writes."""
+    dys: list[int] = []
+
+    def at(dy: int) -> str:
+        if dy not in dys:
+            dys.append(dy)
+        return "{%d}" % dys.index(dy)
+
+    return draw(at), tuple(dys)
+
+
+def _fill(template: tuple[str, tuple[int, ...]], y: int) -> str:
+    """The text of ``template`` at ``y``, each coordinate written as
+    ``f"{v:g}"`` writes it."""
+    text, dys = template
+    return text.format(*[format(y + dy, "g") for dy in dys])
+
+
+def _register_template(layout: RegisterLayout, style: StyleTable, x0: int) -> tuple[str, tuple[int, ...]]:
+    """The baseline, domain ticks and cell marks of a register whose
+    baseline sits at the open y (see ``_y_template``)."""
+    d, n, u = layout.domains_per_cell, layout.total_positions, style.unit_width
+
+    def draw(at) -> str:
+        lines = [
+            f'<path class="register" stroke="#000" stroke-width="2" fill="none" '
+            f'd="M {x0:g} {at(0)} H {x0 + n * u:g}"/>'
+        ]
+        for p in range(n + 1):
+            h = style.cell_tick_height if p % d == 0 else style.tick_height
+            lines.append(
+                f'<line stroke="#000" stroke-width="1" x1="{x0 + p * u:g}" y1="{at(0)}" '
+                f'x2="{x0 + p * u:g}" y2="{at(h)}"/>'
+            )
+        return "\n".join(lines)
+
+    return _y_template(draw)
+
+
+def _strand_template(
     spec: StrandSpec,
     offset: int,
     bound: frozenset[int],
-    y: int,
     dashed: bool,
     style: StyleTable,
     x0: int,
-) -> list[str]:
+) -> tuple[str, tuple[int, ...]]:
+    """The polyline and arrowhead of a strand whose lane sits at the open y
+    (see ``_y_template``)."""
     u, g = style.unit_width, style.strand_gap
     rise = style.diag_rise
-    pts: list[tuple[float, float]] = []
+    pts: list[tuple[int, int]] = []  # (x, dy)
     for j in range(len(spec.tokens)):
         p = offset + j
-        flat = p in bound
         xa, xb = x0 + p * u + g, x0 + (p + 1) * u - g
-        if flat:
-            pts += [(xa, y), (xb, y)]
+        if p in bound:
+            pts += [(xa, 0), (xb, 0)]
         else:
-            pts += [(xa, y - 2), (xb, y - rise)]
-    points = " ".join(f"{x:g},{yy:g}" for x, yy in pts)
-    color = _color(spec, style)
+            pts += [(xa, -2), (xb, -rise)]
+    color = _color(spec, style).replace("{", "{{").replace("}", "}}")
     dash = ' stroke-dasharray="5 4"' if dashed else ""
-    out = [
-        f'<polyline fill="none" stroke="{color}" stroke-width="{style.stroke_width}"{dash} points="{points}"/>'
-    ]
-    if spec.is_forward:
-        tx, ty = pts[-1]
-        out.append(
-            f'<path fill="{color}" d="M {tx:g} {ty - 3:g} L {tx + 6:g} {ty:g} L {tx:g} {ty + 3:g} Z"/>'
+    tx, ty = pts[-1] if spec.is_forward else pts[0]
+    tip = tx + 6 if spec.is_forward else tx - 6
+
+    def draw(at) -> str:
+        points = " ".join(f"{x:g},{at(dy)}" for x, dy in pts)
+        return (
+            f'<polyline fill="none" stroke="{color}" stroke-width="{style.stroke_width}"{dash} points="{points}"/>\n'
+            f'<path fill="{color}" d="M {tx:g} {at(ty - 3)} L {tip:g} {at(ty)} L {tx:g} {at(ty + 3)} Z"/>'
         )
-    else:
-        tx, ty = pts[0]
-        out.append(
-            f'<path fill="{color}" d="M {tx:g} {ty - 3:g} L {tx - 6:g} {ty:g} L {tx:g} {ty + 3:g} Z"/>'
-        )
-    return out
+
+    return _y_template(draw)
 
 
-def _scene_fragment(scene: RenderScene, style: StyleTable, y_top: int, x0: int) -> tuple[list[str], int]:
+def _scene_fragment(
+    scene: RenderScene, style: StyleTable, y_top: int, x0: int, templates: dict
+) -> tuple[list[str], int]:
     """SVG elements for one scene drawn below y_top; returns the fragment and
     the height it takes (the baseline sits ``cell_tick_height`` above its
-    bottom)."""
+    bottom).  ``templates`` keeps the register and strand templates of each
+    layout drawn so far, for a fixed ``style`` and ``x0``."""
     layout = scene.state.layout
-    d, n = layout.domains_per_cell, layout.total_positions
-    u = style.unit_width
-    parts = []
+    lh = style.lane_height
 
     items = [
         (bs.offset, bs.offset + len(bs.spec.tokens) - 1) for bs in scene.state.strands
@@ -291,35 +332,36 @@ def _scene_fragment(scene: RenderScene, style: StyleTable, y_top: int, x0: int) 
     n_pend = max(pend_lanes, default=-1) + 1
 
     top_lanes = n_bound + (n_pend + 1 if n_pend else 0)
-    height = 6 + (top_lanes + 1) * style.lane_height + style.cell_tick_height
+    height = 6 + (top_lanes + 1) * lh + style.cell_tick_height
     if scene.label:
-        height += style.lane_height
+        height += lh
     y_base = y_top + height - style.cell_tick_height
 
-    # register baseline with domain ticks and cell marks
-    parts.append(
-        f'<path class="register" stroke="#000" stroke-width="2" fill="none" '
-        f'd="M {x0:g} {y_base:g} H {x0 + n * u:g}"/>'
-    )
-    for p in range(n + 1):
-        h = style.cell_tick_height if p % d == 0 else style.tick_height
-        parts.append(
-            f'<line stroke="#000" stroke-width="1" x1="{x0 + p * u:g}" y1="{y_base:g}" '
-            f'x2="{x0 + p * u:g}" y2="{y_base + h:g}"/>'
-        )
-
-    for bs, lane in zip(scene.state.strands, bound_lanes):
-        y = y_base - 6 - lane * style.lane_height
-        parts += _strand_svg(
-            bs.spec, bs.offset, bs.bound_positions(layout), y, False, style, x0
-        )
-    for ps, lane in zip(scene.pending, pend_lanes):
-        y = y_base - 6 - (n_bound + 1 + lane) * style.lane_height
-        bound = bound_set(layout, ps.spec, ps.offset) if ps.spec.is_forward else frozenset()
-        parts += _strand_svg(ps.spec, ps.offset, bound, y, not ps.reactive, style, x0)
+    drawn = templates.get(layout)
+    if drawn is None:
+        drawn = templates[layout] = (_register_template(layout, style, x0), {})
+    register, strands = drawn
+    parts = [_fill(register, y_base)]
+    # (spec, offset, dashed, pending) and the lane's y of each strand; a
+    # pending reverse strand binds nowhere
+    rows = [
+        ((bs.spec, bs.offset, False, False), y_base - 6 - lane * lh)
+        for bs, lane in zip(scene.state.strands, bound_lanes)
+    ]
+    rows += [
+        ((ps.spec, ps.offset, not ps.reactive, True), y_base - 6 - (n_bound + 1 + lane) * lh)
+        for ps, lane in zip(scene.pending, pend_lanes)
+    ]
+    for key, y in rows:
+        template = strands.get(key)
+        if template is None:
+            spec, offset, dashed, pending = key
+            bound = frozenset() if pending and not spec.is_forward else bound_set(layout, spec, offset)
+            template = strands[key] = _strand_template(spec, offset, bound, dashed, style, x0)
+        parts.append(_fill(template, y))
 
     if scene.label:
-        ylab = y_base - 6 - (top_lanes + 0.5) * style.lane_height
+        ylab = y_base - 6 - (top_lanes + 0.5) * lh
         parts.append(
             f'<text x="{x0:g}" y="{ylab:g}" font-family="monospace" font-size="11" fill="#000">{_esc(scene.label)}</text>'
         )
@@ -378,15 +420,17 @@ def render_trace(
     if not chosen:
         chosen = list(scenes[:1])
 
-    lo = min((_extent(s)[0] for s in chosen), default=0)
-    hi = max((_extent(s)[1] for s in chosen), default=1)
+    extents = [_extent(s) for s in chosen]
+    lo = min((e[0] for e in extents), default=0)
+    hi = max((e[1] for e in extents), default=1)
     x0 = style.margin - lo * style.unit_width
     width = style.margin * 2 + (hi - lo) * style.unit_width
 
     parts: list[str] = []
+    templates: dict = {}
     y = style.margin
     for scene in chosen:
-        frag, h = _scene_fragment(scene, style, y, x0)
+        frag, h = _scene_fragment(scene, style, y, x0, templates)
         parts += frag
         y += h + style.margin
     return _document(parts, width, y)

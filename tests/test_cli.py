@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -334,6 +335,32 @@ def test_render_trace_panels(tmp_path, prog_path, reg_path, capsys):
 
 def test_render_missing_file(capsys):
     assert main(["render", "/nonexistent/reg.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "compile-input", "simulate-program", "simulate-register", "render-input",
+        "compile-output", "render-output", "simulate-out-dir", "run-tm-out-dir",
+    ],
+)
+def test_a_file_failure_names_its_path_once(tmp_path, capsys, prog_path, reg_path, increment_path, case):
+    missing = tmp_path / "missing.json"
+    (tmp_path / "plain").write_text("")
+    blocked = tmp_path / "plain" / "out"  # its parent is a regular file
+    argv, path, errno_ = {
+        "compile-input": (["compile", missing, "--cells", "3"], missing, errno.ENOENT),
+        "simulate-program": (["simulate", missing, reg_path], missing, errno.ENOENT),
+        "simulate-register": (["simulate", prog_path, reg_path, missing], missing, errno.ENOENT),
+        "render-input": (["render", missing], missing, errno.ENOENT),
+        "compile-output": (["compile", increment_path, "--cells", "3", "-o", blocked], blocked, errno.ENOTDIR),
+        "render-output": (["render", reg_path, "-o", blocked], blocked, errno.ENOTDIR),
+        "simulate-out-dir": (["simulate", prog_path, reg_path, "--out-dir", blocked], blocked, errno.ENOTDIR),
+        "run-tm-out-dir": (["run-tm", increment_path, "--cells", "3", "--out-dir", blocked], blocked, errno.ENOTDIR),
+    }[case]
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(errno_)}\n"
 
 
 MACHINE_YAML = Path(__file__).resolve().parent.parent / "machines" / "increment.yaml"
@@ -728,22 +755,92 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
         assert len(calls) == len(states)
 
 
-def test_render_draws_each_distinct_picture_and_color_once(tmp_path, increment_trace):
+def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):
+    from simdna import model
+
+    docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
+    states = {_canonical(doc["state"]): doc["state"] for doc in docs}.values()
+    lists = {_canonical(strand["tokens"]) for state in states for strand in state["strands"]}
+    # the lists repeat across states, not only within one
+    assert len(lists) < sum(len({_canonical(strand["tokens"]) for strand in state["strands"]}) for state in states)
+    parse = model._parse_tokens
+    for fmt in ("svg", "text"):
+        calls = _counting(monkeypatch, parse, model)
+        assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
+        assert len(calls) == len(lists)
+
+
+# a token that equals, but is not, the token {"m": 1}, and an overhang tag
+# that is not Unicode text: the line that holds one fails as it would
+# without the trace-wide decoding table, though its valid twin came first
+TWINS = {"m-true": ("m", True), "m-float": ("m", 1.0), "lone-surrogate-tag": ("o", "\ud800")}
+
+
+@pytest.mark.parametrize("case", list(TWINS))
+def test_trace_wide_decoding_table_is_exact(tmp_path, capsys, increment_trace, case):
+    from simdna.cli import _scenes_from_trace
+
+    key, bad = TWINS[case]
+    lines = increment_trace.read_bytes().splitlines()
+    doc, i, t = next(
+        (doc, i, t)
+        for doc in map(json.loads, lines)
+        for i, strand in enumerate(doc["state"]["strands"])
+        for t, tok in enumerate(strand["tokens"])
+        if key in tok and (key == "o" or tok["m"] == 1)
+    )
+    doc["state"]["strands"][i]["tokens"][t] = {key: bad}
+    text = b"\n".join([*lines, _canonical(doc)]) + b"\n"
+    want = _reading(_whole_line_scenes, text)
+    assert want[0] == "error"
+    assert want[1].startswith(f"trace line {len(lines) + 1}: $.state.strands[{i}].tokens[{t}]: ")
+    assert _reading(_scenes_from_trace, text) == want
+    trace = tmp_path / "twin.jsonl"
+    trace.write_bytes(text)
+    capsys.readouterr()
+    assert main(["render", str(trace), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {trace}: {want[1]}\n"
+
+
+def test_render_draws_each_distinct_picture_and_color_once(tmp_path, monkeypatch, increment_trace):
     from simdna import render
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
     states = {_canonical(doc["state"]) for doc in docs}
-    strands = [strand["tokens"] for doc in docs for strand in doc["state"]["strands"]]
-    specs = {_canonical(tokens) for tokens in strands}
-    assert 1 < len(specs) < len(strands)
+    strands = [strand for doc in docs for strand in doc["state"]["strands"]]
+    specs = {_canonical(strand["tokens"]) for strand in strands}
+    placements = {(_canonical(strand["tokens"]), strand["offset"]) for strand in strands}
+    assert 1 < len(specs) < len(placements) < len(strands)
     render._text_picture.cache_clear()
     assert main(["render", str(increment_trace), "--format", "text", "-o", str(tmp_path / "out")]) == 0
     pictures = render._text_picture.cache_info()
     assert (pictures.misses, pictures.hits + pictures.misses) == (len(states), len(docs))
     render._spec_crc.cache_clear()
-    assert main(["render", str(increment_trace), "--every", "1", "-o", str(tmp_path / "out")]) == 0
-    colors = render._spec_crc.cache_info()
-    assert (colors.misses, colors.hits + colors.misses) == (len(specs), len(strands))
+    templates = _counting(monkeypatch, render._strand_template, render)
+    out = tmp_path / "out.svg"
+    assert main(["render", str(increment_trace), "--every", "1", "-o", str(out)]) == 0
+    assert render._spec_crc.cache_info().misses == len(specs)
+    # one template per placement (no strand of a trace is dashed), and one
+    # polyline per strand drawn
+    assert len(templates) == len(placements)
+    assert out.read_text().count("<polyline ") == len(strands)
+
+
+# sha256 of the SVG renders of that trace under a style that moves every
+# coordinate of a strand, at the default stride and with --every 1
+STYLED_RENDER_SHA256 = {
+    (): "0f8573fd6ba8aaa7a15281b0d061ffed1f2955bbc7cc6587d1bd9aec7399f945",
+    ("--every", "1"): "7a75216edfa8347307bcf2cfd61f7d2dc8b27c9233050fca05d115011f0b285e",
+}
+
+
+@pytest.mark.parametrize("flags", list(STYLED_RENDER_SHA256), ids=["svg", "svg-every-1"])
+def test_styled_render_of_increment_trace_pinned(tmp_path, increment_trace, flags):
+    style = tmp_path / "style.json"
+    style.write_text(json.dumps({"diag_rise": 11, "strand_gap": 2, "unit_width": 13, "stroke_width": 3}))
+    out = tmp_path / "render.svg"
+    assert main(["render", str(increment_trace), "--style", str(style), *flags, "-o", str(out)]) == 0
+    assert _sha256(out) == STYLED_RENDER_SHA256[flags]
 
 
 def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, increment_path):
@@ -755,9 +852,16 @@ def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, incremen
     assert main(argv) == 0
     assert (len(lines), len(encodes)) == (0, 0)
     assert main([*argv, "--out-dir", str(tmp_path / "tm")]) == 0
-    written = len((tmp_path / "tm" / "trace.jsonl").read_bytes().splitlines())
-    # one encoding per outcome line and one for final.json
-    assert (len(lines), len(encodes)) == (written, written + 1)
+    written, distinct = _lines_and_states(tmp_path / "tm" / "trace.jsonl")
+    assert distinct < written
+    # one encoding per distinct outcome state and one for final.json
+    assert (len(lines), len(encodes)) == (written, distinct + 1)
+
+
+def _lines_and_states(trace: Path) -> tuple[int, int]:
+    """The number of lines of a trace, and of distinct states they hold."""
+    lines = trace.read_bytes().splitlines()
+    return len(lines), len({_canonical(json.loads(raw)["state"]) for raw in lines})
 
 
 def test_simulate_encodes_each_outcome_state_once(tmp_path, monkeypatch, prog_path, reg_path):
@@ -765,9 +869,11 @@ def test_simulate_encodes_each_outcome_state_once(tmp_path, monkeypatch, prog_pa
 
     encodes = _counting(monkeypatch, model.serialize_register, cli, model)
     assert main(["simulate", str(prog_path), str(reg_path), "-n", "2", "--out-dir", str(tmp_path / "sim")]) == 0
-    written = len((tmp_path / "sim" / "trace-0.jsonl").read_bytes().splitlines())
-    # one per outcome, and one final encoding for final-0.json and the printed hash
-    assert len(encodes) == written + 1
+    written, distinct = _lines_and_states(tmp_path / "sim" / "trace-0.jsonl")
+    assert distinct < written
+    # one per distinct outcome state, and one final encoding for final-0.json
+    # and the printed hash
+    assert len(encodes) == distinct + 1
     encodes.clear()
     assert main(["check", str(prog_path), str(reg_path)]) == 0
     assert len(encodes) == 1
