@@ -350,27 +350,47 @@ def _is_trace(raw: bytes) -> bool:
     return isinstance(doc, dict) and "instr" in doc
 
 
+def _read_scenes(path: str) -> tuple[list[render.RenderScene], Optional[list[int]]]:
+    """The scenes of a trace or register file, and a trace's reaction
+    counts.  The file's bytes are dropped before anything is drawn."""
+    raw = Path(path).read_bytes()
+    if _is_trace(raw):
+        scenes, counts = _scenes_from_trace(raw)
+        if not scenes:
+            raise CliError("trace file carries no outcomes")
+        return scenes, counts
+    doc = _load_json(raw, "$")
+    if not (isinstance(doc, dict) and "strands" in doc and "layout" in doc):
+        raise CliError("not a register or trace file")
+    return [render.RenderScene(register_from_doc(doc))], None
+
+
+def _write_joined(path: Optional[str], parts: list[str]) -> None:
+    """``"\\n".join(parts)`` written to ``path`` as UTF-8, or to stdout, one
+    part at a time, so that a large SVG is never held as one string."""
+
+    def joined():
+        for i, part in enumerate(parts):
+            if i:
+                yield "\n"
+            yield part
+
+    if path is None:
+        sys.stdout.writelines(joined())
+    else:
+        with _naming(path), open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(joined())
+
+
 def cmd_render(args, argv) -> None:
     style = render.load_style(args.style)
     with _naming(args.input):
-        raw = Path(args.input).read_bytes()
-        if _is_trace(raw):
-            scenes, counts = _scenes_from_trace(raw)
-            if not scenes:
-                raise CliError("trace file carries no outcomes")
-        else:
-            doc = _load_json(raw, "$")
-            if not (isinstance(doc, dict) and "strands" in doc and "layout" in doc):
-                raise CliError("not a register or trace file")
-            scenes, counts = [render.RenderScene(register_from_doc(doc))], None
+        scenes, counts = _read_scenes(args.input)
         if args.format == "text":
-            payload = "\n".join(render.render_text(s) for s in scenes)
+            parts = [render.render_text(s) for s in scenes]
         else:
-            payload = render.render_trace(scenes, every=args.every, reaction_counts=counts, style=style)
-    if args.output:
-        _write(Path(args.output), payload.encode("utf-8"))
-    else:
-        sys.stdout.write(payload)
+            parts = render.render_trace_parts(scenes, every=args.every, reaction_counts=counts, style=style)
+    _write_joined(args.output or None, parts)
 
 
 # --- entry ----------------------------------------------------------------------

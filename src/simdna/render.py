@@ -372,13 +372,16 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _document(parts: list[str], width: float, height: float) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
+def _document(parts: list[str], width: float, height: float) -> list[str]:
+    """The document around ``parts``, as the parts whose newline-join it is."""
+    return [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}">\n'
-    )
-    return head + "\n".join(parts) + "\n</svg>\n"
+        f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
+        *(parts or [""]),
+        "</svg>",
+        "",
+    ]
 
 
 def _extent(scene: RenderScene) -> tuple[int, int]:
@@ -406,6 +409,17 @@ def render_trace(
     """Stacked panels.  By default panels where nothing fired are omitted
     (their instructions were inert); a stride of ``every`` forces inclusion
     of every ``every``-th panel, so ``every=1`` shows all of them."""
+    return "\n".join(render_trace_parts(scenes, every, reaction_counts, style))
+
+
+def render_trace_parts(
+    scenes: Sequence[RenderScene],
+    every: Optional[int] = None,
+    reaction_counts: Optional[Sequence[int]] = None,
+    style: Optional[StyleTable] = None,
+) -> list[str]:
+    """The SVG of ``render_trace`` as the parts whose newline-join it is, so
+    that a large document can be written out without being held whole."""
     style = style or load_style()
     chosen: list[RenderScene] = []
     for i, scene in enumerate(scenes):

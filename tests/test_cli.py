@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from simdna import render
 from simdna.cli import main
 from simdna.compiler import encode_config
 from simdna.model import serialize_register
@@ -550,6 +551,23 @@ def test_render_of_increment_trace_pinned(tmp_path, increment_trace, flags):
     out = tmp_path / "render.out"
     assert main(["render", str(increment_trace), *flags, "-o", str(out)]) == 0
     assert _sha256(out) == INCREMENT_RENDER_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", list(INCREMENT_RENDER_SHA256), ids=["text", "svg", "svg-every-1"])
+def test_render_writes_its_output_part_by_part(tmp_path, increment_trace, flags, monkeypatch, capsys):
+    # the pinned bytes, to a file and to stdout, with the document never
+    # held as one string: render_trace joins it, so render must not call it
+    def whole(*args, **kwargs):
+        raise AssertionError("render joined the whole document")
+
+    monkeypatch.setattr(render, "render_trace", whole)
+    capsys.readouterr()
+    out = tmp_path / "render.out"
+    assert main(["render", str(increment_trace), *flags, "-o", str(out)]) == 0
+    assert _sha256(out) == INCREMENT_RENDER_SHA256[flags]
+    assert main(["render", str(increment_trace), *flags]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(printed).hexdigest() == INCREMENT_RENDER_SHA256[flags]
 
 
 def test_run_tm_trace_pinned(tmp_path, increment_path):
