@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import re
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import compiler, engine, render
 from .model import (
@@ -89,26 +88,23 @@ def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome],
     ]
 
 
-def _write(path: Path, data: bytes) -> None:
-    """``data`` written to ``path``, a failure named by the path."""
-    with _naming(str(path)):
-        path.write_bytes(data)
+def _write(path: str | Path | None, chunks: Iterable[bytes]) -> None:
+    """``chunks`` (bytes) written one at a time, never joined, to ``path``,
+    or to stdout when ``path`` is None or empty; a failure is named by the
+    path."""
+    if not path:
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+        return
+    with _naming(str(path)), open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[str, str]):
     with _naming(str(out_dir)):
         out_dir.mkdir(parents=True, exist_ok=True)
     doc = {"command": command, "argv": argv, "files": files}
-    _write(out_dir / "manifest.json", _canon(doc) + b"\n")
-
-
-def _write_trace(path: Path, lines: list[bytes]) -> None:
-    """One outcome line per instruction run; no lines is an empty file.
-    The lines are written one by one, not joined into a second copy."""
-    with _naming(str(path)), path.open("wb") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write(b"\n")
+    _write(out_dir / "manifest.json", [_canon(doc), b"\n"])
 
 
 def _check_flags(args) -> None:
@@ -131,18 +127,14 @@ def _parse_file(path: str, parse):
 def cmd_compile(args, argv) -> None:
     spec, _extras = _parse_file(args.machine, parse_tm_document)
     compiled = compiler.compile_tm(spec, args.cells)
-    payload = compiler.serialize_compiled(compiled) + b"\n"
     stats = compiled.stats
     lines = [
         f"t={stats.t} d={stats.d} cells={stats.s} instructions={stats.instruction_count}",
         " ".join(f"nucleotides(k={k})={stats.nucleotides(k)}" for k in (5, 6, 7)),
     ]
-    if args.output:
-        _write(Path(args.output), payload)
-        print("\n".join(lines))
-    else:
-        sys.stdout.buffer.write(payload)
-        print("\n".join(lines), file=sys.stderr)
+    _write(args.output, [compiler.serialize_compiled(compiled), b"\n"])
+    # the program goes to stdout unless written to a file
+    print("\n".join(lines), file=sys.stdout if args.output else sys.stderr)
 
 
 # --- simulate / check -----------------------------------------------------------
@@ -185,13 +177,13 @@ def cmd_simulate(args, argv) -> None:
                     "order_b": [r.doc() for r in e.order_b],
                 }
                 cx = out_dir / f"nonconfluent-{i}.json"
-                _write(cx, _canon(doc) + b"\n")
+                _write(cx, [_canon(doc), b"\n"])
                 with _naming(f"counterexample in {cx}"):
                     raise
         final = serialize_register(state)
         if out_dir:
-            _write_trace(out_dir / f"trace-{i}.jsonl", lines)
-            _write(out_dir / f"final-{i}.json", final + b"\n")
+            _write(out_dir / f"trace-{i}.jsonl", (line + b"\n" for line in lines))
+            _write(out_dir / f"final-{i}.json", [final, b"\n"])
         print(f"register {i}: {hashlib.sha256(final).hexdigest()}")
 
 
@@ -249,8 +241,8 @@ def cmd_run_tm(args, argv) -> None:
 
     tape = decoded.tape_str()
     if out_dir:
-        _write_trace(out_dir / "trace.jsonl", trace_lines)
-        _write(out_dir / "final.json", serialize_register(state) + b"\n")
+        _write(out_dir / "trace.jsonl", (line + b"\n" for line in trace_lines))
+        _write(out_dir / "final.json", [serialize_register(state), b"\n"])
     print(tape)
 
 
@@ -258,6 +250,8 @@ def cmd_run_tm(args, argv) -> None:
 
 
 _STATE_MARK = b',"state":'
+# the first line (as ``bytes.splitlines`` splits) that is not all whitespace
+_FIRST_LINE = re.compile(rb"(?<![^\r\n])[^\S\r\n]*\S[^\r\n]*")
 # characters XML 1.0 forbids: C0 controls but tab, LF and CR, lone
 # surrogates, U+FFFE and U+FFFF
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -270,45 +264,42 @@ def _state_of(doc, where: str, table: dict) -> RegisterState:
         raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
 
 
-def _split_line(raw: bytes, where: str, tails: dict, table: dict) -> Optional[tuple[dict, RegisterState]]:
-    """The document of trace line ``raw`` and its decoded state, from the
-    line split at its first ``,"state":`` into a head ``H`` and a tail
-    ``T``: ``H + "}"`` is parsed on every line, the object ``"{" + T[1:]``
-    and its register once per distinct tail bytes (``tails`` keeps them,
-    with the tail's keys other than ``state``; ``table`` is the decoding
-    table of ``register_from_doc``).  None if the line does not split so:
-    no mark, a head or a tail that is not valid JSON, or an empty head.
+def _read_line(raw: bytes, where: str, tails: dict, table: dict) -> tuple[dict, RegisterState]:
+    """The document of trace line ``raw`` and its decoded state.  The line
+    is split at its first ``,"state":`` into a head ``H`` and a tail ``T``:
+    ``H + "}"`` is parsed on every line, the object ``"{" + T[1:]`` and its
+    register once per distinct tail bytes (``tails`` keeps them, with the
+    tail's keys other than ``state``; ``table`` is the decoding table of
+    ``register_from_doc``).  A line with no mark, an empty head, or a head
+    or tail that does not read is read whole, which names its error.
 
     This is exact.  A head that parses as a nonempty object puts the mark
     at depth 1 right after a member, so the line is valid JSON if and only
     if the tail object is, and a later duplicate key wins in both."""
     cut = raw.find(_STATE_MARK)
-    if cut < 0:
-        return None
     try:
-        head = json.loads((raw[:cut] + b"}").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not (isinstance(head, dict) and head):
-        return None
-    tail = raw[cut:]
-    known = tails.get(tail)
-    if known is None:
-        try:
-            rest = json.loads((b"{" + tail[1:]).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        known = tails[tail] = (rest, _state_of(rest.pop("state"), where, table))
-    rest, state = known
-    return {**head, **rest}, state
+        head = _load_json(raw[:cut] + b"}", where) if cut > 0 else None
+        if isinstance(head, dict) and head:
+            tail = raw[cut:]
+            known = tails.get(tail)
+            if known is None:
+                rest = _load_json(b"{" + tail[1:], where)
+                known = tails[tail] = (rest, _state_of(rest.pop("state"), where, table))
+            rest, state = known
+            return {**head, **rest}, state
+    except SchemaError:
+        pass
+    doc = _load_json(raw, where)
+    if not isinstance(doc, dict) or "state" not in doc:
+        raise SchemaError(where, "missing key 'state'")
+    return doc, _state_of(doc["state"], where, table)
 
 
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
     """Every line is parsed and checked; each distinct state (by the exact
     bytes of its line from ``,"state":`` on) is parsed and decoded once, and
     lines that repeat it share the register.  One decoding table serves the
-    whole trace, so each distinct layout and token list is decoded once.  A
-    line that does not split (see ``_split_line``) is parsed whole."""
+    whole trace, so each distinct layout and token list is decoded once."""
     scenes = []
     counts = []
     tails: dict[bytes, tuple[dict, RegisterState]] = {}
@@ -317,13 +308,7 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
         if not raw.strip():
             continue
         where = f"trace line {lineno}"
-        split = _split_line(raw, where, tails, table)
-        if split is None:
-            doc = _load_json(raw, where)
-            if not isinstance(doc, dict) or "state" not in doc:
-                raise SchemaError(where, "missing key 'state'")
-            split = doc, _state_of(doc["state"], where, table)
-        doc, state = split
+        doc, state = _read_line(raw, where, tails, table)
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")
@@ -337,15 +322,15 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
 
 
 def _is_trace(raw: bytes) -> bool:
-    """A trace's first line is a JSON object with an "instr" key, and a
-    trace of no instructions has no line at all; a register file is one
-    JSON document, which may span lines."""
-    line = next((line for line in raw.splitlines() if line.strip()), None)
-    if line is None:
+    """A trace's first nonblank line is a JSON object with an "instr" key,
+    and a trace of no instructions has no such line; a register file is one
+    JSON document, which may span lines.  Only that line is read."""
+    first = _FIRST_LINE.search(raw)
+    if first is None:
         return True
     try:
-        doc = json.loads(line)
-    except ValueError:
+        doc = _load_json(first.group(), "$")
+    except SchemaError:
         return False
     return isinstance(doc, dict) and "instr" in doc
 
@@ -365,23 +350,6 @@ def _read_scenes(path: str) -> tuple[list[render.RenderScene], Optional[list[int
     return [render.RenderScene(register_from_doc(doc))], None
 
 
-def _write_joined(path: Optional[str], parts: list[str]) -> None:
-    """``"\\n".join(parts)`` written to ``path`` as UTF-8, or to stdout, one
-    part at a time, so that a large SVG is never held as one string."""
-
-    def joined():
-        for i, part in enumerate(parts):
-            if i:
-                yield "\n"
-            yield part
-
-    if path is None:
-        sys.stdout.writelines(joined())
-    else:
-        with _naming(path), open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(joined())
-
-
 def cmd_render(args, argv) -> None:
     style = render.load_style(args.style)
     with _naming(args.input):
@@ -390,7 +358,8 @@ def cmd_render(args, argv) -> None:
             parts = [render.render_text(s) for s in scenes]
         else:
             parts = render.render_trace_parts(scenes, every=args.every, reaction_counts=counts, style=style)
-    _write_joined(args.output or None, parts)
+    # the newline-join of the parts, one part at a time
+    _write(args.output, ((f"\n{part}" if i else part).encode() for i, part in enumerate(parts)))
 
 
 # --- entry ----------------------------------------------------------------------

@@ -377,28 +377,29 @@ class _SublistBuilder:
         self.emit(plains + [fwd(*sch.span(self.write, 0))])
         self.emit([fwd(*sch.span(self.write, 1))])
 
-    def rightward_tear(self) -> list[tuple[str, tuple[Match, ...]]]:
-        """Toehold-exchange chain opening cell k from the exposed region
-        through the symbol-region cover; vacates the cell's last domain."""
-        j, t = self.j, self.t
-        chain = []
-        if j == t:
-            toks = (Match(2 * t - 1), Match(2 * t)) + _mrange(self.y(1), self.y(7))
-            chain.append(("A1", toks))
-        else:
-            chain.append(("A1", (Match(2 * j - 1), Match(2 * j), Match(2 * j + 1))))
-            for m in range(2, t - j + 1):
-                a = 2 * j + 2 * m - 2
-                chain.append((f"A{m}", (Match(a), Match(a + 1))))
-            chain.append(("Asym", (Match(2 * t),) + _mrange(self.y(1), self.y(7))))
-        return chain
+    def exchange_chain(self, first: int, opener: int, prefix: str = "") -> list[tuple[str, tuple[Match, ...]]]:
+        """Toehold-exchange chain from region ``first`` of the cell through
+        the symbol-region cover, vacating the cell's last domain: two-domain
+        shingles up to region ``opener``, whose strand takes three domains,
+        two-domain shingles on through region t, and the symbol-region cover
+        (one strand with the opener's when ``opener`` is t).  The strands are
+        named ``prefix`` plus A1, A2, ... and Asym, those past a later opener
+        B0, B1, ...."""
+        t = self.t
+        ends = [*range(2 * first, 2 * opener, 2), *range(2 * opener + 1, 2 * t, 2)]
+        starts = [2 * first - 1, *(e + 1 for e in ends)]
+        toks = [_mrange(a, b) for a, b in zip(starts, ends)]
+        toks.append(_mrange(starts[-1], 2 * t) + _mrange(self.y(1), self.y(7)))
+        names = [f"B{k - opener - 1}" if first < opener < k else f"A{k}" for k in range(1, len(toks))]
+        names.append("Asym" if names else "A1")
+        return [(prefix + name, tk) for name, tk in zip(names, toks)]
 
 
 def _sublist_halting(b: _SublistBuilder) -> None:
     """Transition whose destination has no defined transitions (halt state or
     a dead state): write the output symbol, cover everything, touch no
     neighbor cell."""
-    b.tear(b.rightward_tear())
+    b.tear(b.exchange_chain(b.j, b.j))
     b.rebuild(b.j)
 
 
@@ -409,7 +410,7 @@ def _sublist_right(b: _SublistBuilder) -> None:
     # previous cell: open from the exposed region to the cell's right edge,
     # then rebuild with the written symbol, keeping the last domain open as
     # the toehold into the next cell.
-    b.tear(b.rightward_tear())
+    b.tear(b.exchange_chain(b.j, b.j))
     plains = [sch.plain_cover(i) for i in range(j, t + 1)]
     if b.write == "1":
         b.emit(plains + [fwd(*_mrange(y(1), y(5)))])
@@ -523,23 +524,7 @@ def _sublist_left(b: _SublistBuilder) -> None:
 
     # previous cell: walk left-to-right over the opener shingles and the
     # symbol cover, then rebuild fully with the written symbol.
-    chain: list[tuple[str, tuple[Match, ...]]] = []
-    if t == 1:  # forcibly j == 1; the whole cell opens with one exchange
-        chain.append(("pA1", (Match(1), Match(2)) + _mrange(y(1), y(7))))
-    elif j <= 2:
-        chain.append(("pA1", (Match(1), Match(2), Match(3))))
-        for m in range(2, t):
-            chain.append((f"pA{m}", (Match(2 * m), Match(2 * m + 1))))
-        chain.append(("pAsym", (Match(2 * t),) + _mrange(y(1), y(7))))
-    else:
-        chain.append(("pA1", (Match(1), Match(2))))
-        for m in range(2, j - 1):
-            chain.append((f"pA{m}", (Match(2 * m - 1), Match(2 * m))))
-        chain.append((f"pA{j-1}", (Match(2 * j - 3), Match(2 * j - 2), Match(2 * j - 1))))
-        for m in range(t - j):
-            chain.append((f"pB{m}", (Match(2 * j + 2 * m), Match(2 * j + 2 * m + 1))))
-        chain.append(("pAsym", (Match(2 * t),) + _mrange(y(1), y(7))))
-    b.tear(chain)
+    b.tear(b.exchange_chain(1, max(j - 1, 1), "p"))
     b.rebuild(1)
 
 

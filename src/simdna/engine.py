@@ -395,8 +395,6 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
     cooperative flank ``(incumbent, M, cover, left, right)`` (or None) when
     it partly covers one incumbent from a toehold on its left or right."""
     M = bound_set(ix.layout, spec, offset)
-    if not M:
-        return (), None
     owner = ix.owner
     overlap = {p for p in M if p in owner}
     if not overlap:
@@ -421,22 +419,19 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
 
     found = ()
     lo, hi = min(inc_bound), max(inc_bound)
-    if len(inc_bound) >= 2:
-        for x, far in ((hi, "right"), (lo, "left")):
-            if x in M or overlap != inc_bound - {x}:
-                continue
-            run = next((r for r in runs if inc_bound - {x} <= set(r)), None)
-            if run is None:
-                continue
-            if far == "right":
-                toeholds = [p for p in run if p not in owner and p < lo]
-            else:
-                toeholds = [p for p in run if p not in owner and p > hi]
-            if toeholds:
-                found = (ToeholdExchange(inc, spec, offset),)
+    for x, far in ((hi, "right"), (lo, "left")):
+        if x in M or overlap != inc_bound - {x}:
+            continue
+        run = next((r for r in runs if inc_bound - {x} <= set(r)), None)
+        if run is None:
+            continue
+        if far == "right":
+            toeholds = [p for p in run if p not in owner and p < lo]
+        else:
+            toeholds = [p for p in run if p not in owner and p > hi]
+        if toeholds:
+            found = (ToeholdExchange(inc, spec, offset),)
 
-    if len(M) < 2:
-        return found, None
     run = next((r for r in runs if overlap <= set(r)), None)
     if run is None:
         return found, None

@@ -275,10 +275,14 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def _load_json(text: bytes, path: str):
+    """The JSON document of ``text``, which must be UTF-8 without a BOM;
+    the only place input bytes become JSON."""
     try:
         return json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SchemaError(path, f"not valid UTF-8 JSON: {e}") from e
+    except RecursionError as e:
+        raise SchemaError(path, "JSON nested too deeply") from e
 
 
 def _parse_layout(doc, path: str) -> RegisterLayout:

@@ -93,16 +93,13 @@ class RenderScene:
 
 
 def _best_alignment(state: RegisterState, spec: StrandSpec) -> int:
+    """The leftmost offset where ``spec`` binds the most positions; 0 if it
+    binds none anywhere."""
     layout = state.layout
-    best = (0, 0)
-    found = False
-    for off in range(-len(spec.tokens) + 1, layout.total_positions):
-        n = len(bound_set(layout, spec, off))
-        if not found or n > best[0] or (n == best[0] and off < best[1]):
-            if n > 0:
-                best = (n, off)
-                found = True
-    return best[1] if found else 0
+    n, neg = max(
+        (len(bound_set(layout, spec, off)), -off) for off in range(-len(spec.tokens) + 1, layout.total_positions)
+    )
+    return -neg if n else 0
 
 
 def make_scene(
@@ -248,10 +245,14 @@ def _y_template(draw) -> tuple[str, tuple[int, ...]]:
 
 
 def _fill(template: tuple[str, tuple[int, ...]], y: int) -> str:
-    """The text of ``template`` at ``y``, each coordinate written as
-    ``f"{v:g}"`` writes it."""
+    """The text of ``template`` at ``y``."""
     text, dys = template
-    return text.format(*[format(y + dy, "g") for dy in dys])
+    return text.format(*[y + dy for dy in dys])
+
+
+def _num(v: float) -> str:
+    """``v`` written exactly: an integral value as an integer."""
+    return str(int(v)) if v == int(v) else repr(v)
 
 
 def _register_template(layout: RegisterLayout, style: StyleTable, x0: int) -> tuple[str, tuple[int, ...]]:
@@ -262,13 +263,13 @@ def _register_template(layout: RegisterLayout, style: StyleTable, x0: int) -> tu
     def draw(at) -> str:
         lines = [
             f'<path class="register" stroke="#000" stroke-width="2" fill="none" '
-            f'd="M {x0:g} {at(0)} H {x0 + n * u:g}"/>'
+            f'd="M {x0} {at(0)} H {x0 + n * u}"/>'
         ]
         for p in range(n + 1):
             h = style.cell_tick_height if p % d == 0 else style.tick_height
             lines.append(
-                f'<line stroke="#000" stroke-width="1" x1="{x0 + p * u:g}" y1="{at(0)}" '
-                f'x2="{x0 + p * u:g}" y2="{at(h)}"/>'
+                f'<line stroke="#000" stroke-width="1" x1="{x0 + p * u}" y1="{at(0)}" '
+                f'x2="{x0 + p * u}" y2="{at(h)}"/>'
             )
         return "\n".join(lines)
 
@@ -301,10 +302,10 @@ def _strand_template(
     tip = tx + 6 if spec.is_forward else tx - 6
 
     def draw(at) -> str:
-        points = " ".join(f"{x:g},{at(dy)}" for x, dy in pts)
+        points = " ".join(f"{x},{at(dy)}" for x, dy in pts)
         return (
             f'<polyline fill="none" stroke="{color}" stroke-width="{style.stroke_width}"{dash} points="{points}"/>\n'
-            f'<path fill="{color}" d="M {tx:g} {at(ty - 3)} L {tip:g} {at(ty)} L {tx:g} {at(ty + 3)} Z"/>'
+            f'<path fill="{color}" d="M {tx} {at(ty - 3)} L {tip} {at(ty)} L {tx} {at(ty + 3)} Z"/>'
         )
 
     return _y_template(draw)
@@ -363,7 +364,7 @@ def _scene_fragment(
     if scene.label:
         ylab = y_base - 6 - (top_lanes + 0.5) * lh
         parts.append(
-            f'<text x="{x0:g}" y="{ylab:g}" font-family="monospace" font-size="11" fill="#000">{_esc(scene.label)}</text>'
+            f'<text x="{x0}" y="{_num(ylab)}" font-family="monospace" font-size="11" fill="#000">{_esc(scene.label)}</text>'
         )
     return parts, height
 
@@ -372,12 +373,12 @@ def _esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _document(parts: list[str], width: float, height: float) -> list[str]:
+def _document(parts: list[str], width: int, height: int) -> list[str]:
     """The document around ``parts``, as the parts whose newline-join it is."""
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         *(parts or [""]),
         "</svg>",
         "",

@@ -172,6 +172,8 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
         raise TMSpecError(f"not valid YAML: {e}") from e
+    except RecursionError as e:
+        raise TMSpecError("YAML nested too deeply") from e
     if not isinstance(doc, dict):
         raise TMSpecError("top level must be a mapping")
 

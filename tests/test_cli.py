@@ -440,6 +440,11 @@ def test_render_one_line_trace(tmp_path, capsys):
     assert "#1 attach" in capsys.readouterr().out
     assert main(["render", str(trace), "-o", str(tmp_path / "one.svg")]) == 0
     assert "#1 attach" in (tmp_path / "one.svg").read_text()
+    # blank lines before the first line do not hide it
+    padded = tmp_path / "padded.jsonl"
+    padded.write_bytes(b"\n \r\n\t\n" + trace.read_bytes())
+    assert main(["render", str(padded), "--format", "text"]) == 0
+    assert "#1 attach" in capsys.readouterr().out
 
 
 def test_outputs_byte_identical_across_runs(tmp_path, prog_path, reg_path):
@@ -620,6 +625,40 @@ def test_bad_program_or_register_file_is_named(tmp_path, capsys, prog_path, reg_
     err = capsys.readouterr().err
     assert f"error: {broken}: $: not valid UTF-8 JSON" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [995, 100_000])
+@pytest.mark.parametrize(
+    "case", ["machine-compile", "machine-run-tm", "program", "register-simulate", "register-render", "trace", "style"]
+)
+def test_input_nested_too_deeply_exits_2(tmp_path, capsys, prog_path, reg_path, case, depth):
+    nest = "[" * depth + "]" * depth
+    layout = '"layout": {"cells": 3, "domains_per_cell": 18}'
+    machine = f"start state: a\nhalt state: h\ntable: {{a: {nest}}}\n"
+    trace = TWO_LINE_TRACE.replace('"instr": 2', f'"instr": 2, "label": {nest}')
+    text, argv = {
+        "machine-compile": (machine, ["compile", "BAD", "--cells", "3"]),
+        "machine-run-tm": (machine, ["run-tm", "BAD", "--cells", "3"]),
+        "program": (f'{{{layout}, "instructions": {nest}}}', ["simulate", "BAD", reg_path]),
+        "register-simulate": (f'{{{layout}, "strands": {nest}}}', ["simulate", prog_path, "BAD"]),
+        "register-render": (f'{{{layout}, "strands": {nest}}}', ["render", "BAD"]),
+        "trace": (trace, ["render", "BAD"]),
+        "style": (f'{{"palette": {nest}}}', ["render", reg_path, "--style", "BAD"]),
+    }[case]
+    bad = tmp_path / "bad.in"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main([str(bad if arg == "BAD" else arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_refuses_a_register_of_another_layout(tmp_path, capsys, prog_path):
+    other = tmp_path / "other.json"
+    other.write_text('{"layout": {"cells": 4, "domains_per_cell": 18}, "strands": []}')
+    assert main(["simulate", str(prog_path), str(other)]) == 2
+    assert capsys.readouterr().err == f"error: {other}: register layout does not match the program\n"
 
 
 @pytest.mark.parametrize("fmt", ["svg", "text"])

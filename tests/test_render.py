@@ -63,6 +63,16 @@ def micro_scene():
     return scene
 
 
+def test_inert_species_sits_where_it_binds_most():
+    # the leftmost of the alignments binding the most positions, or offset
+    # 0 for a species that binds nowhere
+    state = RegisterState(RegisterLayout(2, 4), ())
+    once = fwd(Match(3), Match(1))  # binds one position at most: first at offset -1
+    nowhere = fwd(Ortho("x"), Ortho("y"))
+    scene = make_scene(state, Instruction((once, nowhere)))
+    assert {(p.spec, p.offset, p.reactive) for p in scene.pending} == {(once, -1, False), (nowhere, 0, False)}
+
+
 def encoded_scene(increment_spec):
     cp = compile_tm(increment_spec, 3)
     reg, _ = encode_config(increment_spec, cp.scheme, TMConfig(("0", "1", "_"), 1, "a"), 3)
@@ -183,3 +193,24 @@ def test_style_table_override(tmp_path, increment_spec):
     finally:
         del os.environ["SIMDNA_STYLE"]
     assert c == b
+
+
+def test_svg_coordinates_are_exact_past_a_million():
+    # 20,000 panels of a 1-cell register with one strand reach y > 10^6,
+    # where six significant digits no longer hold an integer
+    layout = RegisterLayout(1, 4)
+    state = RegisterState(layout, (BoundStrand(fwd(Match(1), Match(2)), 0),))
+    scenes = [RenderScene(state, (), f"#{i}") for i in range(20_000)]
+    svg = render_trace(scenes)
+    coordinates = re.findall(r'(?:x|y|x1|y1|x2|y2|width|height|points|d)="([^"]*)"', svg)
+    assert coordinates and not [c for c in coordinates if "e+" in c]
+    st = StyleTable()
+    # a panel: the strand's lane and the label's above the baseline, the
+    # tick depth below it
+    height = 6 + 2 * st.lane_height + st.cell_tick_height + st.lane_height
+    y_base = st.margin + 19_999 * (height + st.margin) + height - st.cell_tick_height
+    label_y = y_base - 6 - 1.5 * st.lane_height
+    assert label_y > 10**6
+    last = re.findall(r'<text x="[^"]*" y="([^"]*)"', svg)[-1]
+    assert last == f"{label_y:.0f}"
+    assert svg.count("<text ") == 20_000

@@ -171,3 +171,31 @@ def test_parse_rejects_a_state_name_that_is_not_text(where, doc):
     # encoding, and state names end up in the program's tags and labels
     with pytest.raises(TMSpecError, match=rf"^{where}: state name '\\ud800' is not Unicode text$"):
         parse_tm_spec(doc.encode())
+
+
+_ROW = "a: {0: {write: 1, move: R, next: h}}"
+
+
+@pytest.mark.parametrize("doc, message", [
+    (f"halt state: h\ntable: {{{_ROW}}}", "missing key 'start state'"),
+    (f"start state: a\ntable: {{{_ROW}}}", "missing key 'halt state'"),
+    ("start state: a\nhalt state: h\n", "missing key 'table'"),
+    ("start state: a\nhalt state: h\ntable: [a]", "table must be a mapping of states"),
+    (f"start state: a\nhalt state: h\ntable: {{{_ROW}, h: {{}}}}", "halt state 'h' must not have table entries"),
+    (f"start state: z\nhalt state: h\ntable: {{{_ROW}}}", "start state 'z' not declared in table"),
+    ("start state: a\nhalt state: h\ntable: {a: [0]}", "table.a: must be a mapping of symbols"),
+    ("start state: a\nhalt state: h\ntable: {a: {0: R}}", "table.a.0: must be {write, move, next}"),
+    ("start state: a\nhalt state: h\ntable: {a: {0: {write: 1, move: R, next: h, say: hi}}}",
+     "table.a.0: unknown keys ['say']"),
+    ("start state: a\nhalt state: h\ntable: {a: {0: {write: 1, move: U, next: h}}}",
+     "table.a.0: move must be L or R, got 'U'"),
+    ("start state: a\nhalt state: h\ntable: {a: {true: {write: 1, move: R, next: h}}}",
+     "table.a: invalid symbol True"),
+], ids=[
+    "no-start", "no-halt", "no-table", "table-not-mapping", "halt-with-entries", "undeclared-start",
+    "row-not-mapping", "entry-not-mapping", "unknown-entry-key", "bad-move", "boolean-symbol",
+])
+def test_machine_file_errors(doc, message):
+    with pytest.raises(TMSpecError) as info:
+        parse_tm_document(doc.encode())
+    assert str(info.value) == message
