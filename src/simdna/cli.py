@@ -312,7 +312,12 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")
-        label = f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()
+        instr, title = doc.get("instr", lineno), doc.get("label", "")
+        if not isinstance(instr, int) or isinstance(instr, bool):
+            raise SchemaError(where, "'instr' must be an integer")
+        if not isinstance(title, str):
+            raise SchemaError(where, "'label' must be a string")
+        label = f"#{instr} {title}".rstrip()
         bad = _NOT_XML.search(label)
         if bad:
             raise SchemaError(where, f"label holds U+{ord(bad.group()):04X}, which XML 1.0 does not allow")

@@ -306,8 +306,10 @@ _offset = attrgetter("offset")
 class _Index:
     """Occupancy index of one register, kept for one run and updated from
     each reaction's delta: the strand owning each position, the unbound
-    positions in order, each strand's bound set, the strands of each spec,
-    and the strands in canonical order (by offset, then spec)."""
+    positions in order, each strand's bound set, the strands of each spec
+    that carries an overhang (only those can be grabbed, see
+    ``_Species.removers``), and the strands in canonical order (by offset,
+    then spec)."""
 
     def __init__(self, state: RegisterState):
         self.layout = state.layout
@@ -318,7 +320,8 @@ class _Index:
         for bs in self.strands:
             bound = bound_set(self.layout, bs.spec, bs.offset)
             self.bound_of[bs] = bound
-            self.by_spec.setdefault(bs.spec, set()).add(bs)
+            if bs.spec.has_ortho:
+                self.by_spec.setdefault(bs.spec, set()).add(bs)
             for p in bound:
                 self.owner[p] = bs
         self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
@@ -348,10 +351,11 @@ class _Index:
             for p in bound:
                 del self.owner[p]
                 insort(self.unbound, p)
-            group = self.by_spec[bs.spec]
-            group.discard(bs)
-            if not group:
-                del self.by_spec[bs.spec]
+            if bs.spec.has_ortho:
+                group = self.by_spec[bs.spec]
+                group.discard(bs)
+                if not group:
+                    del self.by_spec[bs.spec]
             i = bisect_left(self.strands, bs.offset, key=_offset)
             del self.strands[self.strands.index(bs, i)]
             changed |= bound
@@ -366,7 +370,8 @@ class _Index:
                 self.owner[p] = bs
                 del self.unbound[bisect_left(self.unbound, p)]
             self.bound_of[bs] = bound
-            self.by_spec.setdefault(bs.spec, set()).add(bs)
+            if bs.spec.has_ortho:
+                self.by_spec.setdefault(bs.spec, set()).add(bs)
             i = bisect_left(self.strands, bs.offset, key=_offset)
             j = bisect_right(self.strands, bs.offset, key=_offset)
             if i < j:  # strands at the same offset: canonical order by spec
@@ -388,6 +393,20 @@ def _candidates(ix: _Index, sp: _Species, lo: int, hi: int) -> set[tuple[StrandS
         for spec, j in sp.by_domain.get(p % d + 1, ()):
             out.add((spec, p - j))
     return out
+
+
+def _inert(ix: _Index, sp: _Species) -> bool:
+    """Whether the instruction surely has no reaction on the index's state:
+    no unbound position carries a domain that a forward species matches,
+    and no strand with an overhang has a remover.  Every forward rule needs
+    an unbound matched position (see ``_candidates``) and a detach needs a
+    remover, so then ``applicable_reactions`` is empty.  Costs the unbound
+    positions and the specs of ``by_spec``, not the register's specs."""
+    d = ix.layout.domains_per_cell
+    by_domain = sp.by_domain
+    if any(p % d + 1 in by_domain for p in ix.unbound):
+        return False
+    return not (sp.reverse and any(map(sp.removers, ix.by_spec)))
 
 
 def _alignment(ix: _Index, spec: StrandSpec, offset: int):
@@ -626,7 +645,7 @@ def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
             M = bound_set(layout, spec, p - j)
             if len(M) >= 2:  # a strand binds at least two positions
                 covering.setdefault(p, []).append(M)
-    may_leave = {bs for bs in ix.bound_of if sp.removers(bs.spec)}
+    may_leave = {bs for spec, group in ix.by_spec.items() if sp.removers(spec) for bs in group}
     may_free = set(ix.unbound).union(*(ix.bound_of[bs] for bs in may_leave))
     live: set[frozenset[int]] = set()
     todo = list(may_free)
@@ -741,10 +760,14 @@ def run_instruction(
     The run keeps its occupancy index for the ``final_state`` object it
     returns: a call on that very object continues from the index and skips
     the full validation and the rebuild; any other state is validated and
-    indexed anew.  ``VerifyConfluent`` first searches every final state;
-    the outcome is then the canonical run, which must end in the unique
-    one."""
+    indexed anew.  An instruction with no reaction (``_inert``) returns
+    ``state`` itself, as both modes would.  Otherwise ``VerifyConfluent``
+    first searches every final state; the outcome is then the canonical run,
+    which must end in the unique one."""
     index = _take_index(state)
+    if _inert(index, _species(instr)):
+        _hand_off(state, index)
+        return InstructionOutcome(state, (), ())
     firing = _Firing(state, instr, index)
     finals = None
     if isinstance(mode, VerifyConfluent):

@@ -33,8 +33,8 @@ class Orientation(Enum):
 
 class _Record:
     """Base of the frozen, slotted records that are hashed again and again
-    (specs, bound strands, states): the hash of their ``_fields`` is computed
-    on first use and kept in the ``_hash`` slot."""
+    (specs, bound strands, states, instructions): the hash of their
+    ``_fields`` is computed on first use and kept in the ``_hash`` slot."""
 
     __slots__ = ("_hash",)
 
@@ -96,9 +96,10 @@ class RegisterLayout:
 
 
 class _Spec(_Record):
-    """``_Record`` with a slot for the sort key of ``StrandSpec``."""
+    """``_Record`` with slots for the sort key and the overhang flag of
+    ``StrandSpec``."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_ortho")
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +121,14 @@ class StrandSpec(_Spec):
 
     @property
     def has_ortho(self) -> bool:
-        return any(isinstance(t, Ortho) for t in self.tokens)
+        """Whether some token is an overhang; computed on first use and kept
+        in the ``_ortho`` slot."""
+        try:
+            return self._ortho
+        except AttributeError:
+            ortho = any(isinstance(t, Ortho) for t in self.tokens)
+            object.__setattr__(self, "_ortho", ortho)
+            return ortho
 
     def sort_key(self) -> tuple:
         """The orientation, then the ``token_key`` of each token in turn, in
@@ -199,12 +207,14 @@ class RegisterState(_Record):
         return state
 
 
-@dataclass(frozen=True)
-class Instruction:
+@dataclass(frozen=True, slots=True)
+class Instruction(_Record):
     """One stage: a set of strand species added in large excess, then washed."""
 
     species: tuple[StrandSpec, ...]
     label: str = ""
+    _fields = attrgetter("species", "label")
+    __hash__ = _Record.__hash__
 
     def __post_init__(self):
         deduped = tuple(sorted(set(self.species), key=StrandSpec.sort_key))

@@ -692,6 +692,30 @@ def test_render_refuses_a_label_xml_cannot_hold(tmp_path, capsys, fmt, label):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        ({"instr": {"a": 1}, "label": [[1]]}, "'instr' must be an integer"),
+        ({"instr": True, "label": "x"}, "'instr' must be an integer"),
+        ({"instr": 1.0, "label": "x"}, "'instr' must be an integer"),
+        ({"instr": 1, "label": [[1]]}, "'label' must be a string"),
+        ({"instr": 1, "label": None}, "'label' must be a string"),
+    ],
+    ids=["object-and-nested-array", "bool-instr", "float-instr", "array-label", "null-label"],
+)
+def test_render_refuses_a_title_the_trace_format_does_not_write(tmp_path, capsys, fmt, head, message):
+    # a trace line's "instr" is an integer and its "label" a string
+    trace = tmp_path / "trace.jsonl"
+    state = {"layout": {"cells": 1, "domains_per_cell": 6}, "strands": []}
+    good = {"instr": 1, "label": "ok", "applied": [], "state": state}
+    trace.write_text(json.dumps(good) + "\n" + json.dumps({**head, "applied": [], "state": state}) + "\n")
+    assert main(["render", str(trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: trace line 2: {message}")
+    assert "Traceback" not in err
+
+
 # --- the split trace reader agrees with a whole-line reader ---------------------
 
 
@@ -715,7 +739,12 @@ def _whole_line_scenes(text: bytes):
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")
-        scenes.append(RenderScene(state, (), f"#{doc.get('instr', lineno)} {doc.get('label', '')}".rstrip()))
+        instr, title = doc.get("instr", lineno), doc.get("label", "")
+        if type(instr) is not int:
+            raise SchemaError(where, "'instr' must be an integer")
+        if type(title) is not str:
+            raise SchemaError(where, "'label' must be a string")
+        scenes.append(RenderScene(state, (), f"#{instr} {title}".rstrip()))
         counts.append(len(applied))
     return scenes, counts
 
@@ -751,6 +780,8 @@ SPLIT_CASES = {
     "nested-mark-in-applied": (
         lambda raw: raw.replace(b'"applied":[', b'"applied":[{"rule":"x","state":1},', 1), None),
     "tail-repeats-label-and-instr": (lambda raw: raw[:-1] + b',"label":"again","instr":99}', "#99 again"),
+    "tail-repeats-instr-as-object": (lambda raw: raw[:-1] + b',"instr":{"a":1}}', "'instr' must be an integer"),
+    "tail-repeats-label-as-array": (lambda raw: raw[:-1] + b',"label":[[1]]}', "'label' must be a string"),
     "head-holds-a-state": (lambda raw: b'{"state":7,' + raw[1:], None),
     "head-holds-a-later-state": (lambda raw: b'{"x":1,"state":7,' + raw[1:], None),
     "bom": (lambda raw: b"\xef\xbb\xbf" + raw, "Unexpected UTF-8 BOM"),

@@ -107,22 +107,82 @@ def test_cooperative_flank_found_beyond_the_changed_window():
     assert [r.rule for r in final.applied] == ["detach", "cooperative"]
 
 
-def test_kept_reactions_match_scratch_on_incrementor(increment_spec, increment_compiled_s3):
-    cp = increment_compiled_s3
+def _incrementor_states(spec, cp) -> list[RegisterState]:
+    """The registers of the incrementor's steppable configurations at s = 3."""
     configs = {}
     for n in (1, 2):  # an input needs a blank cell to its right
         for bits in itertools.product("01", repeat=n):
-            for c in reachable_configs(increment_spec, "".join(bits), 3)[0]:
-                if not c.is_terminal and increment_spec.defined(c.state, c.tape[c.head]):
+            for c in reachable_configs(spec, "".join(bits), 3)[0]:
+                if not c.is_terminal and spec.defined(c.state, c.tape[c.head]):
                     configs[c] = None
-    assert len(configs) >= 10
+    return [encode_config(spec, cp.scheme, c, 3)[0] for c in configs]
+
+
+def test_kept_reactions_match_scratch_on_incrementor(increment_spec, increment_compiled_s3):
+    cp = increment_compiled_s3
+    states = _incrementor_states(increment_spec, cp)
+    assert len(states) >= 10
     steps = 0
-    for config in configs:
-        state, _lossy = encode_config(increment_spec, cp.scheme, config, 3)
+    for state in states:
         for instr in cp.program.instructions:
             steps += _fire(state, instr)
             state = engine.run_instruction(state, instr).final_state
     assert steps > 100
+
+
+# --- an inert instruction skips the search ---------------------------------------
+
+
+def test_inert_instruction_has_no_reaction():
+    rng = random.Random(14)
+    inert = 0
+    for _ in range(2000):
+        state = random_state(rng)
+        instr = random_instruction(rng, state)
+        if engine._inert(engine._Index(state), engine._species(instr)):
+            inert += 1
+            assert brute_force_reactions(state, instr) == set(), (state, instr)
+    assert inert > 300
+
+
+def test_inert_instruction_returns_its_entry_state():
+    rng = random.Random(15)
+    inert = 0
+    for _ in range(1000):
+        state = random_state(rng)
+        instr = random_instruction(rng, state)
+        if not engine._inert(engine._Index(state), engine._species(instr)):
+            continue
+        inert += 1
+        for mode in (engine.Canonical(), engine.VerifyConfluent(max_states=1)):
+            out = engine.run_instruction(state, instr, mode)
+            assert out.final_state is state
+            assert out.applied == () and out.washed_species == ()
+    assert inert > 150
+
+
+@pytest.mark.parametrize("mode", [engine.Canonical(), engine.VerifyConfluent()], ids=["canonical", "verified"])
+def test_inert_instructions_build_no_firing(monkeypatch, increment_spec, increment_compiled_s3, mode):
+    prog = increment_compiled_s3.program
+    built = []
+
+    class Counted(engine._Firing):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Firing", Counted)
+    states = _incrementor_states(increment_spec, increment_compiled_s3)
+    shortcut = []
+    for state in states:
+        built.clear()
+        shortcut.append(engine.run_program(state, prog, mode))
+        assert len(built) < len(prog.instructions)
+    monkeypatch.setattr(engine, "_inert", lambda ix, sp: False)
+    for state, result in zip(states, shortcut):
+        built.clear()
+        assert engine.run_program(state, prog, mode) == result
+        assert len(built) == len(prog.instructions)
 
 
 def test_run_program_rejects_invalid_register():
@@ -154,7 +214,8 @@ def test_model_records_have_no_instance_dict():
     spec = fwd(Match(1), model.Ortho("a"))
     bs = BoundStrand(spec, 0)
     state = RegisterState(RegisterLayout(1, 4), (bs,))
-    for obj in (Match(1), model.Ortho("a"), spec, bs, state):
+    instr = model.Instruction((spec,), "x")
+    for obj in (Match(1), model.Ortho("a"), spec, bs, state, instr):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         assert hash(obj) == hash(obj)
 

@@ -27,6 +27,7 @@ from simdna.model import (
     parse_register,
     register_doc,
     register_from_doc,
+    rev,
     serialize_program,
     serialize_register,
     validate_state,
@@ -111,6 +112,31 @@ def test_instruction_dedupes_species():
     s = fwd(Match(1), Match(2))
     ins = Instruction((s, s, fwd(Match(3), Match(4))))
     assert len(ins.species) == 2
+    # an equal spec built apart is the same species
+    again = Instruction((fwd(Match(3), Match(4)), s, fwd(Match(1), Match(2))))
+    assert again.species == ins.species
+
+
+def test_equal_instructions_built_apart_are_equal_and_hash_equally():
+    def build():
+        return Instruction((fwd(Match(3), Match(4)), rev(Ortho("a"), Match(1)), fwd(Match(1), Match(2))), "x")
+
+    a, b = build(), build()
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.species, a.label))  # kept hash: as computed afresh
+    assert hash(a) == hash(b)  # and again, from the kept value
+    assert a != Instruction(a.species, "y")
+    assert len({a, b}) == 1
+
+
+def test_kept_has_ortho_is_the_token_scan():
+    rng = random.Random(77)
+    for _ in range(500):
+        tokens = random_tokens(rng, rng.randint(2, 8), rng.randint(1, 8))
+        spec = StrandSpec(tokens, rng.choice(list(Orientation)))
+        scan = any(isinstance(t, Ortho) for t in tokens)
+        assert spec.has_ortho is scan
+        assert spec.has_ortho is scan  # the kept value
 
 
 def test_parse_minimal_program():
