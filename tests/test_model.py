@@ -112,7 +112,7 @@ def test_instruction_dedupes_species():
     s = fwd(Match(1), Match(2))
     ins = Instruction((s, s, fwd(Match(3), Match(4))))
     assert len(ins.species) == 2
-    # an equal spec built apart is the same species
+    # the same species in another order, specs built apart: the same tuple
     again = Instruction((fwd(Match(3), Match(4)), s, fwd(Match(1), Match(2))))
     assert again.species == ins.species
 
@@ -123,8 +123,8 @@ def test_equal_instructions_built_apart_are_equal_and_hash_equally():
 
     a, b = build(), build()
     assert a is not b and a == b
-    assert hash(a) == hash(b) == hash((a.species, a.label))  # kept hash: as computed afresh
-    assert hash(a) == hash(b)  # and again, from the kept value
+    assert hash(a) == hash(b) == hash((a.species, a.label))  # the frozen dataclass's hash
+    assert hash(a) == hash(b)  # read back from the kept slot
     assert a != Instruction(a.species, "y")
     assert len({a, b}) == 1
 
