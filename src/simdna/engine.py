@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import ClassVar, Union
 
 from .model import (
@@ -301,6 +301,7 @@ def _species(instr: Instruction) -> _Species:
 
 
 _offset = attrgetter("offset")
+_LOOP = "reaction loop revisited a state while applying {!r}"
 
 
 class _Index:
@@ -551,11 +552,11 @@ class _Firing:
     """One instruction's reactions on an index, fired (and, for the
     confluence search, undone) one at a time.  ``live`` maps every reaction
     that applies to the index's current state to its sort key.  A reaction
-    depends only on the occupancy of its alignments' matched positions (its
-    footprint) and, for a detach, on its target being there.  So after each
-    step only the reactions whose footprint meets the changed positions, or
-    whose incumbent left, are dropped, and only around the changed positions
-    is searched again."""
+    depends only on the occupancy of its footprint: the matched positions of
+    the strands it adds and the bound sets of those it removes.  After each
+    step exactly the reactions whose footprint meets the changed positions
+    are stale (a strand's positions change only when it leaves, and no
+    reaction removes and adds one strand); only around them is searched."""
 
     def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
         self.index = index
@@ -570,7 +571,7 @@ class _Firing:
             if r not in self.live:
                 self.live[r] = _order_key(r, layout)
                 self._footprint[r] = frozenset().union(
-                    *(bound_set(layout, bs.spec, bs.offset) for bs in r.added)
+                    *(bound_set(layout, bs.spec, bs.offset) for bs in (*r.added, *r.removed))
                 )
 
     def fire(self, r: Reaction) -> None:
@@ -584,12 +585,7 @@ class _Firing:
     def _step(self, removed, added) -> None:
         # any delta: what it changed is all a reaction can newly need or lose
         changed = self.index.apply(removed, added)
-        gone = set(removed)
-        stale = [
-            x
-            for x, footprint in self._footprint.items()
-            if not changed.isdisjoint(footprint) or not gone.isdisjoint(x.removed)
-        ]
+        stale = [x for x, footprint in self._footprint.items() if not changed.isdisjoint(footprint)]
         for x in stale:
             del self.live[x], self._footprint[x]
         self._admit(_forward_reactions(self.index, self.species, min(changed), max(changed)))
@@ -609,17 +605,19 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
     applied: list[Reaction] = []
     kept = index.strands.copy()
     while live:
-        r = min(live, key=live.__getitem__)
+        r = min(live.items(), key=itemgetter(1))[0]
         firing.fire(r)
         applied.append(r)
         if index.strands == kept:
-            raise EngineError(f"reaction loop revisited a state while applying {label!r}")
+            raise EngineError(_LOOP.format(label))
         if len(applied) & (len(applied) - 1) == 0:
             kept = index.strands.copy()
-    if not applied:
-        return InstructionOutcome(state, (), ())
+    return _outcome(index.state() if applied else state, tuple(applied))
+
+
+def _outcome(final: RegisterState, applied: tuple[Reaction, ...]) -> InstructionOutcome:
     washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
-    return InstructionOutcome(index.state(), tuple(applied), tuple(washed))
+    return InstructionOutcome(final, applied, tuple(washed))
 
 
 def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
@@ -674,11 +672,12 @@ def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
 
 
 def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: str):
-    """Every final state reachable from ``state``, each with one reaction
-    order that reaches it, found depth first on ``firing``, which ends where
-    it started.  A successor is a reaction's delta on the index, checked
-    where it lands, then its inverse; the search enters a new successor by
-    firing the reaction and undoes it after that subtree.
+    """Every final state reachable from ``state``, with one reaction order
+    to each, in the order found, and whether the canonical run loops.  The
+    search runs depth first on ``firing``, which ends where it started.  It
+    fires the least reaction first and undoes one at once if its state was
+    seen, else after that subtree.  Until its first undo it is the canonical
+    run: the first final state is its outcome, a state seen again its loop.
 
     The search is reduced with stubborn sets (Valmari 1990; Godefroid,
     LNCS 1032, 1996): a state expands only the reactions in the part
@@ -691,43 +690,40 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
     distinct states."""
     index, live = firing.index, firing.live
     parts: dict[int, int] = {}
-
-    def part(r: Reaction) -> int:
-        return parts[live[r][0]]  # the least position the reaction binds or frees
-
     seen = {state}
     finals: dict[RegisterState, tuple[Reaction, ...]] = {}
     path: list[Reaction] = []
-    # (reaction into a new state, that state), or (reaction to undo, None)
-    stack: list[tuple[Reaction | None, RegisterState | None]] = [(None, state)]
-    while stack:
-        r, cur = stack.pop()
-        if cur is None:
-            firing.undo(r)
-            path.pop()
+    stack: list[Reaction | None] = []  # reactions to try, the least on top; None: undo
+    cur, canonical, loops = state, True, False
+    while True:
+        if cur is not None:  # a new state: a final one, or one to expand
+            ranked = sorted(live.items(), key=itemgetter(1))
+            if not ranked:
+                finals[cur] = tuple(path)
+            elif len(ranked) > 1:
+                if not parts:
+                    parts = _parts(index, firing.species)
+                least = parts[ranked[0][1][0]]  # the least position a reaction binds or frees
+                ranked = [item for item in ranked if parts[item[1][0]] == least]
+            stack.extend(x for x, _ in reversed(ranked))
+        if not stack:
+            return finals, loops
+        x = stack.pop()
+        if x is None:
+            firing.undo(path.pop())
+            cur, canonical = None, False
             continue
-        if r is not None:
-            firing.fire(r)
-            path.append(r)
-            stack.append((r, None))
-        reactions = sorted(live, key=live.__getitem__)
-        if not reactions:
-            finals[cur] = tuple(path)
-        elif len(reactions) > 1:
-            if not parts:
-                parts = _parts(index, firing.species)
-            least = part(reactions[0])
-            reactions = [x for x in reactions if part(x) == least]
-        for x in reactions:
-            index.apply(x.removed, x.added)
-            nxt = index.state()
-            index.apply(x.added, x.removed)
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise StateBudgetExceededError(max_states, label)
-                seen.add(nxt)
-                stack.append((x, nxt))
-    return finals
+        firing.fire(x)
+        path.append(x)
+        stack.append(None)
+        cur = index.state()
+        if cur in seen:
+            loops |= canonical
+            cur = None
+        elif len(seen) >= max_states:
+            raise StateBudgetExceededError(max_states, label)
+        else:
+            seen.add(cur)
 
 
 # The last final state ``run_instruction`` returned, with the index it left
@@ -762,22 +758,26 @@ def run_instruction(
     the full validation and the rebuild; any other state is validated and
     indexed anew.  An instruction with no reaction (``_inert``) returns
     ``state`` itself, as both modes would.  Otherwise ``VerifyConfluent``
-    first searches every final state; the outcome is then the canonical run,
-    which must end in the unique one."""
+    searches every final state; its first branch is the canonical run, which
+    must end, without looping, in the unique one: the outcome."""
     index = _take_index(state)
     if _inert(index, _species(instr)):
         _hand_off(state, index)
         return InstructionOutcome(state, (), ())
     firing = _Firing(state, instr, index)
-    finals = None
     if isinstance(mode, VerifyConfluent):
-        finals = _deadlocks(state, firing, mode.max_states, instr.label)
+        finals, loops = _deadlocks(state, firing, mode.max_states, instr.label)
         if len(finals) > 1:
-            (a, order_a), (b, order_b) = list(finals.items())[:2]
+            (b, order_b), (a, order_a) = list(finals.items())[:2]  # b: the canonical run's
             raise NonConfluentError(a, order_a, b, order_b, instr.label)
-    out = _canonical_run(firing, state, instr.label)
-    if finals is not None and out.final_state not in finals:  # pragma: no cover
-        raise EngineError("canonical order disagrees with the verified final state")
+        if loops:
+            raise EngineError(_LOOP.format(instr.label))
+        [(final, applied)] = finals.items()
+        for r in applied:  # the search ended at ``state``
+            index.apply(r.removed, r.added)
+        out = _outcome(final, applied)
+    else:
+        out = _canonical_run(firing, state, instr.label)
     _hand_off(out.final_state, index)
     return out
 

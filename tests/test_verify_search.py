@@ -1,15 +1,17 @@
-"""The confluence search, which steps the run's occupancy index with apply
+"""The confluence search, which steps the run's occupancy index with fire
 and undo, against the canonical run, the from-scratch reaction functions
 and the full-search oracle.
 
 ``VerifyConfluent`` searches a stubborn subset of each state's reactions,
-then takes its outcome from the canonical run.  These tests pin that the
-reduced search finds the final states of the full one, that the outcome is
-the canonical one, the index each call hands off to the next, and the
-search's loop, budget and error behaviour.
+least reaction first, so that its first branch is the canonical run and
+gives the outcome.  These tests pin that the reduced search finds the final
+states of the full one, that the outcome and a counterexample's ``b`` side
+are the canonical run's, the index each call hands off to the next, and
+the search's loop, budget and error behaviour with their precedence.
 """
 from __future__ import annotations
 
+import collections
 import importlib.util
 import itertools
 import random
@@ -279,6 +281,28 @@ def test_reduced_budget_boundary():
             full_search(st, instr, 2**K - 1)
 
 
+def test_verified_run_fires_and_builds_each_state_once(monkeypatch):
+    # the first branch of the search is the canonical run and gives the
+    # outcome: no successor is probed and no reaction is fired again
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(engine._Firing, "fire", counted("fire", engine._Firing.fire))
+    monkeypatch.setattr(engine._Index, "state", counted("state", engine._Index.state))
+    empty = RegisterState(K_STRANDS.layout, ())
+    for st, instr in ((K_STRANDS, K_DETACHES), (empty, K_ATTACHES)):
+        calls.clear()
+        out = run_instruction(st, instr, VerifyConfluent())
+        assert len(out.applied) == K
+        assert calls == {"fire": K, "state": K}
+
+
 def test_failed_search_leaves_no_stale_index():
     # the search stops with the index K - 1 detaches away from its state;
     # a rerun on that state object must not start from there
@@ -374,7 +398,57 @@ def test_reduced_search_finds_the_final_states_of_the_full_one(increment_spec, i
 
 def _reduced_finals(st, instr):
     firing = engine._Firing(st, instr, engine._Index.validated(st))
-    return engine._deadlocks(st, firing, 100_000, instr.label)
+    finals, _loops = engine._deadlocks(st, firing, 100_000, instr.label)
+    return finals
+
+
+@pytest.fixture(scope="module")
+def seeded_refutations():
+    """The nonconfluent cases of 6,000 seeded random ones under a budget of
+    2,000 states: (state, instruction, error, canonical outcome), the
+    outcome None where the canonical run loops."""
+    rng = random.Random(777)
+    found = []
+    for _ in range(6000):
+        st = random_state(rng)
+        instr = random_instruction(rng, st)
+        try:
+            run_instruction(st, instr, VerifyConfluent(2_000))
+        except NonConfluentError as e:
+            try:
+                canon = run_instruction(st, instr, Canonical())
+            except EngineError as loop:
+                assert "reaction loop" in str(loop)
+                canon = None
+            found.append((st, instr, e, canon))
+        except EngineError:
+            pass
+    return found
+
+
+def test_counterexample_b_is_the_canonical_run(seeded_refutations):
+    st = RegisterState(L6, (INCUMBENT,))
+    with pytest.raises(NonConfluentError) as race:
+        run_instruction(st, RACE, VerifyConfluent())
+    cases = [(st, RACE, race.value, run_instruction(st, RACE, Canonical()))] + seeded_refutations
+    ends = 0
+    for st, instr, err, canon in cases:
+        if canon is None:
+            continue
+        assert (err.state_b, err.order_b) == (canon.final_state, canon.applied), (st, instr)
+        ends += 1
+    assert ends == 675
+
+
+def test_nonconfluence_wins_over_a_loop_and_a_budget_over_both(seeded_refutations):
+    looping = [(st, instr) for st, instr, _, canon in seeded_refutations if canon is None]
+    assert len(looping) == 27
+    # the first of them: the reduced search stores 12 states
+    st, instr = looping[0]
+    with pytest.raises(NonConfluentError):
+        run_instruction(st, instr, VerifyConfluent(max_states=12))
+    with pytest.raises(StateBudgetExceededError):
+        run_instruction(st, instr, VerifyConfluent(max_states=11))
 
 
 def test_search_errors_name_the_instruction():
