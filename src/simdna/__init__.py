@@ -35,7 +35,6 @@ from .engine import (
     ToeholdExchange,
     VerifyConfluent,
     applicable_reactions,
-    apply_reaction,
     run_instruction,
     run_many,
     run_program,

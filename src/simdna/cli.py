@@ -115,6 +115,10 @@ def _check_flags(args) -> None:
             raise CliError(f"{flag} must be at least {least}, got {value}")
 
 
+def _mode(args) -> engine.Mode:
+    return engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
+
+
 def _parse_file(path: str, parse):
     """``parse`` of the file's bytes, a failure named by the path."""
     with _naming(path):
@@ -150,7 +154,7 @@ def cmd_simulate(args, argv) -> None:
                 raise CliError("register layout does not match the program")
         registers.append(st)
 
-    mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
+    mode = _mode(args)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         files = {"program": args.program, "registers": ",".join(args.registers)}
@@ -197,7 +201,7 @@ def cmd_run_tm(args, argv) -> None:
     with _naming(args.machine) if args.input is None else contextlib.nullcontext():
         config = initial_config(spec, input_str, args.cells)
     compiled = compiler.compile_tm(spec, args.cells)
-    mode = engine.VerifyConfluent(args.max_states) if args.verify else engine.Canonical()
+    mode = _mode(args)
 
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
@@ -388,14 +392,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("registers", nargs="+")
     s.add_argument("--iterations", "-n", type=int, default=1)
     s.add_argument("--verify", action="store_true", help="check confluence of every instruction")
-    s.add_argument("--max-states", type=int, default=100_000)
+    s.add_argument("--max-states", type=int, default=engine.VerifyConfluent.max_states)
     s.add_argument("--out-dir", help="write traces and final registers here")
     s.set_defaults(func=cmd_simulate)
 
     k = sub.add_parser("check", help="simulate --verify --iterations 1")
     k.add_argument("program")
     k.add_argument("registers", nargs="+")
-    k.add_argument("--max-states", type=int, default=100_000)
+    k.add_argument("--max-states", type=int, default=engine.VerifyConfluent.max_states)
     k.add_argument("--out-dir")
     k.set_defaults(func=cmd_simulate, verify=True, iterations=1)
 
@@ -406,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--max-iters", type=int, default=256)
     r.add_argument("--oracle", action="store_true", help="cross-check each pass against the interpreter")
     r.add_argument("--verify", action="store_true", help="confluence-check every instruction")
-    r.add_argument("--max-states", type=int, default=100_000)
+    r.add_argument("--max-states", type=int, default=engine.VerifyConfluent.max_states)
     r.add_argument("--out-dir")
     r.set_defaults(func=cmd_run_tm)
 

@@ -88,10 +88,11 @@ class Reaction:
     """One rule firing, seen as a delta on the register's strand set.
 
     ``removed`` strands leave the register (the wash takes them away),
-    ``added`` strands bind, and ``actors`` are the (species, offset)
-    alignments that act.  Reactions are ordered by the leftmost position they
-    bind (or free, when nothing binds), then by the rule's ``rank``, then by
-    ``tie_break()``.  ``doc()`` is the reaction's trace JSON.
+    ``added`` strands bind (both are built once, with the reaction), and
+    ``actors`` are the (species, offset) alignments that act.  Reactions are
+    ordered by the leftmost position they bind (or free, when nothing
+    binds), then by the rule's ``rank``, then by ``tie_break()``.  ``doc()``
+    is the reaction's trace JSON.
     """
 
     rule: ClassVar[str]
@@ -115,9 +116,8 @@ class Attach(Reaction):
     rule = "attach"
     rank = 4
 
-    @property
-    def added(self):
-        return (BoundStrand(self.spec, self.offset),)
+    def __post_init__(self):
+        object.__setattr__(self, "added", (BoundStrand(self.spec, self.offset),))
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, ())
@@ -134,13 +134,9 @@ class _Takeover(Reaction):
     spec: StrandSpec
     offset: int
 
-    @property
-    def removed(self):
-        return (self.incumbent,)
-
-    @property
-    def added(self):
-        return (BoundStrand(self.spec, self.offset),)
+    def __post_init__(self):
+        object.__setattr__(self, "removed", (self.incumbent,))
+        object.__setattr__(self, "added", (BoundStrand(self.spec, self.offset),))
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, self.incumbent.sort_key())
@@ -173,16 +169,10 @@ class Cooperative(Reaction):
     rule = "cooperative"
     rank = 3
 
-    @property
-    def removed(self):
-        return (self.incumbent,)
-
-    @property
-    def added(self):
-        return (
-            BoundStrand(self.left_spec, self.left_offset),
-            BoundStrand(self.right_spec, self.right_offset),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "removed", (self.incumbent,))
+        left, right = BoundStrand(self.left_spec, self.left_offset), BoundStrand(self.right_spec, self.right_offset)
+        object.__setattr__(self, "added", (left, right))
 
     def tie_break(self) -> tuple:
         return (
@@ -209,9 +199,8 @@ class Detach(Reaction):
     rule = "detach"
     rank = 0
 
-    @property
-    def removed(self):
-        return (self.target,)
+    def __post_init__(self):
+        object.__setattr__(self, "removed", (self.target,))
 
     @property
     def actors(self):
@@ -245,7 +234,6 @@ Mode = Union[Canonical, VerifyConfluent]
 class InstructionOutcome:
     final_state: RegisterState
     applied: tuple[Reaction, ...]
-    washed_species: tuple[StrandSpec, ...]
 
 
 def _runs(positions: frozenset[int]) -> list[range]:
@@ -535,10 +523,6 @@ def _order_key(r: Reaction, layout: RegisterLayout) -> tuple:
     return (pos, r.rank, r.tie_break())
 
 
-def reaction_sort_key(r: Reaction, state: RegisterState) -> tuple:
-    return _order_key(r, state.layout)
-
-
 def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
     """Post-state of one reaction: the state is checked in full, the
     reaction where it lands.  Raises if the reaction cannot apply (defensive,
@@ -612,12 +596,7 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
             raise EngineError(_LOOP.format(label))
         if len(applied) & (len(applied) - 1) == 0:
             kept = index.strands.copy()
-    return _outcome(index.state() if applied else state, tuple(applied))
-
-
-def _outcome(final: RegisterState, applied: tuple[Reaction, ...]) -> InstructionOutcome:
-    washed = sorted((bs.spec for r in applied for bs in r.removed), key=StrandSpec.sort_key)
-    return InstructionOutcome(final, applied, tuple(washed))
+    return InstructionOutcome(index.state() if applied else state, tuple(applied))
 
 
 def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
@@ -763,7 +742,7 @@ def run_instruction(
     index = _take_index(state)
     if _inert(index, _species(instr)):
         _hand_off(state, index)
-        return InstructionOutcome(state, (), ())
+        return InstructionOutcome(state, ())
     firing = _Firing(state, instr, index)
     if isinstance(mode, VerifyConfluent):
         finals, loops = _deadlocks(state, firing, mode.max_states, instr.label)
@@ -775,7 +754,7 @@ def run_instruction(
         [(final, applied)] = finals.items()
         for r in applied:  # the search ended at ``state``
             index.apply(r.removed, r.added)
-        out = _outcome(final, applied)
+        out = InstructionOutcome(final, applied)
     else:
         out = _canonical_run(firing, state, instr.label)
     _hand_off(out.final_state, index)

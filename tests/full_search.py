@@ -8,7 +8,7 @@ states.
 """
 from __future__ import annotations
 
-from simdna.engine import StateBudgetExceededError, applicable_reactions, apply_reaction, reaction_sort_key
+from simdna.engine import StateBudgetExceededError, _order_key, applicable_reactions, apply_reaction
 
 
 def full_search(state, instr, max_states: int = 100_000) -> dict:
@@ -20,7 +20,7 @@ def full_search(state, instr, max_states: int = 100_000) -> dict:
     stack = [(state, ())]
     while stack:
         cur, order = stack.pop()
-        reactions = sorted(applicable_reactions(cur, instr), key=lambda r: reaction_sort_key(r, cur))
+        reactions = sorted(applicable_reactions(cur, instr), key=lambda r: _order_key(r, cur.layout))
         if not reactions:
             finals[cur] = order
         for r in reactions:

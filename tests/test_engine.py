@@ -166,13 +166,28 @@ def test_noop_self_displacement_excluded():
     assert all(not isinstance(r, Displace) for r in rs)
 
 
+@pytest.mark.parametrize(
+    "r",
+    [
+        Attach(fwd(Match(1), Match(2)), 0),
+        Displace(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3), Match(4)), 1),
+        ToeholdExchange(BoundStrand(fwd(Match(2), Match(3)), 1), fwd(Match(1), Match(2)), 0),
+        Cooperative(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3)), 1, fwd(Match(4), Match(5)), 3),
+        Detach(BoundStrand(fwd(Match(3), Ortho("x")), 2), rev(Match(3), Ortho("x"))),
+    ],
+    ids=lambda r: r.rule,
+)
+def test_a_reaction_gives_the_same_strands_on_every_read(r):
+    assert r.added is r.added and r.removed is r.removed
+
+
 def test_run_instruction_fixed_point_and_wash():
     inc = BoundStrand(fwd(Match(2), Match(3), Match(4), Match(5)), 1)
     st = state(L6, inc)
     challenger = fwd(Match(1), Match(2), Match(3), Match(4))
     out = run_instruction(st, Instruction((challenger,)))
     assert applicable_reactions(out.final_state, Instruction((challenger,))) == set()
-    assert out.washed_species == (inc.spec,)
+    assert [bs for r in out.applied for bs in r.removed] == [inc]  # washed away
     assert [type(r) for r in out.applied] == [ToeholdExchange]
 
 
@@ -348,7 +363,5 @@ def test_intermediate_states_stay_valid():
         rs = applicable_reactions(cur, ins)
         if not rs:
             break
-        from simdna.engine import reaction_sort_key
-
-        cur = apply_reaction(cur, min(rs, key=lambda r: reaction_sort_key(r, cur)))
+        cur = apply_reaction(cur, min(rs, key=lambda r: engine._order_key(r, cur.layout)))
         assert validate_state(cur) == []
