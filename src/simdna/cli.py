@@ -7,8 +7,10 @@ input error; ``nonconfluent`` 3 for a nonconfluent instruction; ``error``
 no longer decodes or that the interpreter disagrees with.  ``<where>``
 names the input: the file of an input error in a file, and a trace's line;
 ``MACHINE: iteration N`` in run-tm; ``register i (PATH)`` in simulate and
-check, then ``counterexample in PATH`` when one is written.  A file that
-cannot be read or written fails as ``error: PATH: strerror``.
+check, then ``counterexample in PATH`` when one is written; then
+``instruction n`` for an engine failure.  These are the places of the
+failure's ``where`` (``model.add_where``).  A file that cannot be read or
+written fails as ``error: PATH: strerror``.
 Commands with --out-dir record their invocation in ``manifest.json``;
 outputs carry no timestamps so reruns are byte-identical.
 """
@@ -26,6 +28,7 @@ from . import compiler, engine, render
 from .model import (
     RegisterState,
     SchemaError,
+    add_where,
     canon_with_state,
     parse_register,
     register_doc,
@@ -73,7 +76,7 @@ def _naming(where: str):
     try:
         yield
     except tuple(_FAILURES) as e:
-        e.where = (where, *getattr(e, "where", ()))
+        add_where(e, where)
         raise
 
 
@@ -229,12 +232,12 @@ def cmd_run_tm(args, argv) -> None:
                     break
             with _naming(f"iteration {it}"):
                 state, outcomes = engine.run_program(state, compiled.program, mode)
+                try:
+                    decoded = compiler.decode_register(spec, compiled.scheme, state)
+                except compiler.DecodeError as e:
+                    raise Mismatch(f"register no longer decodes: {e}") from e
             if out_dir:
                 trace_lines += _outcome_lines(labels, outcomes, tails)
-            try:
-                decoded = compiler.decode_register(spec, compiled.scheme, state)
-            except compiler.DecodeError as e:
-                raise Mismatch(f"iteration {it}: register no longer decodes: {e}") from e
             # a terminal `expected` matches only a TapeOnly decode, which ends the loop
             if args.oracle and not compiler.configs_equivalent(spec, expected, decoded):
                 raise Mismatch(

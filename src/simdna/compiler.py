@@ -34,12 +34,12 @@ from .model import (
     Match,
     Ortho,
     Program,
-    RegisterLayout,
     RegisterState,
     StrandSpec,
     fwd,
     parse_program,
     program_doc,
+    register_layout,
     rev,
     _canon,
 )
@@ -203,7 +203,7 @@ def _probe_state(scheme: CellScheme, symbol: str, side: str) -> RegisterState:
     # the entry toehold: cell 0's last region (left) or cell 1's first (right)
     region, offset = (t, 2 * t - 2) if side == "L" else (1, d)
     strands.remove(BoundStrand(scheme.plain_cover(region), offset))
-    return RegisterState(RegisterLayout(2, d), tuple(strands))
+    return RegisterState(register_layout(2, d), tuple(strands))
 
 
 def _probes(scheme: CellScheme, side: str) -> dict[str, StrandSpec]:
@@ -265,7 +265,7 @@ def encode_config(
     if len(config.tape) != s:
         raise CompileError(f"tape length {len(config.tape)} != register cells {s}")
     d = scheme.d
-    layout = RegisterLayout(s, d)
+    layout = register_layout(s, d)
 
     head_cell: Optional[int] = None
     head_region: Optional[int] = None
@@ -593,7 +593,7 @@ def compile_tm(spec: TMSpec, s: int) -> CompiledProgram:
             "final-deprotect",
         )
     )
-    layout = RegisterLayout(s, scheme.d)
+    layout = register_layout(s, scheme.d)
     program = Program(layout, tuple(instructions))
     stats = CompileStats(scheme.d, scheme.t, s, len(instructions))
     return CompiledProgram(program, scheme, sublist_index, stats)
@@ -650,52 +650,33 @@ def reachable_configs(
     return configs, False
 
 
-@dataclass
-class VerifyEntry:
-    config: TMConfig
-    ok: bool
-    detail: str
-
-
-@dataclass
-class VerificationReport:
-    entries: list[VerifyEntry]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    @property
-    def violations(self) -> list[str]:
-        return [e.detail for e in self.entries if not e.ok]
-
-
 def verify_compilation(
     spec: TMSpec,
     s: int,
     compiled: CompiledProgram,
     inputs: list[TMConfig],
     mode: engine.Mode = engine.Canonical(),
-) -> VerificationReport:
-    """Check the construction's one-step claim on explicit configurations.
+) -> list[str]:
+    """Check the construction's one-step claim on explicit configurations;
+    returns the violations, each starting with the configuration it
+    concerns, and so empty when the claim holds.
 
     Configurations with a defined transition must advance exactly as tm_step
     does; terminal or head-erased ones must be left byte-identical."""
-    entries = []
+    violations = []
     for config in inputs:
-        reg, lossy = encode_config(spec, compiled.scheme, config, s)
+        reg, _ = encode_config(spec, compiled.scheme, config, s)
         final, _ = engine.run_program(reg, compiled.program, mode)
-        if _steppable(spec, config):
-            expected = tm_step(spec, config)
-            try:
-                got = decode_register(spec, compiled.scheme, final)
-            except DecodeError as e:
-                entries.append(VerifyEntry(config, False, f"decode failed: {e}"))
-                continue
-            ok = configs_equivalent(spec, expected, got)
-            detail = "" if ok else f"expected {expected}, decoded {got}"
-        else:
-            ok = final == reg
-            detail = "" if ok else "terminal register was modified by the program"
-        entries.append(VerifyEntry(config, ok, detail))
-    return VerificationReport(entries)
+        if not _steppable(spec, config):
+            if final != reg:
+                violations.append(f"{config}: terminal register was modified by the program")
+            continue
+        expected = tm_step(spec, config)
+        try:
+            got = decode_register(spec, compiled.scheme, final)
+        except DecodeError as e:
+            violations.append(f"{config}: decode failed: {e}")
+            continue
+        if not configs_equivalent(spec, expected, got):
+            violations.append(f"{config}: expected {expected}, decoded {got}")
+    return violations

@@ -39,6 +39,7 @@ from .model import (
     RegisterLayout,
     RegisterState,
     StrandSpec,
+    add_where,
     bound_set,
     spec_doc,
     strand_doc,
@@ -48,14 +49,10 @@ from .model import (
 
 
 class EngineError(Exception):
-    """``instr`` is the number (from 1, as in a trace) of the instruction in
-    its program, when ``run_program`` raised the error."""
-
-    instr: int | None = None
-
-    def __str__(self) -> str:
-        message = super().__str__()
-        return message if self.instr is None else f"instruction {self.instr}: {message}"
+    """An instruction or a register that the engine cannot run.  ``where``
+    (see ``model.add_where``) holds ``"register i"`` when ``run_many`` ran
+    the register, then ``"instruction n"`` (from 1, as in a trace) when
+    ``run_program`` ran the instruction."""
 
 
 class InapplicableReactionError(EngineError):
@@ -485,8 +482,6 @@ def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[React
         inc_bound = ix.bound_of[inc]
         for lspec, loff, lM, lcover in left.get(inc, ()):
             for rspec, roff, rM, rcover in right.get(inc, ()):
-                if (lspec, loff) == (rspec, roff):
-                    continue
                 if lM & rM:
                     continue
                 if lcover | rcover != inc_bound:
@@ -767,7 +762,7 @@ def run_program(
     """Run every instruction in order; the register is validated up front
     (once, unless it is the final state of the last run) and each
     instruction continues from the index of the one before.  An engine
-    error names the instruction's number in the program (``instr``)."""
+    error names the instruction's number in the program in its ``where``."""
     if state.layout != prog.layout:
         raise EngineError(
             f"register layout {state.layout} does not match program layout {prog.layout}"
@@ -778,25 +773,20 @@ def run_program(
         try:
             out = run_instruction(state, instr, mode)
         except EngineError as e:
-            e.instr = number
+            add_where(e, f"instruction {number}")
             raise
         outcomes.append(out)
         state = out.final_state
     return state, tuple(outcomes)
 
 
-class RegisterRunError(EngineError):
-    def __init__(self, index: int, cause: Exception):
-        self.index = index
-        self.cause = cause
-        super().__init__(f"register {index}: {cause}")
-
-
 def run_many(
     states: list[RegisterState], prog: Program, mode: Mode = Canonical()
 ) -> list[tuple[RegisterState, tuple[InstructionOutcome, ...]]]:
     """Run one program over many registers; they never interact, so a
-    register equal to an earlier one gets that register's result object."""
+    register equal to an earlier one gets that register's result object.
+    An engine error names the register's index in ``states`` in its
+    ``where``."""
     results = []
     first: dict[RegisterState, tuple[RegisterState, tuple[InstructionOutcome, ...]]] = {}
     for i, st in enumerate(states):
@@ -804,6 +794,7 @@ def run_many(
             try:
                 first[st] = run_program(st, prog, mode)
             except EngineError as e:
-                raise RegisterRunError(i, e) from e
+                add_where(e, f"register {i}")
+                raise
         results.append(first[st])
     return results

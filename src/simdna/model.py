@@ -26,6 +26,13 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def add_where(error: Exception, place: str) -> None:
+    """Put ``place`` first in ``error.where``, the places a failure
+    concerns, outermost first (an input file, a register, an iteration, an
+    instruction); a caller further out adds its own place before them."""
+    error.where = (place, *getattr(error, "where", ()))
+
+
 class Orientation(Enum):
     FORWARD = "fwd"
     REVERSE = "rev"
@@ -93,6 +100,13 @@ class RegisterLayout:
 
     def contains(self, position: int) -> bool:
         return 0 <= position < self.total_positions
+
+
+@lru_cache(maxsize=1024)
+def register_layout(cells: int, domains_per_cell: int) -> RegisterLayout:
+    """The one ``RegisterLayout`` of a geometry: the registers that share it
+    hit the ``bound_set`` cache by identity, without comparing layouts."""
+    return RegisterLayout(cells, domains_per_cell)
 
 
 class _Spec(_Record):
@@ -308,7 +322,7 @@ def _parse_layout(doc, path: str) -> RegisterLayout:
     _expect(doc["domains_per_cell"] >= 2, f"{path}.domains_per_cell", "must be >= 2")
     extra = set(doc) - {"cells", "domains_per_cell"}
     _expect(not extra, path, f"unknown keys {sorted(extra)}")
-    return RegisterLayout(doc["cells"], doc["domains_per_cell"])
+    return register_layout(doc["cells"], doc["domains_per_cell"])
 
 
 def _parse_tokens(doc, path: str, d: int) -> tuple[Token, ...]:
@@ -419,22 +433,20 @@ def parse_register(text: bytes) -> RegisterState:
 def register_from_doc(doc, table: Optional[dict] = None) -> RegisterState:
     """Register from an already decoded JSON document (see parse_register).
 
-    ``table`` decodes each distinct layout and token list once across the
-    documents it is passed with (the states of one trace): it maps a layout's
-    ``(cells, domains_per_cell)`` to that layout and its parsed token lists,
-    each keyed by the ``repr`` of the list's document.  ``repr`` tells ``1``,
-    ``1.0`` and ``true`` apart, and only a list that parsed enters, so a
-    document fails as it would without the table.  Each register keeps one
-    spec per distinct token list of its own: specs shared by a whole trace
-    saved about 4 % of the time of the in-process cli-trace benchmark, but
-    the memory it holds from cycle to cycle grew faster, and its peak RSS
-    rose by 13 %."""
+    ``table`` decodes each distinct token list once across the documents it
+    is passed with (the states of one trace): it maps a layout to its parsed
+    token lists, each keyed by the ``repr`` of the list's document.
+    ``repr`` tells ``1``, ``1.0`` and ``true`` apart, and only a list that
+    parsed enters, so a document fails as it would without the table.  Each
+    register keeps one spec per distinct token list of its own: specs shared
+    by a whole trace saved about 4 % of the time of the in-process cli-trace
+    benchmark, but the memory it holds from cycle to cycle grew faster, and
+    its peak RSS rose by 13 %."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
     layout = _parse_layout(doc["layout"], "$.layout")
-    table = {} if table is None else table
-    layout, parsed = table.setdefault((layout.cells, layout.domains_per_cell), (layout, {}))
+    parsed = {} if table is None else table.setdefault(layout, {})
     specs: dict[str, StrandSpec] = {}
     strands_doc = doc["strands"]
     _expect(isinstance(strands_doc, list), "$.strands", "must be an array")

@@ -136,6 +136,16 @@ def test_run_tm_space_bound_stops_clean(increment_path, capsys):
     assert "off the tape" in err
 
 
+def test_run_tm_notes_a_start_the_register_cannot_show(tmp_path, capsys):
+    # no transition reads the start state's symbol: the head is erased
+    machine = tmp_path / "m.yaml"
+    machine.write_text("start state: a\nhalt state: h\ntable: {a: {1: {write: 0, move: R, next: h}}}\n")
+    assert main(["run-tm", str(machine), "--input", "0", "--cells", "2", "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: initial configuration is not head-representable\n"
+    assert captured.out == "0_\n"
+
+
 def test_check_alias_ok(prog_path, reg_path):
     assert main(["check", str(prog_path), str(reg_path)]) == 0
 

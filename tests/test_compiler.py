@@ -21,7 +21,7 @@ from simdna.compiler import (
     load_program_file,
     serialize_compiled,
 )
-from simdna.model import BoundStrand, Match, Orientation, Ortho, RegisterState
+from simdna.model import BoundStrand, Match, Orientation, Ortho, RegisterState, fwd
 from simdna.tm import TMConfig, TMSpec, TMStatus, parse_tm_spec
 
 
@@ -168,6 +168,17 @@ def test_decode_unrecognized(increment_spec):
     strands = tuple(reg.strands[:-1])  # drop one strand
     with pytest.raises(UnrecognizedPatternError):
         decode_register(increment_spec, scheme, RegisterState(reg.layout, strands))
+
+
+def test_decode_names_the_cell_a_strand_leaves(increment_spec):
+    scheme = build_scheme(increment_spec)
+    reg, _ = encode_config(increment_spec, scheme, TMConfig(("0", "1", "_"), 0, "a"), 3)
+    # binds the last domain of cell 1 and the first of cell 2
+    across = BoundStrand(fwd(Match(scheme.d), Match(1)), 2 * scheme.d - 1)
+    with pytest.raises(UnrecognizedPatternError) as err:
+        decode_register(increment_spec, scheme, RegisterState(reg.layout, (across,)))
+    assert err.value.cell == 1
+    assert str(err.value) == "cell 1: unrecognized strand arrangement: strand crosses a cell boundary"
 
 
 def test_decode_rejects_a_duplicated_strand(increment_spec):

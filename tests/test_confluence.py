@@ -19,10 +19,10 @@ def test_compiled_program_confluent_on_reachable(increment_spec, increment_compi
             configs, _ = reachable_configs(increment_spec, "".join(bits), 4)
             for c in configs:
                 seen[c] = None
-    report = verify_compilation(
+    violations = verify_compilation(
         increment_spec, 4, cp, list(seen), engine.VerifyConfluent(100_000)
     )
-    assert report.ok, report.violations[:3]
+    assert not violations, violations[:3]
 
 
 def test_verify_matches_canonical_per_instruction(increment_spec, increment_compiled_s3):
@@ -46,5 +46,5 @@ def test_random_machine_confluent():
         configs, _ = reachable_configs(spec, x, 3, max_steps=20)
         for c in configs[:6]:
             seen[c] = None
-    report = verify_compilation(spec, 3, cp, list(seen), engine.VerifyConfluent())
-    assert report.ok, report.violations[:3]
+    violations = verify_compilation(spec, 3, cp, list(seen), engine.VerifyConfluent())
+    assert not violations, violations[:3]

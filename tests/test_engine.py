@@ -31,6 +31,7 @@ from simdna.model import (
     RegisterState,
     fwd,
     rev,
+    validate_state,
 )
 
 L6 = RegisterLayout(1, 6)
@@ -298,6 +299,14 @@ def test_run_program_identity_for_empty():
     prog = Program(L6, ())
     final, outcomes = run_program(st, prog)
     assert final == st and outcomes == ()
+
+
+def test_run_program_refuses_a_bound_reverse_strand():
+    st = state(L6, BoundStrand(rev(Match(1), Match(2)), 0))
+    assert validate_state(st) == ["reverse strand bound at offset 0"]
+    with pytest.raises(EngineError) as err:
+        run_program(st, Program(L6, ()))
+    assert str(err.value) == "invalid register: reverse strand bound at offset 0"
 
 
 def test_run_program_layout_mismatch():

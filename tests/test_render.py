@@ -179,6 +179,14 @@ def test_single_outcome_trace_single_panel(increment_spec):
     assert len(re.findall(r">#(\d+) ", svg)) == 1
 
 
+def test_trace_where_nothing_fired_shows_its_first_panel(increment_spec):
+    scenes, counts = _trace_scenes(increment_spec)
+    inert = [i for i, c in enumerate(counts) if c == 0]
+    assert len(inert) > 1
+    svg = render_trace([scenes[i] for i in inert], reaction_counts=[0] * len(inert))
+    assert re.findall(r">#(\d+) ", svg) == [str(inert[0] + 1)]
+
+
 def test_style_table_override(tmp_path, increment_spec):
     style = StyleTable(unit_width=10)
     a = render_svg(encoded_scene(increment_spec))

@@ -2,6 +2,7 @@
 register in the solution at once, with full protection between sublists."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -53,15 +54,15 @@ def test_one_step_simulation_reachable(increment_spec, increment_compiled_s4):
             configs, _ = reachable_configs(increment_spec, "".join(bits), 4)
             for c in configs:
                 seen[c] = None
-    report = verify_compilation(increment_spec, 4, cp, list(seen), engine.Canonical())
-    assert report.ok, report.violations[:3]
+    violations = verify_compilation(increment_spec, 4, cp, list(seen), engine.Canonical())
+    assert not violations, violations[:3]
 
 
 def test_one_step_simulation_every_config_s3(increment_spec, increment_compiled_s3):
     cp = increment_compiled_s3
     configs = _steppable_configs(increment_spec, 3)
-    report = verify_compilation(increment_spec, 3, cp, configs, engine.Canonical())
-    assert report.ok, report.violations[:3]
+    violations = verify_compilation(increment_spec, 3, cp, configs, engine.Canonical())
+    assert not violations, violations[:3]
 
 
 def test_trace_sequence_two_iterations(increment_spec, increment_compiled_s3):
@@ -198,8 +199,8 @@ def test_first_region_left_moves(doc):
     cp = compile_tm(spec, 3)
     configs = _steppable_configs(spec, 3)
     assert configs
-    report = verify_compilation(spec, 3, cp, configs, engine.Canonical())
-    assert report.ok, report.violations[:3]
+    violations = verify_compilation(spec, 3, cp, configs, engine.Canonical())
+    assert not violations, violations[:3]
 
 
 def test_random_machines_one_step():
@@ -212,8 +213,8 @@ def test_random_machines_one_step():
         machines += 1
         cp = compile_tm(spec, 3)
         configs = _steppable_configs(spec, 3)
-        report = verify_compilation(spec, 3, cp, configs, engine.Canonical())
-        assert report.ok, (spec.transitions, report.violations[:3])
+        violations = verify_compilation(spec, 3, cp, configs, engine.Canonical())
+        assert not violations, (spec.transitions, violations[:3])
 
 
 LAST_REGION_RIGHT = b"""
@@ -235,9 +236,8 @@ def test_last_region_right_move():
     key = cp.scheme.transition_order[-1]
     assert spec.transitions[key][2] == "R"
     configs = _steppable_configs(spec, 3)
-    report = verify_compilation(spec, 3, cp, configs, engine.Canonical())
-    assert report.ok, report.violations[:3]
-    assert len(report.entries) == len(configs)
+    violations = verify_compilation(spec, 3, cp, configs, engine.Canonical())
+    assert not violations, violations[:3]
 
 
 def test_run_many_reports_register_index(increment_spec, increment_compiled_s3):
@@ -248,9 +248,27 @@ def test_run_many_reports_register_index(increment_spec, increment_compiled_s3):
     from simdna.model import RegisterLayout, RegisterState
 
     wrong_layout = RegisterState(RegisterLayout(2, 18), ())
-    with pytest.raises(engine.RegisterRunError) as err:
+    with pytest.raises(engine.EngineError) as err:
         engine.run_many([good, wrong_layout], cp.program)
-    assert err.value.index == 1
+    assert err.value.where == ("register 1",)
+    assert str(err.value).startswith("register layout ")
+
+
+def test_violations_name_their_configurations(increment_spec, increment_compiled_s3):
+    """Without its final deprotect, the program leaves a post-plug on every
+    register whose next configuration shows a head, so exactly those no
+    longer decode."""
+    cp = increment_compiled_s3
+    configs = _steppable_configs(increment_spec, 3)
+    program = dataclasses.replace(cp.program, instructions=cp.program.instructions[:-1])
+    violations = verify_compilation(increment_spec, 3, dataclasses.replace(cp, program=program), configs)
+    nexts = [tm_step(increment_spec, c) for c in configs]
+    plugged = [
+        c for c, n in zip(configs, nexts) if not n.is_terminal and increment_spec.defined(n.state, n.tape[n.head])
+    ]
+    assert 0 < len(violations) == len(plugged) < len(configs)
+    for config, violation in zip(plugged, violations):
+        assert violation.startswith(f"{config}: decode failed: cell ")
 
 
 def test_random_machines_terminal_inertness():

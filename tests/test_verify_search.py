@@ -468,24 +468,38 @@ def test_search_errors_name_the_instruction():
     with pytest.raises(NonConfluentError) as err:
         run_instruction(st, RACE, VerifyConfluent())
     assert err.value.label == "race" and "'race'" in str(err.value)
-    assert err.value.instr is None
+    assert not hasattr(err.value, "where")
+    bare = str(err.value)
     with pytest.raises(StateBudgetExceededError) as err:
         run_instruction(st, RACE, VerifyConfluent(max_states=1))
     assert err.value.label == "race" and "'race'" in str(err.value)
-    # run_program adds the instruction's number in the program, from 1
+    # run_program names the instruction's number in the program, from 1, in
+    # ``where``; the message stays the instruction's own
     prog = Program(L6, (Instruction((), "noop"), RACE))
     with pytest.raises(NonConfluentError) as err:
         engine.run_program(st, prog, VerifyConfluent())
-    assert err.value.instr == 2 and str(err.value).startswith("instruction 2: ")
+    assert err.value.where == ("instruction 2",) and str(err.value) == bare
     with pytest.raises(StateBudgetExceededError) as err:
         engine.run_program(st, prog, VerifyConfluent(max_states=1))
-    assert err.value.instr == 2 and "instruction 2: " in str(err.value)
+    assert err.value.where == ("instruction 2",) and "instruction 2" not in str(err.value)
     loop = Instruction((fwd(Match(2), Match(3), Match(4)), fwd(Match(3), Match(4), Match(5))), "loop")
     for mode in (Canonical(), VerifyConfluent()):
-        with pytest.raises(EngineError, match="reaction loop") as err:
+        with pytest.raises(EngineError, match="^reaction loop") as err:
             engine.run_program(st, Program(L6, (Instruction(()), loop)), mode)
-        assert err.value.instr == 2 and "instruction 2: " in str(err.value)
+        assert err.value.where == ("instruction 2",)
         assert type(err.value) is EngineError
+
+
+def test_run_many_raises_the_registers_own_error():
+    """``run_many`` raises the failing run's own error, with the register's
+    index in ``states`` before the instruction's number."""
+    covered = RegisterState(L6, (BoundStrand(fwd(*map(Match, range(1, 7))), 0),))  # RACE is inert on it
+    st = RegisterState(L6, (INCUMBENT,))
+    prog = Program(L6, (Instruction((), "noop"), RACE))
+    with pytest.raises(NonConfluentError) as err:
+        engine.run_many([covered, st], prog, VerifyConfluent())
+    assert err.value.where == ("register 1", "instruction 2")
+    assert err.value.label == "race"
 
 
 def test_apply_reaction_rejects_what_cannot_apply():
