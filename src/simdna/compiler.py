@@ -36,6 +36,7 @@ from .model import (
     Program,
     RegisterState,
     StrandSpec,
+    add_where,
     fwd,
     parse_program,
     program_doc,
@@ -659,14 +660,19 @@ def verify_compilation(
 ) -> list[str]:
     """Check the construction's one-step claim on explicit configurations;
     returns the violations, each starting with the configuration it
-    concerns, and so empty when the claim holds.
+    concerns, and so empty when the claim holds.  An engine error names the
+    configuration, then the instruction, in its ``where``.
 
     Configurations with a defined transition must advance exactly as tm_step
     does; terminal or head-erased ones must be left byte-identical."""
     violations = []
     for config in inputs:
         reg, _ = encode_config(spec, compiled.scheme, config, s)
-        final, _ = engine.run_program(reg, compiled.program, mode)
+        try:
+            final, _ = engine.run_program(reg, compiled.program, mode)
+        except engine.EngineError as e:
+            add_where(e, str(config))
+            raise
         if not _steppable(spec, config):
             if final != reg:
                 violations.append(f"{config}: terminal register was modified by the program")

@@ -252,8 +252,9 @@ def _find(needle: tuple, haystack: tuple) -> int:
 
 class _Species:
     """One instruction's species, arranged for the search: each register
-    domain with the forward (species, token index) pairs that match it, and
-    which reverse species carry off a bound strand of a given spec (filled on
+    domain with the forward (species, token index) pairs that match it, which
+    reverse species carry off a bound strand of a given spec, and the
+    alignments that cover each position of a layout (both filled on
     demand)."""
 
     def __init__(self, instr: Instruction):
@@ -267,6 +268,7 @@ class _Species:
         # kept for the life of the process (``_species``): tuples take less memory
         self.by_domain = {dom: tuple(pairs) for dom, pairs in by_domain.items()}
         self._removers: dict[StrandSpec, tuple[StrandSpec, ...]] = {}
+        self._covering: dict[RegisterLayout, dict[int, tuple[frozenset[int], ...]]] = {}
 
     def removers(self, spec: StrandSpec) -> tuple[StrandSpec, ...]:
         """Reverse species that grab a bound strand of ``spec``: they carry its
@@ -277,6 +279,22 @@ class _Species:
             if spec.has_ortho:
                 found = tuple(rv for rv in self.reverse if _find(spec.tokens, rv.tokens) >= 0)
             self._removers[spec] = found
+        return found
+
+    def covering(self, layout: RegisterLayout) -> dict[int, tuple[frozenset[int], ...]]:
+        """The matched sets of the forward alignments over each position of
+        ``layout``, those of two positions or more (a strand binds at least
+        two).  They depend on the layout alone, not on the register."""
+        found = self._covering.get(layout)
+        if found is None:
+            d = layout.domains_per_cell
+            by_position: dict[int, list[frozenset[int]]] = {}
+            for p in range(layout.total_positions):
+                for spec, j in self.by_domain.get(p % d + 1, ()):
+                    M = bound_set(layout, spec, p - j)
+                    if len(M) >= 2:
+                        by_position.setdefault(p, []).append(M)
+            found = self._covering[layout] = {p: tuple(ms) for p, ms in by_position.items()}
         return found
 
 
@@ -609,14 +627,7 @@ def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
     later binds positions that were unbound, or freed by the strand it
     replaced.)  Every footprint is a chain of overlapping live alignments
     and strands that may leave; the parts are their connected groups."""
-    layout = ix.layout
-    d = layout.domains_per_cell
-    covering: dict[int, list[frozenset[int]]] = {}
-    for p in range(layout.total_positions):
-        for spec, j in sp.by_domain.get(p % d + 1, ()):
-            M = bound_set(layout, spec, p - j)
-            if len(M) >= 2:  # a strand binds at least two positions
-                covering.setdefault(p, []).append(M)
+    covering = sp.covering(ix.layout)
     may_leave = {bs for spec, group in ix.by_spec.items() if sp.removers(spec) for bs in group}
     may_free = set(ix.unbound).union(*(ix.bound_of[bs] for bs in may_leave))
     live: set[frozenset[int]] = set()
@@ -645,13 +656,30 @@ def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
     return {p: root(p) for p in parent}
 
 
+def _toggle(delta: set[BoundStrand], r: Reaction) -> None:
+    """Fire or undo ``r`` on ``delta``, the strands in which the index's
+    state differs from the search's entry state: each strand ``r`` adds or
+    removes enters ``delta`` or leaves it.  Those are the strands added and
+    the strands removed since entry, which never share a strand, so two
+    states of one search are equal exactly when their deltas are."""
+    delta.symmetric_difference_update(r.removed)
+    delta.symmetric_difference_update(r.added)
+
+
 def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: str):
-    """Every final state reachable from ``state``, with one reaction order
-    to each, in the order found, and whether the canonical run loops.  The
-    search runs depth first on ``firing``, which ends where it started.  It
-    fires the least reaction first and undoes one at once if its state was
-    seen, else after that subtree.  Until its first undo it is the canonical
-    run: the first final state is its outcome, a state seen again its loop.
+    """Every final state reachable from ``state``, as outcomes with one
+    reaction order to each, in the order found; whether the canonical run
+    loops; and the path of reactions from ``state`` to where the search left
+    ``firing``'s index.  The search runs depth first on ``firing``.  It fires
+    the least reaction first and undoes one at once if its state was seen,
+    else after that subtree.  Until its first undo it is the canonical run:
+    the first final state is its outcome, a state seen again its loop.  It
+    stops as soon as only undos are left to do, so a search that never
+    branches ends at its outcome, with the outcome's order as its path.
+
+    A state is keyed by its delta from ``state`` (``_toggle``), which costs
+    the reactions fired, not the register; only a final state is built as a
+    ``RegisterState``.
 
     The search is reduced with stubborn sets (Valmari 1990; Godefroid,
     LNCS 1032, 1996): a state expands only the reactions in the part
@@ -664,40 +692,45 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
     distinct states."""
     index, live = firing.index, firing.live
     parts: dict[int, int] = {}
-    seen = {state}
-    finals: dict[RegisterState, tuple[Reaction, ...]] = {}
+    delta: set[BoundStrand] = set()
+    key = frozenset()
+    seen = {key}
+    finals: dict[frozenset[BoundStrand], InstructionOutcome] = {}
     path: list[Reaction] = []
     stack: list[Reaction | None] = []  # reactions to try, the least on top; None: undo
-    cur, canonical, loops = state, True, False
+    canonical, loops = True, False
     while True:
-        if cur is not None:  # a new state: a final one, or one to expand
+        if key is not None:  # a new state: a final one, or one to expand
             ranked = sorted(live.items(), key=itemgetter(1))
             if not ranked:
-                finals[cur] = tuple(path)
+                finals[key] = InstructionOutcome(index.state() if path else state, tuple(path))
             elif len(ranked) > 1:
                 if not parts:
                     parts = _parts(index, firing.species)
                 least = parts[ranked[0][1][0]]  # the least position a reaction binds or frees
                 ranked = [item for item in ranked if parts[item[1][0]] == least]
             stack.extend(x for x, _ in reversed(ranked))
-        if not stack:
-            return finals, loops
+        if len(stack) == len(path):  # each undo marker pairs with a step of the path
+            return list(finals.values()), loops, path
         x = stack.pop()
         if x is None:
-            firing.undo(path.pop())
-            cur, canonical = None, False
+            x = path.pop()
+            firing.undo(x)
+            _toggle(delta, x)
+            key, canonical = None, False
             continue
         firing.fire(x)
+        _toggle(delta, x)
         path.append(x)
         stack.append(None)
-        cur = index.state()
-        if cur in seen:
+        key = frozenset(delta)
+        if key in seen:
             loops |= canonical
-            cur = None
+            key = None
         elif len(seen) >= max_states:
             raise StateBudgetExceededError(max_states, label)
         else:
-            seen.add(cur)
+            seen.add(key)
 
 
 # The last final state ``run_instruction`` returned, with the index it left
@@ -733,23 +766,27 @@ def run_instruction(
     indexed anew.  An instruction with no reaction (``_inert``) returns
     ``state`` itself, as both modes would.  Otherwise ``VerifyConfluent``
     searches every final state; its first branch is the canonical run, which
-    must end, without looping, in the unique one: the outcome."""
+    must end, without looping, in the unique one: the outcome.  A search
+    that never branched leaves the index at the outcome; any other is moved
+    there by undoing its path and applying the outcome's reactions."""
     index = _take_index(state)
     if _inert(index, _species(instr)):
         _hand_off(state, index)
         return InstructionOutcome(state, ())
     firing = _Firing(state, instr, index)
     if isinstance(mode, VerifyConfluent):
-        finals, loops = _deadlocks(state, firing, mode.max_states, instr.label)
+        finals, loops, path = _deadlocks(state, firing, mode.max_states, instr.label)
         if len(finals) > 1:
-            (b, order_b), (a, order_a) = list(finals.items())[:2]  # b: the canonical run's
-            raise NonConfluentError(a, order_a, b, order_b, instr.label)
+            b, a = finals[:2]  # b: the canonical run's
+            raise NonConfluentError(a.final_state, a.applied, b.final_state, b.applied, instr.label)
         if loops:
             raise EngineError(_LOOP.format(instr.label))
-        [(final, applied)] = finals.items()
-        for r in applied:  # the search ended at ``state``
-            index.apply(r.removed, r.added)
-        out = InstructionOutcome(final, applied)
+        [out] = finals
+        if tuple(path) != out.applied:  # the search ended away from the outcome
+            for r in reversed(path):
+                index.apply(r.added, r.removed)
+            for r in out.applied:
+                index.apply(r.removed, r.added)
     else:
         out = _canonical_run(firing, state, instr.label)
     _hand_off(out.final_state, index)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
 from generators import random_tm
 
 from simdna import engine
@@ -48,3 +49,10 @@ def test_random_machine_confluent():
             seen[c] = None
     violations = verify_compilation(spec, 3, cp, list(seen), engine.VerifyConfluent())
     assert not violations, violations[:3]
+
+
+def test_verify_compilation_names_the_failing_configuration(increment_spec, increment_compiled_s3):
+    configs, _ = reachable_configs(increment_spec, "01", 3)
+    with pytest.raises(engine.StateBudgetExceededError) as err:
+        verify_compilation(increment_spec, 3, increment_compiled_s3, configs, engine.VerifyConfluent(1))
+    assert err.value.where == (str(configs[0]), "instruction 1")

@@ -179,10 +179,21 @@ def _chain_keeps_a_fresh_index(registers, instructions, mode) -> int:
     return reactions
 
 
-def test_search_leaves_the_run_index_equal_to_a_fresh_one(increment_spec, increment_compiled_s3):
+def test_search_leaves_the_run_index_equal_to_a_fresh_one(monkeypatch, increment_spec, increment_compiled_s3):
     cp = increment_compiled_s3
     registers = _incrementor_registers(increment_spec, cp)
     assert _chain_keeps_a_fresh_index(registers, cp.program.instructions, VerifyConfluent()) > 100
+    # count the searches that end away from their outcome, so that the
+    # index is moved back to it
+    away = []
+    search = engine._deadlocks
+
+    def counted(*args):
+        finals, loops, path = search(*args)
+        away.append(len(finals) == 1 and tuple(path) != finals[0].applied)
+        return finals, loops, path
+
+    monkeypatch.setattr(engine, "_deadlocks", counted)
     rng = random.Random(5150)
     fired = 0
     for _ in range(600):
@@ -196,6 +207,43 @@ def test_search_leaves_the_run_index_equal_to_a_fresh_one(increment_spec, increm
         _assert_index_is_fresh(engine._handoff["last"][1], out.final_state)
         fired += bool(out.applied)
     assert fired > 150
+    assert sum(away) > 20
+
+
+def test_delta_key_is_equal_exactly_when_the_state_is():
+    # random walks of fires and undos on one index, as the search makes
+    # them: two states of one walk have equal keys exactly when they are
+    # equal, also when different orders reach them
+    rng = random.Random(2718)
+    revisits = reordered = 0
+    for _ in range(800):
+        st = random_state(rng)
+        instr = random_instruction(rng, st)
+        index = engine._Index.validated(st)
+        firing = engine._Firing(st, instr, index)
+        delta, path = set(), []
+        by_key, by_state = {frozenset(): (st, ())}, {st: frozenset()}
+        for _ in range(16):
+            if path and (not firing.live or rng.random() < 0.4):
+                r = path.pop()
+                firing.undo(r)
+            elif firing.live:
+                r = rng.choice(sorted(firing.live, key=firing.live.__getitem__))
+                firing.fire(r)
+                path.append(r)
+            else:
+                break
+            engine._toggle(delta, r)
+            key, cur = frozenset(delta), index.state()
+            assert by_state.setdefault(cur, key) == key, (st, instr, path)
+            if key in by_key:
+                first_state, first_path = by_key[key]
+                assert first_state == cur, (st, instr, path)
+                revisits += 1
+                reordered += first_path != tuple(path)
+            else:
+                by_key[key] = (cur, tuple(path))
+    assert revisits > 3000 and reordered > 200
 
 
 def test_canonical_run_hands_off_a_fresh_index(increment_spec, increment_compiled_s3):
@@ -293,9 +341,9 @@ def test_reduced_budget_boundary():
             full_search(st, instr, 2**K - 1)
 
 
-def test_verified_run_fires_and_builds_each_state_once(monkeypatch):
-    # the first branch of the search is the canonical run and gives the
-    # outcome: no successor is probed and no reaction is fired again
+def _count_search_calls(monkeypatch) -> collections.Counter:
+    """Counts the calls of ``_Firing.fire``, ``_Firing.undo`` and
+    ``_Index.state`` from here on."""
     calls = collections.Counter()
 
     def counted(name, method):
@@ -306,13 +354,22 @@ def test_verified_run_fires_and_builds_each_state_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(engine._Firing, "fire", counted("fire", engine._Firing.fire))
+    monkeypatch.setattr(engine._Firing, "undo", counted("undo", engine._Firing.undo))
     monkeypatch.setattr(engine._Index, "state", counted("state", engine._Index.state))
+    return calls
+
+
+def test_verified_run_fires_and_builds_each_state_once(monkeypatch):
+    # the first branch of the search is the canonical run and gives the
+    # outcome: no successor is probed, no reaction is fired again or undone,
+    # and only the final state is built
+    calls = _count_search_calls(monkeypatch)
     empty = RegisterState(K_STRANDS.layout, ())
     for st, instr in ((K_STRANDS, K_DETACHES), (empty, K_ATTACHES)):
         calls.clear()
         out = run_instruction(st, instr, VerifyConfluent())
         assert len(out.applied) == K
-        assert calls == {"fire": K, "state": K}
+        assert calls == {"fire": K, "state": 1}
 
 
 def test_failed_search_leaves_no_stale_index():
@@ -335,15 +392,20 @@ def _papermachine():
     return module
 
 
-def test_paper_scale_pass_verifies_under_the_default_budget():
-    # t = 32, d = 72, s = 4: the left-moving transition whose sublist
-    # detaches 32 strands in one instruction and attaches 33 in the next
+def _paper_pass():
+    """t = 32, d = 72, s = 4: the machine, its program, and the register of
+    the left-moving transition whose sublist detaches 32 strands in one
+    instruction and attaches 33 in the next, with its configuration."""
     pm = _papermachine()
     spec = parse_tm_spec(pm.machine_document(pm.MACHINE_SEED))
     cp = compile_tm(spec, 4)
     assert (cp.scheme.t, cp.scheme.d) == (32, 72)
     config = pm.left_move_config(spec, list(cp.scheme.transition_order), 4, random.Random(0))
-    st = encode_config(spec, cp.scheme, config, 4)[0]
+    return spec, cp, config, encode_config(spec, cp.scheme, config, 4)[0]
+
+
+def test_paper_scale_pass_verifies_under_the_default_budget():
+    spec, cp, config, st = _paper_pass()
     widest = 0
     for instr in cp.program.instructions:
         out = run_instruction(st, instr, VerifyConfluent())
@@ -351,6 +413,22 @@ def test_paper_scale_pass_verifies_under_the_default_budget():
         st = out.final_state
     assert widest >= 32
     assert configs_equivalent(spec, tm_step(spec, config), decode_register(spec, cp.scheme, st))
+
+
+def test_paper_pass_search_never_branches(monkeypatch):
+    # every reacting instruction of the pass has one reaction order to
+    # search: the search fires what the canonical run fires, undoes
+    # nothing and builds one state, the outcome
+    _, cp, _, st = _paper_pass()
+    calls = _count_search_calls(monkeypatch)
+    applied = reacting = 0
+    for instr in cp.program.instructions:
+        out = run_instruction(st, instr, VerifyConfluent(500))
+        applied += len(out.applied)
+        reacting += bool(out.applied)
+        st = out.final_state
+    assert reacting >= 10 and applied > 100
+    assert calls == {"fire": applied, "state": reacting}
 
 
 def _budget_boundary(st, instr):
@@ -410,8 +488,8 @@ def test_reduced_search_finds_the_final_states_of_the_full_one(increment_spec, i
 
 def _reduced_finals(st, instr):
     firing = engine._Firing(st, instr, engine._Index.validated(st))
-    finals, _loops = engine._deadlocks(st, firing, 100_000, instr.label)
-    return finals
+    finals, _loops, _path = engine._deadlocks(st, firing, 100_000, instr.label)
+    return {out.final_state: out.applied for out in finals}
 
 
 @pytest.fixture(scope="module")
