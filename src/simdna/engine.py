@@ -88,18 +88,33 @@ class Reaction:
     ``added`` strands bind (both are built once, with the reaction), and
     ``actors`` are the (species, offset) alignments that act.  Reactions are
     ordered by the leftmost position they bind (or free, when nothing
-    binds), then by the rule's ``rank``, then by ``tie_break()``.  ``doc()``
-    is the reaction's trace JSON.
+    binds), then by the rule's ``rank``, then by ``tie_break()``
+    (``_order_key``).  ``doc()`` is the reaction's trace JSON.
+
+    A reaction the engine finds also carries, from the bound sets its search
+    already holds (``_found``), its ``footprint``: the matched positions of
+    the strands it adds and the bound sets of those it removes; and its
+    ``key``, equal to ``_order_key``.  Neither takes part in equality.
     """
 
     rule: ClassVar[str]
     rank: ClassVar[int]
     removed: tuple[BoundStrand, ...] = ()
     added: tuple[BoundStrand, ...] = ()
+    footprint: frozenset[int]
+    key: tuple
 
     @property
     def actors(self) -> tuple[tuple[StrandSpec, int], ...]:
         return tuple((bs.spec, bs.offset) for bs in self.added)
+
+
+def _found(r: Reaction, footprint: frozenset[int], pos: int) -> Reaction:
+    """``r`` with its ``footprint`` and its order key, whose least position
+    is ``pos``: ``_order_key(r, layout)`` without looking up a bound set."""
+    object.__setattr__(r, "footprint", footprint)
+    object.__setattr__(r, "key", (pos, r.rank, r.tie_break()))
+    return r
 
 
 def _placed_doc(spec: StrandSpec, offset: int) -> dict:
@@ -313,7 +328,8 @@ class _Index:
     positions in order, each strand's bound set, the strands of each spec
     that carries an overhang (only those can be grabbed, see
     ``_Species.removers``), and the strands in canonical order (by offset,
-    then spec)."""
+    then spec).  The domains of the unbound positions (``exposed``) are
+    drawn on demand and kept until the next delta."""
 
     def __init__(self, state: RegisterState):
         self.layout = state.layout
@@ -329,6 +345,7 @@ class _Index:
             for p in bound:
                 self.owner[p] = bs
         self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
+        self._exposed: set[int] | None = None
 
     @classmethod
     def validated(cls, state: RegisterState) -> "_Index":
@@ -342,18 +359,27 @@ class _Index:
     def state(self) -> RegisterState:
         return RegisterState.presorted(self.layout, tuple(self.strands))
 
+    def exposed(self) -> set[int]:
+        """The domains that the unbound positions carry."""
+        if self._exposed is None:
+            d = self.layout.domains_per_cell
+            self._exposed = {p % d + 1 for p in self.unbound}
+        return self._exposed
+
     def apply(self, removed, added) -> set[int]:
         """Apply one delta (a reaction is ``r.removed, r.added``, its undo
         ``r.added, r.removed``), checking the invariants of ``validate_state``
         only where it lands (a valid state plus a valid delta is a valid
         state).  Returns the positions it bound or freed."""
+        owner = self.owner
+        self._exposed = None
         changed = set()
         for bs in removed:
             bound = self.bound_of.pop(bs, None)
             if bound is None:
                 raise InapplicableReactionError(f"incumbent not present: {bs}")
             for p in bound:
-                del self.owner[p]
+                del owner[p]
                 insort(self.unbound, p)
             if bs.spec.has_ortho:
                 group = self.by_spec[bs.spec]
@@ -365,13 +391,14 @@ class _Index:
             changed |= bound
         for bs in added:
             bound = bound_set(self.layout, bs.spec, bs.offset)
-            bad = strand_violations(bs, bound, self.owner)
-            if bad:
+            # the invariants of ``strand_violations``, which words the error
+            if not (bs.spec.is_forward and len(bound) >= 2 and owner.keys().isdisjoint(bound)):
+                bad = strand_violations(bs, bound, owner)
                 raise InapplicableReactionError(
                     f"binding {bs} makes an invalid state: {'; '.join(bad)}"
                 )
             for p in bound:
-                self.owner[p] = bs
+                owner[p] = bs
                 del self.unbound[bisect_left(self.unbound, p)]
             self.bound_of[bs] = bound
             if bs.spec.has_ortho:
@@ -404,11 +431,10 @@ def _inert(ix: _Index, sp: _Species) -> bool:
     no unbound position carries a domain that a forward species matches,
     and no strand with an overhang has a remover.  Every forward rule needs
     an unbound matched position (see ``_candidates``) and a detach needs a
-    remover, so then ``applicable_reactions`` is empty.  Costs the unbound
-    positions and the specs of ``by_spec``, not the register's specs."""
-    d = ix.layout.domains_per_cell
-    by_domain = sp.by_domain
-    if any(p % d + 1 in by_domain for p in ix.unbound):
+    remover, so then ``applicable_reactions`` is empty.  Costs one set test
+    against the index's exposed domains, drawn once per register state, and
+    the specs of ``by_spec``, not the register's specs."""
+    if not sp.by_domain.keys().isdisjoint(ix.exposed()):
         return False
     return not (sp.reverse and any(map(sp.removers, ix.by_spec)))
 
@@ -422,7 +448,7 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
     overlap = {p for p in M if p in owner}
     if not overlap:
         if any(p + 1 in M for p in M):
-            return (Attach(spec, offset),), None
+            return (_found(Attach(spec, offset), M, min(M)),), None
         return (), None
 
     incumbents = {owner[p] for p in overlap}
@@ -437,7 +463,8 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
         run = next((r for r in runs if inc_bound <= set(r)), None)
         if run is not None and any(p not in owner for p in run):
             if not (inc.spec == spec and inc.offset == offset):
-                return (Displace(inc, spec, offset),), None
+                # M holds all of inc_bound, so it is the whole footprint
+                return (_found(Displace(inc, spec, offset), M, min(M)),), None
         return (), None
 
     found = ()
@@ -453,7 +480,7 @@ def _alignment(ix: _Index, spec: StrandSpec, offset: int):
         else:
             toeholds = [p for p in run if p not in owner and p > hi]
         if toeholds:
-            found = (ToeholdExchange(inc, spec, offset),)
+            found = (_found(ToeholdExchange(inc, spec, offset), M | inc_bound, min(M)),)
 
     run = next((r for r in runs if overlap <= set(r)), None)
     if run is None:
@@ -475,27 +502,16 @@ def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[React
     out: list[Reaction] = []
     left: dict[BoundStrand, list] = {}
     right: dict[BoundStrand, list] = {}
-
-    def survey(alignments) -> None:
-        for spec, offset in alignments:
-            found, flank = _alignment(ix, spec, offset)
-            out.extend(found)
-            if flank is not None:
-                inc, M, cover, is_left, is_right = flank
-                if is_left:
-                    left.setdefault(inc, []).append((spec, offset, M, cover))
-                if is_right:
-                    right.setdefault(inc, []).append((spec, offset, M, cover))
-
     near = _candidates(ix, sp, lo - 1, hi + 1)
-    survey(near)
+    _survey(ix, near, out, left, right)
+    if not (left or right):
+        return out
     # complete the flank lists of the incumbents flanked near the window
     scope = set(left) | set(right)
-    if scope:
-        a = min(min(ix.bound_of[inc]) for inc in scope) - 1
-        b = max(max(ix.bound_of[inc]) for inc in scope) + 1
-        if a < lo - 1 or b > hi + 1:
-            survey(_candidates(ix, sp, a, b) - near)
+    a = min(min(ix.bound_of[inc]) for inc in scope) - 1
+    b = max(max(ix.bound_of[inc]) for inc in scope) + 1
+    if a < lo - 1 or b > hi + 1:
+        _survey(ix, _candidates(ix, sp, a, b) - near, out, left, right)
     for inc in scope:
         inc_bound = ix.bound_of[inc]
         for lspec, loff, lM, lcover in left.get(inc, ()):
@@ -504,16 +520,38 @@ def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[React
                     continue
                 if lcover | rcover != inc_bound:
                     continue
-                out.append(Cooperative(inc, lspec, loff, rspec, roff))
+                joint = lM | rM  # holds inc_bound, which the covers make up
+                out.append(_found(Cooperative(inc, lspec, loff, rspec, roff), joint, min(joint)))
     return out
 
 
-def _detaches(sp: _Species, groups) -> list[Detach]:
+def _survey(ix: _Index, alignments, out: list[Reaction], left: dict, right: dict) -> None:
+    """Add the reactions of each (spec, offset) alignment to ``out``, and its
+    cooperative flank to the lists of its incumbent in ``left`` or
+    ``right``, by the side of its toehold."""
+    for spec, offset in alignments:
+        found, flank = _alignment(ix, spec, offset)
+        out += found
+        if flank is not None:
+            inc, M, cover, is_left, is_right = flank
+            if is_left:
+                left.setdefault(inc, []).append((spec, offset, M, cover))
+            if is_right:
+                right.setdefault(inc, []).append((spec, offset, M, cover))
+
+
+def _detaches(ix: _Index, sp: _Species, groups) -> list[Detach]:
     """Detach reactions of the bound strands in ``groups``, (spec, strands)
     pairs."""
     if not sp.reverse:
         return []
-    return [Detach(bs, rv) for spec, strands in groups for rv in sp.removers(spec) for bs in strands]
+    bound_of = ix.bound_of
+    return [
+        _found(Detach(bs, rv), bound_of[bs], min(bound_of[bs]))
+        for spec, strands in groups
+        for rv in sp.removers(spec)
+        for bs in strands
+    ]
 
 
 def applicable_reactions(
@@ -523,12 +561,14 @@ def applicable_reactions(
     ``index`` is the state's occupancy index when the caller keeps one."""
     ix = _Index(state) if index is None else index
     sp = _species(instr)
-    out = set(_detaches(sp, ix.by_spec.items()))
+    out = set(_detaches(ix, sp, ix.by_spec.items()))
     out.update(_forward_reactions(ix, sp, 0, state.layout.total_positions - 1))
     return out
 
 
 def _order_key(r: Reaction, layout: RegisterLayout) -> tuple:
+    """The order in which the engine takes reactions, from the bound sets of
+    ``layout``; a reaction the engine finds carries it as ``key``."""
     pos = min(
         min(bound_set(layout, bs.spec, bs.offset), default=0)
         for bs in r.added or r.removed
@@ -548,28 +588,26 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
 class _Firing:
     """One instruction's reactions on an index, fired (and, for the
     confluence search, undone) one at a time.  ``live`` maps every reaction
-    that applies to the index's current state to its sort key.  A reaction
-    depends only on the occupancy of its footprint: the matched positions of
-    the strands it adds and the bound sets of those it removes.  After each
-    step exactly the reactions whose footprint meets the changed positions
-    are stale (a strand's positions change only when it leaves, and no
-    reaction removes and adds one strand); only around them is searched."""
+    that applies to the index's current state to its sort key, the ``key``
+    it was found with.  A reaction depends only on the occupancy of its
+    ``footprint``: the matched positions of the strands it adds and the
+    bound sets of those it removes.  After each step exactly the reactions
+    whose footprint meets the changed positions are stale (a strand's
+    positions change only when it leaves, and no reaction removes and adds
+    one strand); only around them is searched, so a step costs the
+    alignments near what it changed, not the register."""
 
     def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
         self.index = index
         self.species = _species(instr)
         self.live: dict[Reaction, tuple] = {}
-        self._footprint: dict[Reaction, frozenset[int]] = {}
         self._admit(applicable_reactions(state, instr, index))
 
     def _admit(self, reactions) -> None:
-        layout = self.index.layout
+        live = self.live
         for r in reactions:
-            if r not in self.live:
-                self.live[r] = _order_key(r, layout)
-                self._footprint[r] = frozenset().union(
-                    *(bound_set(layout, bs.spec, bs.offset) for bs in (*r.added, *r.removed))
-                )
+            if r not in live:
+                live[r] = r.key
 
     def fire(self, r: Reaction) -> None:
         """Apply one live reaction and bring ``live`` up to date."""
@@ -582,11 +620,11 @@ class _Firing:
     def _step(self, removed, added) -> None:
         # any delta: what it changed is all a reaction can newly need or lose
         changed = self.index.apply(removed, added)
-        stale = [x for x, footprint in self._footprint.items() if not changed.isdisjoint(footprint)]
-        for x in stale:
-            del self.live[x], self._footprint[x]
+        live = self.live
+        for x in [x for x in live if not changed.isdisjoint(x.footprint)]:
+            del live[x]
         self._admit(_forward_reactions(self.index, self.species, min(changed), max(changed)))
-        self._admit(_detaches(self.species, ((bs.spec, (bs,)) for bs in added)))
+        self._admit(_detaches(self.index, self.species, ((bs.spec, (bs,)) for bs in added)))
 
 
 def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> InstructionOutcome:

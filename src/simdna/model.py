@@ -253,7 +253,9 @@ def validate_state(state: RegisterState) -> list[str]:
     seen: dict[int, BoundStrand] = {}
     for bs in state.strands:
         bound = bs.bound_positions(layout)
-        violations += strand_violations(bs, bound, seen)
+        # the invariants of ``strand_violations``, which words what is broken
+        if not (bs.spec.is_forward and len(bound) >= 2 and seen.keys().isdisjoint(bound)):
+            violations += strand_violations(bs, bound, seen)
         for p in bound:
             seen.setdefault(p, bs)
     return violations

@@ -3,7 +3,9 @@
 After every reaction, a canonical run re-searches only around the positions
 the reaction changed.  At every step of such runs the reaction set it keeps
 must equal ``applicable_reactions`` on the current state, which itself must
-equal the brute-force enumerator on random states.
+equal the brute-force enumerator on random states; each kept reaction's key
+and footprint must equal their definitions, and the index's exposed domains
+their recomputation.
 """
 from __future__ import annotations
 
@@ -25,6 +27,24 @@ from simdna.model import BoundStrand, Match, Program, RegisterLayout, RegisterSt
 BRUTE_ORACLE_SHA256 = "e0a4782c9d50543fe34f37b6a8e53728cd1584be5432cb913d856630726c2b15"
 
 
+def _check_kept(firing, cur, instr):
+    """The key and footprint each kept reaction was found with against
+    ``_order_key`` and the bound sets of its strands, the index's exposed
+    domains against the unbound positions of ``cur``, and an inert verdict
+    against the brute-force enumerator."""
+    layout = cur.layout
+    for r, key in firing.live.items():
+        assert key == r.key == engine._order_key(r, layout), r
+        strands = (*r.added, *r.removed)
+        assert r.footprint == frozenset().union(*(bs.bound_positions(layout) for bs in strands)), r
+    bound = set().union(*(bs.bound_positions(layout) for bs in cur.strands))
+    d = layout.domains_per_cell
+    unbound = set(range(layout.total_positions)) - bound
+    assert firing.index.exposed() == {p % d + 1 for p in unbound}
+    if engine._inert(firing.index, firing.species):
+        assert brute_force_reactions(cur, instr) == set(), (cur, instr)
+
+
 def _fire(state, instr, max_steps=200, brute=False, rng=None):
     """Run one instruction, checking the kept reaction set at every step;
     returns the number of steps checked.  Fires in canonical order, or in a
@@ -44,6 +64,7 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None):
         )
         if brute:
             assert scratch == brute_force_reactions(cur, instr)
+        _check_kept(firing, cur, instr)
         if not firing.live or steps == max_steps:
             return steps
         order = sorted(firing.live, key=firing.live.__getitem__)
@@ -84,6 +105,7 @@ def test_kept_reactions_match_scratch_after_undo():
                 break
             cur = index.state()
             assert set(firing.live) == brute_force_reactions(cur, instr), (cur, instr)
+            _check_kept(firing, cur, instr)
             steps += 1
         while path:
             firing.undo(path.pop())

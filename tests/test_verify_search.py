@@ -35,7 +35,18 @@ from simdna.engine import (
     VerifyConfluent,
     run_instruction,
 )
-from simdna.model import BoundStrand, Instruction, Match, Ortho, Program, RegisterLayout, RegisterState, fwd, rev
+from simdna.model import (
+    BoundStrand,
+    Instruction,
+    Match,
+    Ortho,
+    Program,
+    RegisterLayout,
+    RegisterState,
+    fwd,
+    rev,
+    strand_violations,
+)
 from simdna.tm import parse_tm_spec, tm_step
 
 L6 = RegisterLayout(1, 6)
@@ -592,3 +603,24 @@ def test_apply_reaction_rejects_what_cannot_apply():
         INCUMBENT,
         BoundStrand(fwd(Match(5), Match(6)), 4),
     )
+
+
+@pytest.mark.parametrize(
+    "strand, wording",
+    [
+        (BoundStrand(rev(Match(5), Match(6)), 4), ["reverse strand bound at offset 4"]),
+        (
+            BoundStrand(fwd(Match(6), Ortho("a")), 5),
+            ["strand at offset 5 bound by 1 domain(s) (positions [5]); needs at least two"],
+        ),
+        (BoundStrand(fwd(Match(4), Match(5)), 3), ["position 3 bound by two strands (offsets 2 and 3)"]),
+    ],
+    ids=["reverse", "one-position", "overlap"],
+)
+def test_index_apply_words_what_it_rejects_as_strand_violations(strand, wording):
+    index = engine._Index(RegisterState(L6, (INCUMBENT,)))
+    bound = strand.bound_positions(L6)
+    assert strand_violations(strand, bound, dict(index.owner)) == wording
+    with pytest.raises(InapplicableReactionError) as err:
+        index.apply((), (strand,))
+    assert str(err.value) == f"binding {strand} makes an invalid state: {'; '.join(wording)}"
