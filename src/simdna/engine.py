@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import ClassVar, Union
 
@@ -267,10 +268,9 @@ def _find(needle: tuple, haystack: tuple) -> int:
 
 class _Species:
     """One instruction's species, arranged for the search: each register
-    domain with the forward (species, token index) pairs that match it, which
-    reverse species carry off a bound strand of a given spec, and the
-    alignments that cover each position of a layout (both filled on
-    demand)."""
+    domain with the forward (species, token index) pairs that match it, and
+    which reverse species carry off a bound strand of a given spec (filled
+    on demand).  Neither depends on the register or its layout."""
 
     def __init__(self, instr: Instruction):
         self.reverse = tuple(s for s in instr.species if not s.is_forward)
@@ -283,7 +283,6 @@ class _Species:
         # kept for the life of the process (``_species``): tuples take less memory
         self.by_domain = {dom: tuple(pairs) for dom, pairs in by_domain.items()}
         self._removers: dict[StrandSpec, tuple[StrandSpec, ...]] = {}
-        self._covering: dict[RegisterLayout, dict[int, tuple[frozenset[int], ...]]] = {}
 
     def removers(self, spec: StrandSpec) -> tuple[StrandSpec, ...]:
         """Reverse species that grab a bound strand of ``spec``: they carry its
@@ -294,22 +293,6 @@ class _Species:
             if spec.has_ortho:
                 found = tuple(rv for rv in self.reverse if _find(spec.tokens, rv.tokens) >= 0)
             self._removers[spec] = found
-        return found
-
-    def covering(self, layout: RegisterLayout) -> dict[int, tuple[frozenset[int], ...]]:
-        """The matched sets of the forward alignments over each position of
-        ``layout``, those of two positions or more (a strand binds at least
-        two).  They depend on the layout alone, not on the register."""
-        found = self._covering.get(layout)
-        if found is None:
-            d = layout.domains_per_cell
-            by_position: dict[int, list[frozenset[int]]] = {}
-            for p in range(layout.total_positions):
-                for spec, j in self.by_domain.get(p % d + 1, ()):
-                    M = bound_set(layout, spec, p - j)
-                    if len(M) >= 2:
-                        by_position.setdefault(p, []).append(M)
-            found = self._covering[layout] = {p: tuple(ms) for p, ms in by_position.items()}
         return found
 
 
@@ -653,45 +636,41 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
 def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
     """Split the positions that the instruction's reactions may bind or
     free, from the index's state on, into parts that no reaction spans.
-    Maps each such position to a representative of its part.
+    Maps each such position to the position its part was reached from.
 
     Whether a reaction applies depends only on the occupancy of its
     footprint (its alignments' matched positions and the bound sets of the
     strands it removes), and it changes nothing else.  A forward alignment
-    acts only while one of its matched positions is unbound.  So an
-    alignment is live when it holds a position that may ever be unbound:
-    one unbound now, or bound by a strand that may leave, which is one a
-    reverse species grabs or a live alignment overlaps.  (A strand added
-    later binds positions that were unbound, or freed by the strand it
-    replaced.)  Every footprint is a chain of overlapping live alignments
-    and strands that may leave; the parts are their connected groups."""
-    covering = sp.covering(ix.layout)
-    may_leave = {bs for spec, group in ix.by_spec.items() if sp.removers(spec) for bs in group}
-    may_free = set(ix.unbound).union(*(ix.bound_of[bs] for bs in may_leave))
-    live: set[frozenset[int]] = set()
-    todo = list(may_free)
-    while todo:
-        for M in covering.get(todo.pop(), ()):
-            if M in live:
-                continue
-            live.add(M)
-            for bs in {ix.owner[q] for q in M if q in ix.owner} - may_leave:
-                may_leave.add(bs)
-                fresh = ix.bound_of[bs] - may_free
-                may_free |= fresh
-                todo.extend(fresh)
-    parent: dict[int, int] = {}
-
-    def root(p: int) -> int:
-        while parent.setdefault(p, p) != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
-    for group in live | {ix.bound_of[bs] for bs in may_leave}:
-        first, *rest = group
-        for p in rest:
-            parent[root(p)] = root(first)
-    return {p: root(p) for p in parent}
+    acts only while one of its matched positions is unbound, and a strand
+    leaves only when a reverse species grabs it or a forward alignment that
+    may act overlaps it.  (A strand added later binds positions that were
+    unbound, or freed by the strand it replaced.)  So one walk labels the
+    parts: it starts from each unbound position and each strand a reverse
+    species grabs, and from a position it reaches the matched positions of
+    every forward alignment over it and the bound set of the strand that
+    holds it.  Every footprint is a chain of such alignments and bound
+    sets, so it lies in one part, and the walk costs the positions it
+    reaches, not the register."""
+    layout, owner, bound_of, by_domain = ix.layout, ix.owner, ix.bound_of, sp.by_domain
+    d = layout.domains_per_cell
+    grabbed = (bs for spec, group in ix.by_spec.items() if sp.removers(spec) for bs in group)
+    label: dict[int, int] = {}
+    for seed in chain(ix.unbound, (min(bound_of[bs]) for bs in grabbed)):
+        if seed in label:
+            continue
+        label[seed] = seed
+        todo = [seed]
+        while todo:
+            p = todo.pop()
+            near = [bound_set(layout, spec, p - j) for spec, j in by_domain.get(p % d + 1, ())]
+            if p in owner:
+                near.append(bound_of[owner[p]])
+            for group in near:
+                for q in group:
+                    if q not in label:
+                        label[q] = seed
+                        todo.append(q)
+    return label
 
 
 def _toggle(delta: set[BoundStrand], r: Reaction) -> None:
@@ -725,9 +704,10 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
     enable, disable or fail to commute with one inside it, so every final
     state stays reachable, while independent reactions are taken in one
     order instead of in all of them.  The parts are drawn at the first
-    state with two reactions; every state searched after it is reachable
-    from it.  Raises ``StateBudgetExceededError`` past ``max_states``
-    distinct states."""
+    state with two reactions, by one walk from the positions that may
+    change there; every state searched after it is reachable from it, so
+    the least position of each of its reactions is labelled.  Raises
+    ``StateBudgetExceededError`` past ``max_states`` distinct states."""
     index, live = firing.index, firing.live
     parts: dict[int, int] = {}
     delta: set[BoundStrand] = set()

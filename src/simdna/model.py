@@ -40,7 +40,7 @@ class Orientation(Enum):
 
 class _Record:
     """Base of the frozen, slotted records that are hashed again and again
-    (specs, bound strands, states, instructions): the hash of their
+    (layouts, specs, bound strands, states, instructions): the hash of their
     ``_fields`` is computed on first use and kept in the ``_hash`` slot."""
 
     __slots__ = ("_hash",)
@@ -77,12 +77,14 @@ def token_key(tok: Token) -> tuple:
     return (1, 0, tok.tag)
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
+@dataclass(frozen=True, slots=True)
+class RegisterLayout(_Record):
     """Geometry of the bottom strand: ``cells`` cells of ``domains_per_cell``."""
 
     cells: int
     domains_per_cell: int
+    _fields = attrgetter("cells", "domains_per_cell")
+    __hash__ = _Record.__hash__
 
     def __post_init__(self):
         if self.cells < 1:

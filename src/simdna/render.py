@@ -12,6 +12,7 @@ arrowhead: right for forward strands, left for reverse.
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,6 +55,12 @@ class StyleTable:
     )
 
 
+# what a palette entry may not hold: it is written into an SVG attribute
+# in double quotes, unescaped, so no '&', '"' or '<', and no character that
+# XML 1.0 forbids
+_NOT_IN_ATTRIBUTE = re.compile(r'[&"<]|[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]')
+
+
 def load_style(path: Optional[str] = None) -> StyleTable:
     """Style table, optionally overridden by a JSON file (SIMDNA_STYLE).
     Raises SchemaError, naming the file, on a malformed table."""
@@ -70,6 +77,8 @@ def load_style(path: Optional[str] = None) -> StyleTable:
             if key == "palette":
                 ok = isinstance(value, list) and value and all(isinstance(c, str) for c in value)
                 _expect(ok, path, "'palette' must be a nonempty array of strings")
+                ok = not any(map(_NOT_IN_ATTRIBUTE.search, value))
+                _expect(ok, path, "a 'palette' entry may not hold '&', '\"', '<' or a character XML forbids")
                 value = tuple(value)
             else:
                 ok = isinstance(value, int) and not isinstance(value, bool)

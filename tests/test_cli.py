@@ -400,11 +400,15 @@ SURROGATE_TAG_REGISTER = json.dumps({
         (TWO_LINE_TRACE.replace('"instr": 2', '"instr": 2, "applied": 5'), None, []),
         (SURROGATE_TAG_REGISTER, None, []),
         (SURROGATE_TAG_REGISTER, None, ["--format", "text"]),
+        (TWO_LINE_TRACE, '{"palette": ["&"]}', []),
+        (TWO_LINE_TRACE, '{"palette": ["a\\"b"]}', []),
+        (TWO_LINE_TRACE, '{"palette": ["\\u0001"]}', []),
     ],
     ids=[
         "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
         "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
         "applied-not-array", "surrogate-tag-svg", "surrogate-tag-text",
+        "style-palette-ampersand", "style-palette-quote", "style-palette-control",
     ],
 )
 def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):

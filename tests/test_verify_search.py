@@ -94,13 +94,14 @@ def _reachable(st, instr) -> int:
 
 
 def _incrementor_registers(spec, cp):
+    s = cp.program.layout.cells
     configs = {}
-    for n in (1, 2):  # an input needs a blank cell to its right
+    for n in range(1, s):  # an input needs a blank cell to its right
         for bits in itertools.product("01", repeat=n):
-            for c in reachable_configs(spec, "".join(bits), 3)[0]:
+            for c in reachable_configs(spec, "".join(bits), s)[0]:
                 if not c.is_terminal and spec.defined(c.state, c.tape[c.head]):
                     configs[c] = None
-    return [encode_config(spec, cp.scheme, c, 3)[0] for c in configs]
+    return [encode_config(spec, cp.scheme, c, s)[0] for c in configs]
 
 
 def test_verified_outcome_is_canonical_on_incrementor(increment_spec, increment_compiled_s3):
@@ -495,6 +496,51 @@ def test_reduced_search_finds_the_final_states_of_the_full_one(increment_spec, i
         assert set(_reduced_finals(st, instr)) == set(full), (st, instr)
         refuted += len(full) > 1
     assert refuted > 20
+
+
+def _parts_hold_every_reaction(st, instr, max_states: int = 2_000) -> int | None:
+    """Draws ``_parts`` at ``st`` and requires of every reaction of every
+    state reachable from it, stepped from scratch as ``full_search`` does,
+    that its least position is labelled and that the bound sets of the
+    strands it adds and removes lie in one part.  Returns the number of
+    reactions checked, or None past ``max_states`` states."""
+    parts = engine._parts(engine._Index.validated(st), engine._species(instr))
+    layout = st.layout
+    seen = {st}
+    todo = [st]
+    checked = 0
+    while todo:
+        cur = todo.pop()
+        for r in engine.applicable_reactions(cur, instr):
+            least = engine._order_key(r, layout)[0]
+            footprint = set().union(*(bs.bound_positions(layout) for bs in (*r.added, *r.removed)))
+            assert least in parts, (st, instr, r)
+            assert {parts.get(p) for p in footprint} == {parts[least]}, (st, instr, r)
+            checked += 1
+            nxt = engine.apply_reaction(cur, r)
+            if nxt not in seen:
+                if len(seen) >= max_states:
+                    return None
+                seen.add(nxt)
+                todo.append(nxt)
+    return checked
+
+
+def test_no_reaction_spans_two_parts(increment_spec, increment_compiled_s3, increment_compiled_s4):
+    checked = 0
+    for cp in (increment_compiled_s3, increment_compiled_s4):
+        for st in _incrementor_registers(increment_spec, cp):
+            for instr in cp.program.instructions:
+                checked += _parts_hold_every_reaction(st, instr)
+                st = run_instruction(st, instr).final_state
+    assert checked > 10_000
+    rng = random.Random(2026)
+    drawn = 0
+    for _ in range(1500):
+        st = random_state(rng)
+        found = _parts_hold_every_reaction(st, random_instruction(rng, st))
+        drawn += bool(found)
+    assert drawn > 500
 
 
 def _reduced_finals(st, instr):
