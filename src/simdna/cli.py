@@ -367,7 +367,8 @@ def cmd_render(args, argv) -> None:
     with _naming(args.input):
         scenes, counts = _read_scenes(args.input)
         if args.format == "text":
-            parts = [render.render_text(s) for s in scenes]
+            pictures: dict = {}
+            parts = [render.render_text(s, pictures) for s in scenes]
         else:
             parts = render.render_trace_parts(scenes, every=args.every, reaction_counts=counts, style=style)
     # the newline-join of the parts, one part at a time

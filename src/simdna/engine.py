@@ -614,22 +614,25 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
     """Fire the least live reaction until none is left, from ``state``.
 
     Each step is a function of the register, so a run that revisits a state
-    cycles for ever, and the cycle shows as its strand list coming back to
-    the one it held at its last power-of-two step (Brent, BIT 20, 1980):
-    one copy of the list, refreshed after steps 1, 2, 4, 8 and so on, is all
-    the check keeps.  The final state is built once, and a run that fires
-    nothing returns ``state`` itself."""
+    cycles for ever, and the cycle shows as the register coming back to the
+    state it held at its last power-of-two step (Brent, BIT 20, 1980).  The
+    check keeps ``since``, the strands in which the register differs from
+    that state (``_toggle``), cleared after steps 1, 2, 4, 8 and so on: the
+    run has looped exactly when ``since`` is empty after a step, so the
+    check costs the reaction, not the register.  The final state is built
+    once, and a run that fires nothing returns ``state`` itself."""
     index, live = firing.index, firing.live
     applied: list[Reaction] = []
-    kept = index.strands.copy()
+    since: set[BoundStrand] = set()
     while live:
         r = min(live.items(), key=itemgetter(1))[0]
         firing.fire(r)
         applied.append(r)
-        if index.strands == kept:
+        _toggle(since, r)
+        if not since:
             raise EngineError(_LOOP.format(label))
         if len(applied) & (len(applied) - 1) == 0:
-            kept = index.strands.copy()
+            since.clear()
     return InstructionOutcome(index.state() if applied else state, tuple(applied))
 
 
@@ -675,10 +678,11 @@ def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
 
 def _toggle(delta: set[BoundStrand], r: Reaction) -> None:
     """Fire or undo ``r`` on ``delta``, the strands in which the index's
-    state differs from the search's entry state: each strand ``r`` adds or
+    state differs from a reference state (the search's entry state, or the
+    canonical run's last power-of-two step): each strand ``r`` adds or
     removes enters ``delta`` or leaves it.  Those are the strands added and
-    the strands removed since entry, which never share a strand, so two
-    states of one search are equal exactly when their deltas are."""
+    the strands removed since that state, which never share a strand, so
+    two states are equal exactly when their deltas are."""
     delta.symmetric_difference_update(r.removed)
     delta.symmetric_difference_update(r.added)
 

