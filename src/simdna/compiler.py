@@ -49,9 +49,11 @@ from .tm import SpaceBoundViolationError, TMConfig, TMSpec, TMStatus, Transition
 SYMBOL_RANK = {"0": 0, "1": 1, "_": 2}
 
 # Nick patterns over the 8-domain symbol region, as (start, length) spans,
-# 1-based within the region.  Every span is at least two domains (stability)
-# and the three patterns differ in their first and last span, so a cascade
-# entering from either end can tell them apart.
+# 1-based within the region.  Each pattern is two spans that tile the region,
+# every span is at least two domains (stability), and the three first-span
+# lengths are pairwise distinct, so a cascade entering from either end can
+# tell the patterns apart.  tests/test_compiler.py's
+# test_symbol_patterns_are_distinguishable pins this.
 SYMBOL_PATTERNS: dict[str, tuple[tuple[int, int], ...]] = {
     "_": ((1, 4), (5, 4)),
     "0": ((1, 2), (3, 6)),
@@ -181,64 +183,14 @@ def _mrange(a: int, b: int) -> tuple[Match, ...]:
 
 
 def build_scheme(spec: TMSpec) -> CellScheme:
-    """Fix the cell layout for a machine; validates pattern distinguishability."""
+    """Fix the cell layout for a machine: its transitions in (state, symbol)
+    order."""
     if spec.transition_count < 1:
         raise SchemeError("machine must have at least one transition")
     order = tuple(
         sorted(spec.transitions, key=lambda k: (k[0], SYMBOL_RANK[k[1]]))
     )
-    scheme = CellScheme(order)
-    _check_pattern_distinguishability(scheme)
-    return scheme
-
-
-def _probe_state(scheme: CellScheme, symbol: str, side: str) -> RegisterState:
-    """Two-cell register with cell 0 carrying ``symbol`` and an entry toehold
-    on the requested side."""
-    t, d = scheme.t, scheme.d
-    strands = {
-        BoundStrand(strand, cell * d + off)
-        for cell, sym in ((0, symbol), (1, "_"))
-        for off, strand in scheme.cell_forms["sym", sym]
-    }
-    # the entry toehold: cell 0's last region (left) or cell 1's first (right)
-    region, offset = (t, 2 * t - 2) if side == "L" else (1, d)
-    strands.remove(BoundStrand(scheme.plain_cover(region), offset))
-    return RegisterState(register_layout(2, d), tuple(strands))
-
-
-def _probes(scheme: CellScheme, side: str) -> dict[str, StrandSpec]:
-    """The probe species of each symbol pattern, entering from ``side``."""
-    probes = {}
-    for sigma in SYMBOL_PATTERNS:
-        if side == "L":
-            probes[sigma] = fwd(Match(2 * scheme.t), *scheme.span(sigma, 0)[:-1])
-        else:
-            probes[sigma] = fwd(*scheme.span(sigma, 1)[1:], Match(1))
-    return probes
-
-
-def _check_pattern_distinguishability(scheme: CellScheme) -> None:
-    """Every ordered pair of symbols must be separable by a displacement
-    cascade entering the symbol region from either end."""
-    for side in ("L", "R"):
-        probes = _probes(scheme, side)
-        fired: dict[str, set[str]] = {sigma: set() for sigma in SYMBOL_PATTERNS}
-        for actual in SYMBOL_PATTERNS:
-            state = _probe_state(scheme, actual, side)
-            for probe_sym, probe in probes.items():
-                if engine.applicable_reactions(state, Instruction((probe,))):
-                    fired[probe_sym].add(actual)
-        for a in SYMBOL_PATTERNS:
-            for b in SYMBOL_PATTERNS:
-                if a == b:
-                    continue
-                if not any(
-                    (a in hits) != (b in hits) for hits in fired.values()
-                ):
-                    raise SchemeError(
-                        f"patterns {a!r} and {b!r} are not distinguishable from side {side}"
-                    )
+    return CellScheme(order)
 
 
 # --- encoding ---------------------------------------------------------------

@@ -81,8 +81,8 @@ def load_style(path: Optional[str] = None) -> StyleTable:
                 _expect(ok, path, "a 'palette' entry may not hold '&', '\"', '<' or a character XML forbids")
                 value = tuple(value)
             else:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-                _expect(ok, path, f"{key!r} must be an integer")
+                ok = isinstance(value, int) and not isinstance(value, bool) and value >= 0
+                _expect(ok, path, f"{key!r} must be a nonnegative integer")
             kwargs[key] = value
     return StyleTable(**kwargs)
 

@@ -403,12 +403,15 @@ SURROGATE_TAG_REGISTER = json.dumps({
         (TWO_LINE_TRACE, '{"palette": ["&"]}', []),
         (TWO_LINE_TRACE, '{"palette": ["a\\"b"]}', []),
         (TWO_LINE_TRACE, '{"palette": ["\\u0001"]}', []),
+        (TWO_LINE_TRACE, '{"unit_width": -5}', []),
+        (TWO_LINE_TRACE, '{"lane_height": 0, "margin": -100}', []),
     ],
     ids=[
         "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
         "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
         "applied-not-array", "surrogate-tag-svg", "surrogate-tag-text",
         "style-palette-ampersand", "style-palette-quote", "style-palette-control",
+        "style-unit-width-negative", "style-margin-negative",
     ],
 )
 def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):

@@ -5,9 +5,12 @@ import itertools
 import pytest
 
 from compile_corpus import digest, incrementor, one_state_machines, paper_machine
+from test_cli import _counting
 from test_simulation import J1_LEFT_ALL_DEFINED, J1_LEFT_MIXED, LAST_REGION_RIGHT, T1_LEFT
 
+from simdna import engine
 from simdna.compiler import (
+    SYMBOL_PATTERNS,
     CompileError,
     MultipleHeadsError,
     SchemeError,
@@ -70,16 +73,31 @@ def test_scheme_regions_tile_cell(increment_spec):
     assert covered == list(range(1, scheme.d + 1))
 
 
-def test_indistinguishable_patterns_rejected(increment_spec, monkeypatch):
-    # if two symbols shared a nick pattern no cascade could separate them;
-    # the scheme builder must refuse
-    import simdna.compiler as compiler_mod
+def test_symbol_patterns_are_distinguishable():
+    """Each symbol's nick pattern is two spans that tile y(1)..y(8), each at
+    least two domains long, and the three first-span lengths are pairwise
+    distinct, so a cascade entering the symbol region from either end tells
+    the symbols apart.
 
-    broken = dict(compiler_mod.SYMBOL_PATTERNS)
-    broken["1"] = broken["0"]
-    monkeypatch.setattr(compiler_mod, "SYMBOL_PATTERNS", broken)
-    with pytest.raises(SchemeError, match="not distinguishable"):
-        build_scheme(increment_spec)
+    A probe entering from the left covers the toehold plus a first span
+    minus its last domain.  It exchanges with the incumbent first span only
+    when the two lengths are equal: a longer probe overlaps two incumbents,
+    and a shorter one covers too little.  A probe from the right does the
+    same with the last span, whose length is 8 minus the first.  So for
+    two-span patterns, distinct first-span lengths are exactly what
+    separates every pair of symbols from both ends."""
+    assert set(SYMBOL_PATTERNS) == {"0", "1", "_"}
+    for sym, ((start, first), (second_start, second)) in SYMBOL_PATTERNS.items():
+        assert (start, second_start, first + second) == (1, 1 + first, 8), sym
+        assert min(first, second) >= 2, sym
+    assert len({spans[0][1] for spans in SYMBOL_PATTERNS.values()}) == 3
+
+
+def test_compile_runs_no_reaction(increment_spec, monkeypatch):
+    """Compiling only builds strands; the engine never runs."""
+    calls = _counting(monkeypatch, engine.applicable_reactions, engine)
+    compile_tm(increment_spec, 3)
+    assert calls == []
 
 
 def test_plug_tags_distinct(increment_spec):
