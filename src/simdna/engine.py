@@ -130,7 +130,7 @@ class Attach(Reaction):
     rank = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "added", (BoundStrand(self.spec, self.offset),))
+        object.__setattr__(self, "added", (BoundStrand.hashed(self.spec, self.offset),))
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, ())
@@ -149,7 +149,7 @@ class _Takeover(Reaction):
 
     def __post_init__(self):
         object.__setattr__(self, "removed", (self.incumbent,))
-        object.__setattr__(self, "added", (BoundStrand(self.spec, self.offset),))
+        object.__setattr__(self, "added", (BoundStrand.hashed(self.spec, self.offset),))
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, self.incumbent.sort_key())
@@ -184,7 +184,8 @@ class Cooperative(Reaction):
 
     def __post_init__(self):
         object.__setattr__(self, "removed", (self.incumbent,))
-        left, right = BoundStrand(self.left_spec, self.left_offset), BoundStrand(self.right_spec, self.right_offset)
+        left = BoundStrand.hashed(self.left_spec, self.left_offset)
+        right = BoundStrand.hashed(self.right_spec, self.right_offset)
         object.__setattr__(self, "added", (left, right))
 
     def tie_break(self) -> tuple:
@@ -249,17 +250,6 @@ class InstructionOutcome:
     applied: tuple[Reaction, ...]
 
 
-def _runs(positions: frozenset[int]) -> list[range]:
-    """Maximal runs of consecutive positions."""
-    out = []
-    for p in sorted(positions):
-        if out and out[-1].stop == p:
-            out[-1] = range(out[-1].start, p + 1)
-        else:
-            out.append(range(p, p + 1))
-    return out
-
-
 def _find(needle: tuple, haystack: tuple) -> int:
     """Index of the first contiguous occurrence of needle in haystack, or -1."""
     n = len(needle)
@@ -311,8 +301,9 @@ class _Index:
     positions in order, each strand's bound set, the strands of each spec
     that carries an overhang (only those can be grabbed, see
     ``_Species.removers``), and the strands in canonical order (by offset,
-    then spec).  The domains of the unbound positions (``exposed``) are
-    drawn on demand and kept until the next delta."""
+    then spec).  The domains of the unbound positions (``exposed``) and the
+    outcome of an instruction that does nothing (``noop``) are made on
+    demand and kept until the next delta."""
 
     def __init__(self, state: RegisterState):
         self.layout = state.layout
@@ -329,6 +320,7 @@ class _Index:
                 self.owner[p] = bs
         self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
         self._exposed: set[int] | None = None
+        self._noop: InstructionOutcome | None = None
 
     @classmethod
     def validated(cls, state: RegisterState) -> "_Index":
@@ -349,13 +341,21 @@ class _Index:
             self._exposed = {p % d + 1 for p in self.unbound}
         return self._exposed
 
+    def noop(self, state: RegisterState) -> InstructionOutcome:
+        """``InstructionOutcome(state, ())``, where ``state`` is the state
+        the index was built or handed off with: one object until the next
+        delta, shared by every instruction that leaves the state as it is."""
+        if self._noop is None:
+            self._noop = InstructionOutcome(state, ())
+        return self._noop
+
     def apply(self, removed, added) -> set[int]:
         """Apply one delta (a reaction is ``r.removed, r.added``, its undo
         ``r.added, r.removed``), checking the invariants of ``validate_state``
         only where it lands (a valid state plus a valid delta is a valid
         state).  Returns the positions it bound or freed."""
         owner = self.owner
-        self._exposed = None
+        self._exposed = self._noop = None
         changed = set()
         for bs in removed:
             bound = self.bound_of.pop(bs, None)
@@ -425,52 +425,46 @@ def _inert(ix: _Index, sp: _Species) -> bool:
 def _alignment(ix: _Index, spec: StrandSpec, offset: int):
     """The attach/displace/exchange reactions of one alignment, and its
     cooperative flank ``(incumbent, M, cover, left, right)`` (or None) when
-    it partly covers one incumbent from a toehold on its left or right."""
+    it partly covers one incumbent from a toehold on its left or right.
+
+    Every rule but attach needs ``cover``, the positions of ``M`` already
+    bound, to lie in one incumbent's bound set and in one run of consecutive
+    positions of ``M``.  Of that run it asks only whether it reaches past the
+    incumbent's left end (``left``) or right end (``right``), where each
+    position is a toehold (``M`` is bound only in ``cover``), or holds an
+    unbound gap between the ends.  Each is a test that ``M`` holds one range
+    of positions, so the alignment costs its cover and the incumbent's span;
+    ``M`` is never sorted into runs."""
     M = bound_set(ix.layout, spec, offset)
-    owner = ix.owner
-    overlap = {p for p in M if p in owner}
-    if not overlap:
+    cover = ix.owner.keys() & M
+    if not cover:
         if any(p + 1 in M for p in M):
             return (_found(Attach(spec, offset), M, min(M)),), None
         return (), None
-
-    incumbents = {owner[p] for p in overlap}
-    if len(incumbents) != 1:
-        return (), None
-    inc = next(iter(incumbents))
+    inc = ix.owner[next(iter(cover))]
     inc_bound = ix.bound_of[inc]
-    runs = _runs(M)
-
-    if overlap == inc_bound:
-        # full coverage: displace, with the toehold in the covering run
-        run = next((r for r in runs if inc_bound <= set(r)), None)
-        if run is not None and any(p not in owner for p in run):
-            if not (inc.spec == spec and inc.offset == offset):
-                # M holds all of inc_bound, so it is the whole footprint
-                return (_found(Displace(inc, spec, offset), M, min(M)),), None
+    if not cover <= inc_bound:  # a second incumbent
         return (), None
-
+    lo, hi = min(cover), max(cover)
+    if not M.issuperset(range(lo + 1, hi)):  # the cover spans two runs
+        return (), None
+    ilo, ihi = min(inc_bound), max(inc_bound)
+    left = M.issuperset(range(ilo - 1, lo))
+    right = M.issuperset(range(hi + 1, ihi + 2))
+    missing = len(inc_bound) - len(cover)
+    if not missing:
+        # full coverage: displace, with a toehold in the covering run, which
+        # holds ilo..ihi and so every gap of inc_bound
+        toehold = left or right or ihi - ilo >= len(inc_bound)
+        if toehold and not (inc.spec == spec and inc.offset == offset):
+            # M holds all of inc_bound, so it is the whole footprint
+            return (_found(Displace(inc, spec, offset), M, min(M)),), None
+        return (), None
     found = ()
-    lo, hi = min(inc_bound), max(inc_bound)
-    for x, far in ((hi, "right"), (lo, "left")):
-        if x in M or overlap != inc_bound - {x}:
-            continue
-        run = next((r for r in runs if inc_bound - {x} <= set(r)), None)
-        if run is None:
-            continue
-        if far == "right":
-            toeholds = [p for p in run if p not in owner and p < lo]
-        else:
-            toeholds = [p for p in run if p not in owner and p > hi]
-        if toeholds:
-            found = (_found(ToeholdExchange(inc, spec, offset), M | inc_bound, min(M)),)
-
-    run = next((r for r in runs if overlap <= set(r)), None)
-    if run is None:
-        return found, None
-    left = any(p not in owner and p < lo for p in run)
-    right = any(p not in owner and p > hi for p in run)
-    return found, ((inc, M, overlap, left, right) if left or right else None)
+    if missing == 1 and (left or right):
+        # a run past one end holds that end and every gap: M misses the far end
+        found = (_found(ToeholdExchange(inc, spec, offset), M | inc_bound, min(M)),)
+    return found, ((inc, M, cover, left, right) if left or right else None)
 
 
 def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[Reaction]:
@@ -786,7 +780,10 @@ def run_instruction(
     returns: a call on that very object continues from the index and skips
     the full validation and the rebuild; any other state is validated and
     indexed anew.  An instruction with no reaction (``_inert``) returns
-    ``state`` itself, as both modes would.  Otherwise ``VerifyConfluent``
+    ``state`` itself, as both modes would, in the one outcome the index
+    keeps for its state (``_Index.noop``): the inert instructions that follow
+    one another on a state return that same object and allocate nothing.
+    Otherwise ``VerifyConfluent``
     searches every final state; its first branch is the canonical run, which
     must end, without looping, in the unique one: the outcome.  A search
     that never branched leaves the index at the outcome; any other is moved
@@ -794,7 +791,7 @@ def run_instruction(
     index = _take_index(state)
     if _inert(index, _species(instr)):
         _hand_off(state, index)
-        return InstructionOutcome(state, ())
+        return index.noop(state)
     firing = _Firing(state, instr, index)
     if isinstance(mode, VerifyConfluent):
         finals, loops, path = _deadlocks(state, firing, mode.max_states, instr.label)

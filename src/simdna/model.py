@@ -196,6 +196,16 @@ class BoundStrand(_Record):
     _fields = attrgetter("spec", "offset")
     __hash__ = _Record.__hash__
 
+    @classmethod
+    def hashed(cls, spec: StrandSpec, offset: int) -> "BoundStrand":
+        """``BoundStrand(spec, offset)`` with its hash already kept, for a
+        strand that is hashed as soon as it is used (the engine's reactions
+        build the strands its index keys): its first hash then skips the
+        raised and caught ``AttributeError``."""
+        bs = cls(spec, offset)
+        object.__setattr__(bs, "_hash", hash((spec, offset)))
+        return bs
+
     def bound_positions(self, layout: RegisterLayout) -> frozenset[int]:
         return bound_set(layout, self.spec, self.offset)
 

@@ -229,6 +229,8 @@ def test_model_records_have_no_instance_dict():
     for obj in (Match(1), model.Ortho("a"), spec, bs, state, instr):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         assert hash(obj) == hash(obj)
+    # a strand built with its hash kept equals and hashes as one built plainly
+    assert BoundStrand.hashed(spec, 0) == bs and hash(BoundStrand.hashed(spec, 0)) == hash(BoundStrand(spec, 0))
 
 
 def test_brute_oracle_untouched():

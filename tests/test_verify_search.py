@@ -25,7 +25,14 @@ from full_search import full_search
 from generators import random_instruction, random_state
 
 from simdna import engine
-from simdna.compiler import compile_tm, configs_equivalent, decode_register, encode_config, reachable_configs
+from simdna.compiler import (
+    compile_tm,
+    configs_equivalent,
+    decode_register,
+    encode_config,
+    reachable_configs,
+    verify_compilation,
+)
 from simdna.engine import (
     Canonical,
     EngineError,
@@ -441,6 +448,42 @@ def test_paper_pass_search_never_branches(monkeypatch):
         st = out.final_state
     assert reacting >= 10 and applied > 100
     assert calls == {"fire": applied, "state": reacting}
+
+
+def test_paper_machine_verifies_every_transition():
+    # the one-step claim at paper scale: every transition of the t = 32
+    # machine, three seeded configurations each, verified under a budget of
+    # 500 states
+    pm = _papermachine()
+    spec = parse_tm_spec(pm.machine_document(pm.MACHINE_SEED))
+    cp = compile_tm(spec, 4)
+    rng = random.Random(0)
+    configs = [pm.steppable_config(spec, key, 4, rng) for key in cp.scheme.transition_order for _ in range(3)]
+    assert len(configs) == 3 * len(spec.transitions) == 96
+    assert verify_compilation(spec, 4, cp, configs, VerifyConfluent(500)) == []
+
+
+@pytest.mark.parametrize("mode", [Canonical(), VerifyConfluent(500)], ids=["canonical", "verified"])
+def test_inert_instructions_share_one_outcome_per_state(monkeypatch, mode):
+    # an inert instruction returns the outcome its index keeps for its entry
+    # state: a pass builds one outcome per reacting instruction and one per
+    # state that inert instructions meet, not one per instruction
+    _, cp, _, st = _paper_pass()
+    built = []
+    outcome = engine.InstructionOutcome
+    monkeypatch.setattr(engine, "InstructionOutcome", lambda *args: built.append(args) or outcome(*args))
+    met = []  # the entry states of inert instructions, kept alive for their ids
+    reacting = 0
+    for instr in cp.program.instructions:
+        inert = engine._inert(engine._Index(st), engine._species(instr))
+        out = run_instruction(st, instr, mode)
+        if inert:
+            assert out.applied == () and out.final_state is st
+            met.append(st)
+        reacting += bool(out.applied)
+        st = out.final_state
+    assert len(met) > 500 and reacting >= 10
+    assert len(built) == reacting + len({id(x) for x in met})
 
 
 def _budget_boundary(st, instr):

@@ -1,0 +1,68 @@
+"""Verify the one-step claim on every machine of the compile corpus.
+
+    PYTHONPATH=src python tests/verify_corpus.py
+
+For each machine of ``tests/compile_corpus.py`` that compiles, every
+transition at every head position whose step stays on the tape, on one
+seeded tape each, runs through ``verify_compilation`` under
+``VerifyConfluent(500)``.  Prints the counts of machines, machines that do
+not compile, configurations, violations and engine errors, then each
+violation and error; exits 1 when there is any violation or engine error.
+"""
+from __future__ import annotations
+
+import random
+import sys
+
+from compile_corpus import corpus
+
+from simdna.compiler import CompileError, compile_tm, verify_compilation
+from simdna.engine import EngineError, VerifyConfluent
+from simdna.tm import SpaceBoundViolationError, TMConfig, TMSpec, tm_step
+
+SYMBOLS = ("0", "1", "_")
+
+
+def step_configs(spec: TMSpec, s: int, rng: random.Random) -> list[TMConfig]:
+    """Each transition at each head position whose step stays on the tape,
+    the rest of the tape drawn from ``rng``."""
+    out = []
+    for state, symbol in sorted(spec.transitions):
+        for head in range(s):
+            tape = [rng.choice(SYMBOLS) for _ in range(s)]
+            tape[head] = symbol
+            config = TMConfig(tuple(tape), head, state)
+            try:
+                tm_step(spec, config)
+            except SpaceBoundViolationError:
+                continue
+            out.append(config)
+    return out
+
+
+def main() -> int:
+    rng = random.Random(0)
+    mode = VerifyConfluent(500)
+    machines = uncompiled = configs = 0
+    failures = []
+    for i, (spec, s) in enumerate(corpus()):
+        machines += 1
+        try:
+            compiled = compile_tm(spec, s)
+        except CompileError:
+            uncompiled += 1
+            continue
+        inputs = step_configs(spec, s, rng)
+        configs += len(inputs)
+        try:
+            failures += [f"machine {i}: {v}" for v in verify_compilation(spec, s, compiled, inputs, mode)]
+        except EngineError as e:
+            failures.append(f"machine {i}: engine error: {e}")
+    print(f"machines {machines}, not compiled {uncompiled}, configurations {configs}, failures {len(failures)}")
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
