@@ -26,6 +26,7 @@ from typing import Iterable, Optional
 
 from . import compiler, engine, render
 from .model import (
+    MAX_POSITIONS,
     RegisterState,
     SchemaError,
     add_where,
@@ -200,6 +201,13 @@ def cmd_simulate(args, argv) -> None:
 def cmd_run_tm(args, argv) -> None:
     spec, extras = _parse_file(args.machine, parse_tm_document)
     input_str = args.input if args.input is not None else extras.get("input", "")
+    # checked before the tape of --cells symbols is built
+    d = compiler.cell_domains(spec.transition_count)
+    if args.cells * d > MAX_POSITIONS:
+        raise CliError(
+            f"--cells {args.cells}: cells of {d} domains make {args.cells * d} positions; "
+            f"a register has at most {MAX_POSITIONS}"
+        )
     # an input the machine file gives is named by the file
     with _naming(args.machine) if args.input is None else contextlib.nullcontext():
         config = initial_config(spec, input_str, args.cells)

@@ -95,6 +95,12 @@ class TapeOnly:
         return "".join(self.tape)
 
 
+def cell_domains(t: int) -> int:
+    """Domains per cell of a machine of ``t`` transitions: two for the
+    region of each transition, then the eight of the symbol region."""
+    return 2 * t + 8
+
+
 @dataclass(frozen=True)
 class CellScheme:
     transition_order: tuple[TransitionKey, ...]
@@ -105,7 +111,7 @@ class CellScheme:
 
     @property
     def d(self) -> int:
-        return 2 * self.t + 8
+        return cell_domains(self.t)
 
     def region_index(self, key: TransitionKey) -> int:
         return self.transition_order.index(key) + 1

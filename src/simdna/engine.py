@@ -374,9 +374,8 @@ class _Index:
             changed |= bound
         for bs in added:
             bound = bound_set(self.layout, bs.spec, bs.offset)
-            # the invariants of ``strand_violations``, which words the error
-            if not (bs.spec.is_forward and len(bound) >= 2 and owner.keys().isdisjoint(bound)):
-                bad = strand_violations(bs, bound, owner)
+            bad = strand_violations(bs, bound, owner)
+            if bad:
                 raise InapplicableReactionError(
                     f"binding {bs} makes an invalid state: {'; '.join(bad)}"
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
@@ -84,7 +84,9 @@ Token = Union[Match, Ortho]
 def token_key(tok: Token) -> tuple:
     if isinstance(tok, Match):
         return (0, tok.domain, "")
-    return (1, 0, tok.tag)
+    if isinstance(tok, Ortho):
+        return (1, 0, tok.tag)
+    raise TypeError(f"token must be a Match or an Ortho, got {tok!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,6 +116,11 @@ class RegisterLayout(_Record):
         return 0 <= position < self.total_positions
 
 
+# The most positions a register may have: its first use builds tables of one
+# entry per position (about 40 bytes each).
+MAX_POSITIONS = 1 << 20
+
+
 @lru_cache(maxsize=1024)
 def register_layout(cells: int, domains_per_cell: int) -> RegisterLayout:
     """The one ``RegisterLayout`` of a geometry: the registers that share it
@@ -121,51 +128,33 @@ def register_layout(cells: int, domains_per_cell: int) -> RegisterLayout:
     return RegisterLayout(cells, domains_per_cell)
 
 
-class _Spec(_Record):
-    """``_Record`` with slots for the sort key and the overhang flag of
-    ``StrandSpec``."""
-
-    __slots__ = ("_key", "_ortho")
-
-
 @dataclass(frozen=True, slots=True)
-class StrandSpec(_Spec):
-    """A strand species: token sequence (left to right) plus orientation."""
+class StrandSpec(_Record):
+    """A strand species: token sequence (left to right) plus orientation.
+
+    Its facts are set when it is made: ``is_forward``, ``has_ortho`` (some
+    token is an overhang) and ``sort_key()``; none takes part in equality."""
 
     tokens: tuple[Token, ...]
     orientation: Orientation = Orientation.FORWARD
+    is_forward: bool = field(init=False, repr=False, compare=False)
+    has_ortho: bool = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
     _fields = attrgetter("tokens", "orientation")
     __hash__ = _Record.__hash__
 
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("strand must have at least one token")
-
-    @property
-    def is_forward(self) -> bool:
-        return self.orientation is Orientation.FORWARD
-
-    @property
-    def has_ortho(self) -> bool:
-        """Whether some token is an overhang; computed on first use and kept
-        in the ``_ortho`` slot."""
-        try:
-            return self._ortho
-        except AttributeError:
-            ortho = any(isinstance(t, Ortho) for t in self.tokens)
-            object.__setattr__(self, "_ortho", ortho)
-            return ortho
+        key = (self.orientation.value, *[k for t in self.tokens for k in token_key(t)])
+        object.__setattr__(self, "is_forward", self.orientation is Orientation.FORWARD)
+        object.__setattr__(self, "has_ortho", any(isinstance(t, Ortho) for t in self.tokens))
+        object.__setattr__(self, "_key", key)
 
     def sort_key(self) -> tuple:
         """The orientation, then the ``token_key`` of each token in turn, in
-        one flat tuple: it orders specs as the tuple of token keys would.
-        Computed on first use and kept in the ``_key`` slot."""
-        try:
-            return self._key
-        except AttributeError:
-            key = (self.orientation.value, *[k for t in self.tokens for k in token_key(t)])
-            object.__setattr__(self, "_key", key)
-            return key
+        one flat tuple: it orders specs as the tuple of token keys would."""
+        return self._key
 
 
 @lru_cache(maxsize=65536)
@@ -284,9 +273,7 @@ def validate_state(state: RegisterState) -> list[str]:
     seen: dict[int, BoundStrand] = {}
     for bs in state.strands:
         bound = bs.bound_positions(layout)
-        # the invariants of ``strand_violations``, which words what is broken
-        if not (bs.spec.is_forward and len(bound) >= 2 and seen.keys().isdisjoint(bound)):
-            violations += strand_violations(bs, bound, seen)
+        violations += strand_violations(bs, bound, seen)
         for p in bound:
             seen.setdefault(p, bs)
     return violations
@@ -294,7 +281,11 @@ def validate_state(state: RegisterState) -> list[str]:
 
 def strand_violations(bs: BoundStrand, bound: frozenset[int], owner: dict) -> list[str]:
     """The invariants of ``validate_state`` for one strand ``bs``, bound at
-    ``bound``, placed beside the strands of ``owner`` (position -> strand)."""
+    ``bound``, placed beside the strands of ``owner`` (position -> strand):
+    forward, bound at two positions or more, and no position owned.  A
+    strand that keeps them costs one test."""
+    if bs.spec.is_forward and len(bound) >= 2 and owner.keys().isdisjoint(bound):
+        return []
     violations = []
     if not bs.spec.is_forward:
         violations.append(f"reverse strand bound at offset {bs.offset}")
@@ -482,6 +473,12 @@ def register_from_doc(doc, table: Optional[dict] = None) -> RegisterState:
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
     layout = _parse_layout(doc["layout"], "$.layout")
+    _expect(
+        layout.total_positions <= MAX_POSITIONS,
+        "$.layout",
+        f"{layout.cells} cells of {layout.domains_per_cell} domains make {layout.total_positions} "
+        f"positions; a register has at most {MAX_POSITIONS}",
+    )
     specs, shared = ({}, {}) if table is None else table.setdefault(layout, ({}, {}))
     strands_doc = doc["strands"]
     _expect(isinstance(strands_doc, list), "$.strands", "must be an array")

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from simdna import render
 from simdna.cli import main
 from simdna.compiler import encode_config
-from simdna.model import serialize_register
+from simdna.model import MAX_POSITIONS, parse_register, serialize_register
 from simdna.tm import TMConfig
 
 
@@ -379,6 +380,7 @@ TWO_LINE_TRACE = "".join(
     json.dumps({"instr": i, "state": {"layout": {"cells": 1, "domains_per_cell": 6}, "strands": []}}) + "\n"
     for i in (1, 2)
 )
+NEITHER_REGISTER_NOR_TRACE = "[1, 2]"
 # a register whose overhang tag is a lone surrogate, legal in JSON's escapes
 SURROGATE_TAG_REGISTER = json.dumps({
     "layout": {"cells": 1, "domains_per_cell": 4},
@@ -405,13 +407,14 @@ SURROGATE_TAG_REGISTER = json.dumps({
         (TWO_LINE_TRACE, '{"palette": ["\\u0001"]}', []),
         (TWO_LINE_TRACE, '{"unit_width": -5}', []),
         (TWO_LINE_TRACE, '{"lane_height": 0, "margin": -100}', []),
+        (NEITHER_REGISTER_NOR_TRACE, None, []),
     ],
     ids=[
         "malformed-json", "yaml-machine", "trace-line-without-state", "style-malformed",
         "style-palette-number", "style-unit-width-string", "every-0-svg", "every-0-text",
         "applied-not-array", "surrogate-tag-svg", "surrogate-tag-text",
         "style-palette-ampersand", "style-palette-quote", "style-palette-control",
-        "style-unit-width-negative", "style-margin-negative",
+        "style-unit-width-negative", "style-margin-negative", "neither-register-nor-trace",
     ],
 )
 def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extra):
@@ -428,6 +431,44 @@ def test_render_bad_input_exits_2(tmp_path, capsys, input_text, style_text, extr
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert named in err
+    if input_text == NEITHER_REGISTER_NOR_TRACE:
+        assert err == f"error: {inp}: not a register or trace file\n"
+
+
+HUGE_LAYOUT = {"cells": 10**9, "domains_per_cell": 2}
+
+
+@pytest.mark.parametrize("command", ["simulate", "render-register", "render-trace", "run-tm"])
+def test_a_register_over_the_position_bound_exits_2(tmp_path, capsys, increment_path, command):
+    # a register's first use builds tables of one entry per position, so a
+    # layout of 2 * 10**9 positions would run the machine out of memory
+    program = tmp_path / "program.json"
+    program.write_text(json.dumps({"layout": HUGE_LAYOUT, "instructions": []}))
+    register = tmp_path / "register.json"
+    register.write_text(json.dumps({"layout": HUGE_LAYOUT, "strands": []}))
+    trace = tmp_path / "trace.jsonl"
+    state = {"layout": HUGE_LAYOUT, "strands": []}
+    trace.write_text(json.dumps({"instr": 1, "label": "", "applied": [], "state": state}) + "\n")
+    argv, named = {
+        "simulate": (["simulate", str(program), str(register)], f"{register}: $.layout"),
+        "render-register": (["render", str(register)], f"{register}: $.layout"),
+        "render-trace": (["render", str(trace)], f"{trace}: trace line 1: $.state.layout"),
+        "run-tm": (["run-tm", str(increment_path), "--cells", str(10**9)], "--cells 1000000000"),
+    }[command]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {named}") and "a register has at most 1048576" in err
+
+
+def test_a_register_at_the_position_bound_is_accepted(tmp_path):
+    # 2**20 positions exactly: 2**19 cells of 2 domains
+    layout = {"cells": 2**19, "domains_per_cell": 2}
+    register = tmp_path / "register.json"
+    register.write_text(json.dumps({"layout": layout, "strands": []}))
+    assert parse_register(register.read_bytes()).layout.total_positions == MAX_POSITIONS == 2**20
 
 
 def test_render_empty_trace_exits_2(tmp_path, prog_path, reg_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +32,7 @@ from simdna.model import (
     serialize_program,
     serialize_register,
     strand_spec,
+    token_key,
     validate_state,
 )
 
@@ -134,10 +136,13 @@ def test_kept_has_ortho_is_the_token_scan():
     rng = random.Random(77)
     for _ in range(500):
         tokens = random_tokens(rng, rng.randint(2, 8), rng.randint(1, 8))
-        spec = StrandSpec(tokens, rng.choice(list(Orientation)))
+        orientation = rng.choice(list(Orientation))
+        spec = StrandSpec(tokens, orientation)
         scan = any(isinstance(t, Ortho) for t in tokens)
         assert spec.has_ortho is scan
-        assert spec.has_ortho is scan  # the kept value
+        assert spec.is_forward is (orientation is Orientation.FORWARD)
+        assert spec.sort_key() == (orientation.value, *[k for t in tokens for k in token_key(t)])
+        assert spec.sort_key() is spec.sort_key()  # the kept tuple
 
 
 @pytest.mark.parametrize("domain", [True, False, 1.0, "1", None])
@@ -145,6 +150,13 @@ def test_match_rejects_a_domain_the_file_format_cannot_write(domain):
     # Match(True) == Match(1), so one would stand for the other in a spec
     with pytest.raises(TypeError):
         Match(domain)
+
+
+@pytest.mark.parametrize("token", ["x", 5, None, (1,)])
+@pytest.mark.parametrize("make", [fwd, rev])
+def test_spec_rejects_a_token_that_is_neither_match_nor_ortho(make, token):
+    with pytest.raises(TypeError, match=re.escape(f"got {token!r}")):
+        make(Match(1), token)
 
 
 @pytest.mark.parametrize("tag", ["", 5, None, b"x"])

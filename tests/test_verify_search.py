@@ -694,6 +694,12 @@ def test_apply_reaction_rejects_what_cannot_apply():
     )
 
 
+def test_strand_violations_of_a_strand_that_keeps_the_invariants_is_empty():
+    index = engine._Index(RegisterState(L6, (INCUMBENT,)))
+    strand = BoundStrand(fwd(Match(5), Match(6), Ortho("a")), 4)
+    assert strand_violations(strand, strand.bound_positions(L6), dict(index.owner)) == []
+
+
 @pytest.mark.parametrize(
     "strand, wording",
     [
