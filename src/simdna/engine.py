@@ -36,6 +36,7 @@ from .model import (
     BoundStrand,
     Instruction,
     Match,
+    Occupancy,
     Program,
     RegisterLayout,
     RegisterState,
@@ -292,44 +293,36 @@ def _species(instr: Instruction) -> _Species:
 
 
 _offset = attrgetter("offset")
+_has_ortho = attrgetter("spec.has_ortho")
 _LOOP = "reaction loop revisited a state while applying {!r}"
 
 
-class _Index:
+class _Index(Occupancy):
     """Occupancy index of one register, kept for one run and updated from
-    each reaction's delta: the strand owning each position, the unbound
-    positions in order, each strand's bound set, the strands of each spec
-    that carries an overhang (only those can be grabbed, see
-    ``_Species.removers``), and the strands in canonical order (by offset,
-    then spec).  The domains of the unbound positions (``exposed``) and the
-    outcome of an instruction that does nothing (``noop``) are made on
-    demand and kept until the next delta."""
+    each reaction's delta: the placement (``Occupancy``: the strand owning
+    each position, each strand's bound set), the unbound positions in
+    order, the strands of each spec that carries an overhang (only those
+    can be grabbed, see ``_Species.removers``), and the strands in
+    canonical order (by offset, then spec).  The domains of the unbound
+    positions (``exposed``) and the outcome of an instruction that does
+    nothing (``noop``) are made on demand and kept until the next delta.
+
+    It is built from a state that passes the full ``validate_state``, whose
+    placement it keeps: the register is read once, and the reactions
+    applied to it afterwards are checked where they land."""
 
     def __init__(self, state: RegisterState):
-        self.layout = state.layout
-        self.owner: dict[int, BoundStrand] = {}
-        self.bound_of: dict[BoundStrand, frozenset[int]] = {}
-        self.by_spec: dict[StrandSpec, set[BoundStrand]] = {}
+        super().__init__(state.layout)
+        bad = validate_state(state, self)
+        if bad:
+            raise EngineError(f"invalid register: {'; '.join(bad)}")
         self.strands = list(state.strands)
-        for bs in self.strands:
-            bound = bound_set(self.layout, bs.spec, bs.offset)
-            self.bound_of[bs] = bound
-            if bs.spec.has_ortho:
-                self.by_spec.setdefault(bs.spec, set()).add(bs)
-            for p in bound:
-                self.owner[p] = bs
+        self.by_spec: dict[StrandSpec, set[BoundStrand]] = {}
+        for bs in filter(_has_ortho, self.strands):
+            self.by_spec.setdefault(bs.spec, set()).add(bs)
         self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
         self._exposed: set[int] | None = None
         self._noop: InstructionOutcome | None = None
-
-    @classmethod
-    def validated(cls, state: RegisterState) -> "_Index":
-        """The index of a state that passes the full ``validate_state``; the
-        reactions applied to it afterwards are checked where they land."""
-        bad = validate_state(state)
-        if bad:
-            raise EngineError(f"invalid register: {'; '.join(bad)}")
-        return cls(state)
 
     def state(self) -> RegisterState:
         return RegisterState.presorted(self.layout, tuple(self.strands))
@@ -534,7 +527,9 @@ def applicable_reactions(
     state: RegisterState, instr: Instruction, index: _Index | None = None
 ) -> set:
     """All reactions the instruction's species can perform on the state.
-    ``index`` is the state's occupancy index when the caller keeps one."""
+    ``index`` is the state's occupancy index when the caller keeps one;
+    without it the state is checked in full, and an invalid one raises
+    ``EngineError``."""
     ix = _Index(state) if index is None else index
     sp = _species(instr)
     out = set(_detaches(ix, sp, ix.by_spec.items()))
@@ -556,7 +551,7 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
     """Post-state of one reaction: the state is checked in full, the
     reaction where it lands.  Raises if the reaction cannot apply (defensive,
     signals an engine bug rather than user error)."""
-    index = _Index.validated(state)
+    index = _Index(state)
     index.apply(r.removed, r.added)
     return index.state()
 
@@ -756,14 +751,14 @@ _handoff: dict[str, tuple[RegisterState, _Index]] = {}
 
 def _take_index(state: RegisterState) -> _Index:
     """The index handed off with ``state`` itself, or else a new index of
-    ``state`` once it passes the full ``validate_state``.  A handed-off
-    state was built by the engine from a validated one, each delta checked
-    where it landed.  The slot is emptied either way, so a run that raises
-    leaves no index behind."""
+    ``state``, which checks it in full.  A handed-off state was built by
+    the engine from a validated one, each delta checked where it landed.
+    The slot is emptied either way, so a run that raises leaves no index
+    behind."""
     kept = _handoff.pop("last", None)
     if kept is not None and kept[0] is state:
         return kept[1]
-    return _Index.validated(state)
+    return _Index(state)
 
 
 def _hand_off(state: RegisterState, index: _Index) -> None:
@@ -777,8 +772,8 @@ def run_instruction(
 
     The run keeps its occupancy index for the ``final_state`` object it
     returns: a call on that very object continues from the index and skips
-    the full validation and the rebuild; any other state is validated and
-    indexed anew.  An instruction with no reaction (``_inert``) returns
+    the full check and the rebuild; any other state is read anew, in one
+    pass that checks it and builds its index.  An instruction with no reaction (``_inert``) returns
     ``state`` itself, as both modes would, in the one outcome the index
     keeps for its state (``_Index.noop``): the inert instructions that follow
     one another on a state return that same object and allocate nothing.

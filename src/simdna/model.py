@@ -261,22 +261,59 @@ class Program:
     instructions: tuple[Instruction, ...]
 
 
-def validate_state(state: RegisterState) -> list[str]:
-    """Check RegisterState invariants; returns human-readable violations.
+class Occupancy:
+    """The placement of strands on one register: the strand that ``owner``s
+    each bound position, and the bound set of each strand (``bound_of``)."""
+
+    def __init__(self, layout: RegisterLayout):
+        self.layout = layout
+        self.owner: dict[int, BoundStrand] = {}
+        self.bound_of: dict[BoundStrand, frozenset[int]] = {}
+
+    def add(self, strands) -> list[str]:
+        """Place ``strands`` on this placement, which holds none yet, and
+        return the violations of ``validate_state``.  Each bound set is
+        looked up once, and the verdict comes from passes over the whole
+        lot: every spec is forward, every bound set has two positions or
+        more, and the owner map has as many positions as the bound sets
+        together (none is placed twice).  These are the invariants of
+        ``strand_violations``, which words them: only when the verdict fails
+        is each strand tested in turn, from an empty placement."""
+        layout = self.layout
+        bounds = [bound_set(layout, bs.spec, bs.offset) for bs in strands]
+        self.bound_of.update(zip(strands, bounds))
+        owner = self.owner
+        for bs, bound in zip(strands, bounds):
+            for p in bound:
+                owner[p] = bs
+        if (
+            all([bs.spec.is_forward for bs in strands])
+            and min(map(len, bounds), default=2) >= 2
+            and len(owner) == sum(map(len, bounds))
+        ):
+            return []
+        violations = []
+        seen: dict[int, BoundStrand] = {}
+        for bs, bound in zip(strands, bounds):
+            violations += strand_violations(bs, bound, seen)
+            for p in bound:
+                seen.setdefault(p, bs)
+        return violations
+
+
+def validate_state(state: RegisterState, into: Optional[Occupancy] = None) -> list[str]:
+    """Check every RegisterState invariant; returns human-readable violations.
 
     Violations are data, not failures: the empty list means the state is
     well-formed (every strand stably bound, forward, and no register position
-    owned by two strands).
+    owned by two strands).  The check is ``Occupancy.add`` of the state's
+    strands on ``into``, an empty placement of the state's layout (the
+    engine passes its index), or on a new one; so the placement it builds
+    is kept by whoever passes it.
     """
-    violations = []
-    layout = state.layout
-    seen: dict[int, BoundStrand] = {}
-    for bs in state.strands:
-        bound = bs.bound_positions(layout)
-        violations += strand_violations(bs, bound, seen)
-        for p in bound:
-            seen.setdefault(p, bs)
-    return violations
+    if into is None:
+        into = Occupancy(state.layout)
+    return into.add(state.strands)
 
 
 def strand_violations(bs: BoundStrand, bound: frozenset[int], owner: dict) -> list[str]:

@@ -119,7 +119,9 @@ def make_scene(
 ) -> RenderScene:
     """Scene for a register, optionally with an instruction's species placed
     above it.  With an outcome, a species is solid exactly when it took part
-    in an applied reaction; otherwise applicability on the state decides."""
+    in an applied reaction; otherwise applicability on the state decides,
+    and ``engine.applicable_reactions`` checks the state in full: an invalid
+    register raises ``EngineError``."""
     if instr is None:
         return RenderScene(state, (), label)
     reactions = outcome.applied if outcome is not None else engine.applicable_reactions(state, instr)

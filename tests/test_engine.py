@@ -309,6 +309,38 @@ def test_run_program_refuses_a_bound_reverse_strand():
     assert str(err.value) == "invalid register: reverse strand bound at offset 0"
 
 
+L24 = RegisterLayout(2, 4)
+# a reverse strand, which a displacement would take off, and two forward
+# strands that share position 1, beside which an attach would bind
+BAD_REGISTERS = (
+    (
+        state(L24, BoundStrand(rev(Match(1), Match(2)), 0)),
+        "invalid register: reverse strand bound at offset 0",
+    ),
+    (
+        state(L24, BoundStrand(fwd(Match(1), Match(2)), 0), BoundStrand(fwd(Match(2), Match(3)), 1)),
+        "invalid register: position 1 bound by two strands (offsets 0 and 1)",
+    ),
+)
+
+
+@pytest.mark.parametrize("st, message", BAD_REGISTERS)
+def test_every_entry_refuses_an_invalid_register_alike(st, message):
+    from simdna.render import make_scene
+
+    ins = Instruction((fwd(Match(1), Match(2), Match(3)), fwd(Match(1), Match(2))))
+    entries = (
+        lambda: run_instruction(st, ins),
+        lambda: apply_reaction(st, Attach(fwd(Match(1), Match(2)), 4)),
+        lambda: applicable_reactions(st, ins),
+        lambda: make_scene(st, ins),
+    )
+    for entry in entries:
+        with pytest.raises(EngineError) as err:
+            entry()
+        assert str(err.value) == message
+
+
 def test_run_program_layout_mismatch():
     st = state(L6)
     prog = Program(RegisterLayout(2, 6), ())

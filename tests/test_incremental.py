@@ -50,7 +50,7 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None):
     returns the number of steps checked.  Fires in canonical order, or in a
     random order drawn from ``rng``.  Stops after ``max_steps`` (a
     livelocking instruction never stops by itself)."""
-    index = engine._Index.validated(state)
+    index = engine._Index(state)
     firing = engine._Firing(state, instr, index)
     steps = 0
     while True:
@@ -91,7 +91,7 @@ def test_kept_reactions_match_scratch_after_undo():
     for _ in range(800):
         state = random_state(rng)
         instr = random_instruction(rng, state)
-        index = engine._Index.validated(state)
+        index = engine._Index(state)
         firing = engine._Firing(state, instr, index)
         path = []
         for _ in range(12):

@@ -14,6 +14,7 @@ from simdna.model import (
     BoundStrand,
     Instruction,
     Match,
+    Occupancy,
     Orientation,
     Ortho,
     Program,
@@ -32,6 +33,7 @@ from simdna.model import (
     serialize_program,
     serialize_register,
     strand_spec,
+    strand_violations,
     token_key,
     validate_state,
 )
@@ -101,6 +103,74 @@ def test_validate_state_flags_overlap():
     b = BoundStrand(fwd(Match(2), Match(3)), 1)
     state = RegisterState(layout, (a, b))
     assert any("two strands" in v for v in validate_state(state))
+
+
+def _reference_violations(state: RegisterState) -> list[str]:
+    """``validate_state`` as one test per strand, in state order, each
+    beside the first owners of the positions before it."""
+    violations = []
+    seen: dict[int, BoundStrand] = {}
+    for bs in state.strands:
+        bound = bs.bound_positions(state.layout)
+        violations += strand_violations(bs, bound, seen)
+        for p in bound:
+            seen.setdefault(p, bs)
+    return violations
+
+
+def _broken(rng: random.Random, st: RegisterState) -> RegisterState:
+    """``st`` with up to two of: a strand turned reverse, a strand that
+    binds fewer than two positions, a strand over an owned position (a copy
+    of its owner, or a new one), and a strand hanging off an end."""
+    layout, strands = st.layout, list(st.strands)
+    n, d = layout.total_positions, layout.domains_per_cell
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.choice(("reverse", "short", "overlap", "hang"))
+        if kind == "reverse" and strands:
+            i = rng.randrange(len(strands))
+            strands[i] = BoundStrand(StrandSpec(strands[i].spec.tokens, Orientation.REVERSE), strands[i].offset)
+        elif kind == "short":
+            tokens = random_tokens(rng, d, rng.randint(1, 3), runny=False)
+            for _attempt in range(20):  # fewer than two positions
+                bs = BoundStrand(StrandSpec(tokens), rng.randint(-3, n))
+                if len(bs.bound_positions(layout)) < 2:
+                    strands.append(bs)
+                    break
+        elif kind == "overlap" and strands:
+            bs = rng.choice(strands)
+            owned = sorted(bs.bound_positions(layout))
+            if not owned or rng.random() < 0.5:
+                strands.append(bs)
+            else:  # two positions from an owned one on, or up to it
+                q = rng.choice(owned) - rng.randint(0, 1)
+                tokens = tuple(Match(layout.domain_at(p)) for p in (q, q + 1) if layout.contains(p))
+                strands.append(BoundStrand(StrandSpec(tokens), q))
+        else:  # hanging off the left or the right end, bound or not
+            tokens = random_tokens(rng, d, rng.randint(2, 5))
+            off = rng.choice((rng.randint(-len(tokens) + 1, -1), rng.randint(n - len(tokens) + 1, n - 1)))
+            strands.append(BoundStrand(StrandSpec(tokens), off))
+    return RegisterState(layout, tuple(strands))
+
+
+def test_batch_verdict_words_what_the_per_strand_check_words():
+    rng = random.Random(2105)
+    only = {"reverse": 0, "needs at least two": 0, "bound by two strands": 0}
+    valid = 0
+    for _ in range(3000):
+        st = _broken(rng, random_state(rng))
+        expected = _reference_violations(st)
+        placement = Occupancy(st.layout)
+        assert validate_state(st, placement) == expected, st
+        kinds = {k for k in only if any(k in v for v in expected)}
+        if len(kinds) == 1:
+            only[kinds.pop()] += 1
+        if not expected:
+            valid += 1
+            layout = st.layout
+            assert placement.bound_of == {bs: bs.bound_positions(layout) for bs in st.strands}
+            assert placement.owner == {p: bs for bs in st.strands for p in bs.bound_positions(layout)}
+    # each clause of the verdict is the only one that fails in many registers
+    assert min(only.values()) > 150 and valid > 500, (only, valid)
 
 
 def test_state_canonical_order_and_hash():

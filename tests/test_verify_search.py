@@ -24,7 +24,7 @@ import pytest
 from full_search import full_search
 from generators import random_instruction, random_state
 
-from simdna import engine
+from simdna import engine, model
 from simdna.compiler import (
     compile_tm,
     configs_equivalent,
@@ -238,7 +238,7 @@ def test_delta_key_is_equal_exactly_when_the_state_is():
     for _ in range(800):
         st = random_state(rng)
         instr = random_instruction(rng, st)
-        index = engine._Index.validated(st)
+        index = engine._Index(st)
         firing = engine._Firing(st, instr, index)
         delta, path = set(), []
         by_key, by_state = {frozenset(): (st, ())}, {st: frozenset()}
@@ -281,7 +281,13 @@ def test_canonical_run_hands_off_a_fresh_index(increment_spec, increment_compile
 
 def test_handed_off_state_is_not_validated_again(monkeypatch, increment_spec, increment_compiled_s3):
     calls = []
-    monkeypatch.setattr(engine, "validate_state", lambda st: calls.append(st) or [])
+    check = engine.validate_state
+
+    def counted(st, *args):
+        calls.append(st)
+        return check(st, *args)
+
+    monkeypatch.setattr(engine, "validate_state", counted)
     st = _incrementor_registers(increment_spec, increment_compiled_s3)[0]
     for mode in (Canonical(), VerifyConfluent()):
         cur = RegisterState(st.layout, st.strands)  # equal, but not the object handed off
@@ -289,6 +295,35 @@ def test_handed_off_state_is_not_validated_again(monkeypatch, increment_spec, in
             cur = run_instruction(cur, instr, mode).final_state
         engine.run_program(cur, increment_compiled_s3.program, mode)
     assert len(calls) == 2
+
+
+def test_a_fresh_register_is_read_once(monkeypatch, increment_spec, increment_compiled_s3):
+    # the entry check builds the placement that the run's index keeps: one
+    # bound-set lookup per strand and one validate_state call, then nothing
+    # more for an inert instruction
+    st = _incrementor_registers(increment_spec, increment_compiled_s3)[0]
+    instr = next(
+        i for i in increment_compiled_s3.program.instructions
+        if engine._inert(engine._Index(st), engine._species(i))
+    )
+    fresh = RegisterState(st.layout, st.strands)  # equal, but not the object handed off
+    lookups, calls = [], []
+    bound_set, check = model.bound_set, engine.validate_state
+
+    def counted_bound_set(*args):
+        lookups.append(args)
+        return bound_set(*args)
+
+    def counted_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(model, "bound_set", counted_bound_set)
+    monkeypatch.setattr(engine, "bound_set", counted_bound_set)
+    monkeypatch.setattr(engine, "validate_state", counted_check)
+    assert run_instruction(fresh, instr).final_state is fresh
+    assert len(lookups) == len(fresh.strands) > 0
+    assert len(calls) == 1
 
 
 def test_second_call_on_a_state_gives_an_equal_outcome(increment_spec, increment_compiled_s3):
@@ -547,7 +582,7 @@ def _parts_hold_every_reaction(st, instr, max_states: int = 2_000) -> int | None
     that its least position is labelled and that the bound sets of the
     strands it adds and removes lie in one part.  Returns the number of
     reactions checked, or None past ``max_states`` states."""
-    parts = engine._parts(engine._Index.validated(st), engine._species(instr))
+    parts = engine._parts(engine._Index(st), engine._species(instr))
     layout = st.layout
     seen = {st}
     todo = [st]
@@ -587,7 +622,7 @@ def test_no_reaction_spans_two_parts(increment_spec, increment_compiled_s3, incr
 
 
 def _reduced_finals(st, instr):
-    firing = engine._Firing(st, instr, engine._Index.validated(st))
+    firing = engine._Firing(st, instr, engine._Index(st))
     finals, _loops, _path = engine._deadlocks(st, firing, 100_000, instr.label)
     return {out.final_state: out.applied for out in finals}
 
