@@ -29,6 +29,7 @@ from .model import (
     MAX_POSITIONS,
     RegisterState,
     SchemaError,
+    TraceStateReader,
     add_where,
     canon_with_state,
     parse_register,
@@ -272,21 +273,20 @@ _FIRST_LINE = re.compile(rb"(?<![^\r\n])[^\S\r\n]*\S[^\r\n]*")
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _state_of(doc, where: str, table: dict) -> RegisterState:
+def _state_of(doc, where: str) -> RegisterState:
     try:
-        return register_from_doc(doc, table)
+        return register_from_doc(doc)
     except SchemaError as e:
         raise SchemaError(f"{where}: $.state{e.path[1:]}", e.message) from e
 
 
-def _read_line(raw: bytes, where: str, tails: dict, table: dict) -> tuple[dict, RegisterState]:
+def _read_line(raw: bytes, where: str, states: TraceStateReader) -> tuple[dict, RegisterState]:
     """The document of trace line ``raw`` and its decoded state.  The line
     is split at its first ``,"state":`` into a head ``H`` and a tail ``T``:
-    ``H + "}"`` is parsed on every line, the object ``"{" + T[1:]`` and its
-    register once per distinct tail bytes (``tails`` keeps them, with the
-    tail's keys other than ``state``; ``table`` is the decoding table of
-    ``register_from_doc``).  A line with no mark, an empty head, or a head
-    or tail that does not read is read whole, which names its error.
+    ``H + "}"`` is parsed on every line, and ``T`` is read by ``states``
+    (``TraceStateReader.read``: the object ``"{" + T[1:]``, once per
+    distinct tail).  A line with no mark, an empty head, or a head or tail
+    that does not read is read whole, which names its error.
 
     This is exact.  A head that parses as a nonempty object puts the mark
     at depth 1 right after a member, so the line is valid JSON if and only
@@ -295,35 +295,29 @@ def _read_line(raw: bytes, where: str, tails: dict, table: dict) -> tuple[dict, 
     try:
         head = _load_json(raw[:cut] + b"}", where) if cut > 0 else None
         if isinstance(head, dict) and head:
-            tail = raw[cut:]
-            known = tails.get(tail)
-            if known is None:
-                rest = _load_json(b"{" + tail[1:], where)
-                known = tails[tail] = (rest, _state_of(rest.pop("state"), where, table))
-            rest, state = known
+            rest, state = states.read(raw[cut:])
             return {**head, **rest}, state
     except SchemaError:
         pass
     doc = _load_json(raw, where)
     if not isinstance(doc, dict) or "state" not in doc:
         raise SchemaError(where, "missing key 'state'")
-    return doc, _state_of(doc["state"], where, table)
+    return doc, _state_of(doc["state"], where)
 
 
 def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]]:
     """Every line is parsed and checked; each distinct state (by the exact
-    bytes of its line from ``,"state":`` on) is parsed and decoded once, and
-    lines that repeat it share the register.  One decoding table serves the
-    whole trace, so each distinct layout and token list is decoded once."""
+    bytes of its line from ``,"state":`` on) is decoded once, by one
+    ``TraceStateReader`` for the whole trace, and lines that repeat it share
+    the register."""
     scenes = []
     counts = []
-    tails: dict[bytes, tuple[dict, RegisterState]] = {}
-    table: dict = {}
+    states = TraceStateReader()
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
         where = f"trace line {lineno}"
-        doc, state = _read_line(raw, where, tails, table)
+        doc, state = _read_line(raw, where, states)
         applied = doc.get("applied", [])
         if not isinstance(applied, list):
             raise SchemaError(where, "'applied' must be an array")

@@ -174,6 +174,8 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
         raise TMSpecError(f"not valid YAML: {e}") from e
     except RecursionError as e:
         raise TMSpecError("YAML nested too deeply") from e
+    except ValueError as e:  # a value Python cannot hold: a date out of range, an integer too long to convert
+        raise TMSpecError(f"not valid YAML: {e}") from e
     if not isinstance(doc, dict):
         raise TMSpecError("top level must be a mapping")
 

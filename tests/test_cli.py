@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import os
+import random
+import sys
 import time
 from pathlib import Path
 
@@ -617,6 +619,19 @@ def test_render_of_increment_trace_pinned(tmp_path, increment_trace, flags):
 
 
 @pytest.mark.parametrize("flags", list(INCREMENT_RENDER_SHA256), ids=["text", "svg", "svg-every-1"])
+def test_render_of_the_trace_in_other_spacing_is_the_same(tmp_path, increment_trace, flags):
+    # json.dumps spaces every separator, so no line is in the written form
+    # and every state is decoded whole
+    loose = tmp_path / "loose.jsonl"
+    lines = increment_trace.read_bytes().splitlines()
+    loose.write_text("".join(json.dumps(json.loads(raw)) + "\n" for raw in lines))
+    assert b',"state":' not in loose.read_bytes()
+    out = tmp_path / "render.out"
+    assert main(["render", str(loose), *flags, "-o", str(out)]) == 0
+    assert _sha256(out) == INCREMENT_RENDER_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", list(INCREMENT_RENDER_SHA256), ids=["text", "svg", "svg-every-1"])
 def test_render_writes_its_output_part_by_part(tmp_path, increment_trace, flags, monkeypatch, capsys):
     # the pinned bytes, to a file and to stdout, with the document never
     # held as one string: render_trace joins it, so render must not call it
@@ -710,6 +725,46 @@ def test_input_nested_too_deeply_exits_2(tmp_path, capsys, prog_path, reg_path, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+def _trace_line(instr: int, strands: list) -> str:
+    """A canonical trace line of a one-cell register of 6 domains."""
+    state = _canonical({"layout": {"cells": 1, "domains_per_cell": 6}, "strands": strands})
+    head = _canonical({"applied": [], "instr": instr, "label": ""})[:-1]
+    return (head + b',"state":%s,"state_hash":"%s"}\n' % (state, hashlib.sha256(state).hexdigest().encode())).decode()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["machine-yaml", "machine-json", "program", "register", "trace-head", "trace-tail", "style"],
+)
+def test_an_integer_too_long_to_convert_exits_2(tmp_path, capsys, prog_path, reg_path, case):
+    # json.loads and yaml.safe_load raise a bare ValueError for it
+    big = "1" + "0" * sys.get_int_max_str_digits()
+    layout = '"layout": {"cells": 3, "domains_per_cell": 18}'
+    strand = {"offset": 0, "tokens": [{"m": 1}, {"m": 2}]}
+    trace = _trace_line(1, [strand]) + _trace_line(2, [strand])
+    text, argv = {
+        "machine-yaml": (f"start state: a\nhalt state: h\ntable: {{a: {{0: {{write: {big}}}}}}}\n", ["compile", "BAD", "--cells", "3"]),
+        "machine-json": (
+            f'{{"start state": "a", "halt state": "h", "table": {{"a": {{"0": {{"write": {big}}}}}}}}}',
+            ["run-tm", "BAD", "--cells", "3"],
+        ),
+        "program": (f'{{{layout}, "instructions": [{{"strands": [{{"tokens": [{{"m": {big}}}]}}]}}]}}', ["simulate", "BAD", reg_path]),
+        "register": (f'{{{layout}, "strands": [{{"offset": {big}, "tokens": [{{"m": 1}}, {{"m": 2}}]}}]}}', ["render", "BAD"]),
+        "trace-head": (trace.replace('"instr":2', f'"instr":{big}'), ["render", "BAD", "--format", "text"]),
+        # the tail is in the written form, so the delta read meets the offset
+        "trace-tail": (trace[: trace.index("\n") + 1] + trace[trace.index("\n") + 1 :].replace('"offset":0', f'"offset":{big}'), ["render", "BAD"]),
+        "style": ('{"unit_width": %s}' % big, ["render", reg_path, "--style", "BAD"]),
+    }[case]
+    bad = tmp_path / "bad.in"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main([str(bad if arg == "BAD" else arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+    if case == "trace-tail":
+        assert err == f"error: {bad}: trace line 2: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
 def test_simulate_refuses_a_register_of_another_layout(tmp_path, capsys, prog_path):
@@ -832,8 +887,42 @@ def _float_domain(strand):
     tok["m"] = float(tok["m"])
 
 
-# edit of a valid trace line -> the label of the edited line (None: unchanged)
-# or a part of the error it raises
+def _restranded(raw: bytes, fix) -> bytes:
+    """The line, in the written form, with its strand documents passed
+    through ``fix``."""
+    doc = json.loads(raw)
+    fix(doc["state"]["strands"])
+    return _canonical(doc)
+
+
+def _relaid(raw: bytes, layout: dict) -> bytes:
+    doc = json.loads(raw)
+    doc["state"]["layout"] = layout
+    return _canonical(doc)
+
+
+def _in_tail(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """The line with the first ``old`` of its tail replaced by ``new``."""
+    cut = raw.index(b',"state":')
+    assert old in raw[cut:]
+    return raw[:cut] + raw[cut:].replace(old, new, 1)
+
+
+def _swap_first_two(strands):
+    strands[0], strands[1] = strands[1], strands[0]
+
+
+def _shift_a_cell_right(strands):
+    # one cell on, its tokens match the domains there, which another strand
+    # holds; the first strand whose twin is not there already
+    strand = next(s for s in strands if {**s, "offset": s["offset"] + 18} not in strands)
+    strand["offset"] += 18
+
+
+# the edited line holds a valid state other than the one it was made from
+ANOTHER_STATE = "another state"
+# edit of a valid trace line -> the label of the edited line (None: unchanged),
+# ANOTHER_STATE, or a part of the error it raises
 SPLIT_CASES = {
     "nested-mark-in-applied": (
         lambda raw: raw.replace(b'"applied":[', b'"applied":[{"rule":"x","state":1},', 1), None),
@@ -851,6 +940,24 @@ SPLIT_CASES = {
     "bad-utf8-in-head": (lambda raw: raw.replace(b'"label":"', b'"label":"\xff', 1), "invalid start byte"),
     "bad-utf8-in-tail": (lambda raw: raw[:-2] + b"\xff" + raw[-2:], "invalid start byte"),
     "bad-json-in-tail": (lambda raw: raw[:-1], "Expecting ',' delimiter"),
+    # aimed at the delta read of a tail in the written form
+    "strands-swapped": (lambda raw: _restranded(raw, _swap_first_two), None),
+    "strand-duplicated": (lambda raw: _restranded(raw, lambda s: s.append(dict(s[0]))), "bound by two strands"),
+    "strand-dropped": (lambda raw: _restranded(raw, lambda s: s.pop(0)), ANOTHER_STATE),
+    "strand-shifted-to-overlap": (lambda raw: _restranded(raw, _shift_a_cell_right), "bound by two strands"),
+    "offset-02": (lambda raw: _in_tail(raw, b'{"offset":2,', b'{"offset":02,'), "Expecting ',' delimiter"),
+    "offset-minus-0": (lambda raw: _in_tail(raw, b'{"offset":0,', b'{"offset":-0,'), None),
+    "offset-2.0": (lambda raw: _in_tail(raw, b'{"offset":2,', b'{"offset":2.0,'), "offset: must be an integer"),
+    "offset-true": (lambda raw: _in_tail(raw, b'{"offset":2,', b'{"offset":true,'), "offset: must be an integer"),
+    "space-before-first-strand": (lambda raw: _in_tail(raw, b'"strands":[{', b'"strands":[ {'), None),
+    "bom-before-tokens": (lambda raw: _in_tail(raw, b'"tokens":[', b'"tokens":\xef\xbb\xbf['), "Expecting value"),
+    "uppercase-state-hash": (lambda raw: raw[:-66] + raw[-66:-2].upper() + raw[-2:], None),
+    "state-hash-overwritten": (lambda raw: raw[:-81] + b"x" * 81, "Expecting ',' delimiter"),
+    "key-after-state-hash": (lambda raw: raw[:-1] + b',"z":1}', None),
+    "tag-holding-close": (lambda raw: _restranded(raw, lambda s: s[0]["tokens"].append({"o": "]}"})), ANOTHER_STATE),
+    "tag-holding-mark": (
+        lambda raw: _restranded(raw, lambda s: s[0]["tokens"].append({"o": ',{"offset":'})), ANOTHER_STATE),
+    "second-layout": (lambda raw: _relaid(raw, {"cells": 4, "domains_per_cell": 18}), ANOTHER_STATE),
 }
 
 
@@ -861,18 +968,48 @@ def test_split_trace_reader_agrees_with_a_whole_line_reader(increment_trace, cas
     lines = increment_trace.read_bytes().splitlines()
     edit, expect = SPLIT_CASES[case]
     # the edited line follows the line it was made from, whose state is
-    # valid and whose "applied" is not empty
+    # valid and whose "applied" is not empty: after the whole trace, and
+    # before the rest of it, whose states are then read after the edit
     j = next(i for i, raw in enumerate(lines) if b'"applied":[{' in raw)
-    k = len(lines) + 1
-    text = b"\n".join([*lines, edit(lines[j]), lines[j]]) + b"\n"
-    want = _reading(_whole_line_scenes, text)
-    assert _reading(_scenes_from_trace, text) == want
-    if want[0] == "error":
-        assert want[1].startswith(f"trace line {k}: ") and expect in want[1]
-    else:
-        scenes = want[0]
-        assert scenes[k - 1].state == scenes[j].state
-        assert scenes[k - 1].label == (expect or scenes[j].label)
+    for k, text in (
+        (len(lines) + 1, b"\n".join([*lines, edit(lines[j]), lines[j]]) + b"\n"),
+        (j + 2, b"\n".join([*lines[: j + 1], edit(lines[j]), *lines[j + 1 :]]) + b"\n"),
+    ):
+        want = _reading(_whole_line_scenes, text)
+        assert _reading(_scenes_from_trace, text) == want
+        if want[0] == "error":
+            assert want[1].startswith(f"trace line {k}: ") and expect in want[1]
+        elif expect is ANOTHER_STATE:
+            scenes = want[0]
+            assert scenes[k - 1].state != scenes[j].state
+            assert scenes[k - 1].label == scenes[j].label
+        else:
+            scenes = want[0]
+            assert scenes[k - 1].state == scenes[j].state
+            assert scenes[k - 1].label == (expect or scenes[j].label)
+
+
+def test_delta_read_agrees_with_a_whole_line_reader_on_mutated_tails(increment_trace):
+    # seeded byte substitutions, insertions and deletions in the tail of a
+    # line that the delta read meets after two states it has read
+    from simdna.cli import _scenes_from_trace
+
+    lines = increment_trace.read_bytes().splitlines()
+    rng = random.Random(0)
+    alphabet = b'0123456789-+.,:{}[]" \\motruefalsenul{"offset":'
+    read = 0
+    for _ in range(2400):
+        i = rng.randrange(2, len(lines))
+        raw = lines[i]
+        p = rng.randrange(raw.index(b',"state":'), len(raw))
+        c = bytes([rng.choice(alphabet)])
+        edited = rng.choice([raw[:p] + c + raw[p + 1 :], raw[:p] + c + raw[p:], raw[:p] + raw[p + 1 :]])
+        text = b"\n".join([lines[0], lines[i - 1], edited, raw])
+        want = _reading(_whole_line_scenes, text)
+        assert _reading(_scenes_from_trace, text) == want, edited
+        read += want[0] != "error"
+    # most edits break the line, and some still read
+    assert 100 < read < 1200
 
 
 # --- the trace path does each piece of work once --------------------------------
@@ -891,29 +1028,44 @@ def _counting(monkeypatch, fn, *modules) -> list:
 
 
 def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, increment_trace):
-    from simdna import cli, model
+    # one read per distinct tail; in a trace of one layout in the written
+    # form, only the first state is decoded whole, and each strand document
+    # that state does not hold is built once
+    from simdna import model
 
-    states = {_canonical(json.loads(raw)["state"]) for raw in increment_trace.read_bytes().splitlines()}
-    assert 1 < len(states) < len(increment_trace.read_bytes().splitlines())
+    lines = increment_trace.read_bytes().splitlines()
+    states = {_canonical(json.loads(raw)["state"]): json.loads(raw)["state"] for raw in lines}.values()
+    first = {_canonical(strand) for strand in json.loads(lines[0])["state"]["strands"]}
+    strands = {_canonical(strand) for state in states for strand in state["strands"]}
+    assert 1 < len(states) < len(lines) and len(first) < len(strands)
+    delta, whole, new = model.TraceStateReader._delta, model.register_from_doc, model._new_strand
     for fmt in ("svg", "text"):
-        calls = _counting(monkeypatch, model.register_from_doc, cli)
+        reads = _counting(monkeypatch, delta, model.TraceStateReader)
+        wholes = _counting(monkeypatch, whole, model)
+        built = _counting(monkeypatch, new, model)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert len(calls) == len(states)
+        assert (len(reads), len(wholes), len(built)) == (len(states), 1, len(strands - first))
 
 
 def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):
+    # the first state is decoded as a register file is, one parse per
+    # strand; the delta read parses each token list no state before held once
     from simdna import model
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
     states = {_canonical(doc["state"]): doc["state"] for doc in docs}.values()
+    first = [_canonical(strand["tokens"]) for strand in docs[0]["state"]["strands"]]
     lists = {_canonical(strand["tokens"]) for state in states for strand in state["strands"]}
     # the lists repeat across states, not only within one
     assert len(lists) < sum(len({_canonical(strand["tokens"]) for strand in state["strands"]}) for state in states)
+    assert len(set(first)) < len(first)
     parse = model._parse_tokens
     for fmt in ("svg", "text"):
         calls = _counting(monkeypatch, parse, model)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert len(calls) == len(lists)
+        parsed = [_canonical(args[0]) for args in calls]
+        assert parsed[: len(first)] == first
+        assert sorted(parsed[len(first) :]) == sorted(lists - set(first))
 
 
 # a token that equals, but is not, the token {"m": 1}, and an overhang tag

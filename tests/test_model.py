@@ -337,6 +337,38 @@ def test_serialization_canonical(prog):
     assert b"\n" not in data and b": " not in data
 
 
+def test_a_placement_moved_by_a_delta_is_checked_where_it_lands():
+    # from a valid state to a state made from some of its strands and up to
+    # two broken ones: the landings fail exactly when that state is invalid
+    rng = random.Random(2610)
+    moved = refused = 0
+    for _ in range(2000):
+        a = random_state(rng)
+        b = _broken(rng, RegisterState(a.layout, tuple(bs for bs in a.strands if rng.random() < 0.7)))
+        if len(set(b.strands)) < len(b.strands):
+            continue  # a duplicate is not a landing
+        layout = a.layout
+        placement = Occupancy(layout)
+        assert placement.add(a.strands) == []
+        placement.remove([bs for bs in a.strands if bs not in b.strands])
+        came = [bs for bs in b.strands if bs not in placement.bound_of]
+        bad = placement.land(came)
+        if not bad:
+            moved += 1
+            assert _reference_violations(b) == []
+            assert placement.bound_of == {bs: bs.bound_positions(layout) for bs in b.strands}
+            assert placement.owner == {p: bs for bs in b.strands for p in bs.bound_positions(layout)}
+        else:
+            refused += 1
+            assert _reference_violations(b)
+            # the first strand that did not land is worded beside the rest
+            bs = next(bs for bs in came if bs not in placement.bound_of)
+            assert bad == strand_violations(bs, bs.bound_positions(layout), placement.owner)
+    assert moved > 500 and refused > 500, (moved, refused)
+    with pytest.raises(KeyError):
+        Occupancy(layout).remove([BoundStrand(fwd(Match(1), Match(2)), 0)])
+
+
 def test_register_file_shares_one_spec_per_token_list():
     doc = (
         b'{"layout":{"cells":2,"domains_per_cell":4},"strands":['
