@@ -338,12 +338,23 @@ def _scenes_from_trace(text: bytes) -> tuple[list[render.RenderScene], list[int]
 def _is_trace(raw: bytes) -> bool:
     """A trace's first nonblank line is a JSON object with an "instr" key,
     and a trace of no instructions has no such line; a register file is one
-    JSON document, which may span lines.  Only that line is read."""
+    JSON document, which may span lines.  Only that line is read, with its
+    integers left unconverted.  A line that does not parse is a trace's
+    when its head does (the part before its first ``,"state":``, as
+    ``_read_line`` splits it): a trace line cut short, or one holding an
+    integer too long to convert, is reported as a trace line."""
     first = _FIRST_LINE.search(raw)
     if first is None:
         return True
+    line = first.group()
+    cut = line.find(_STATE_MARK)
+    return _has_instr(line) or (cut > 0 and _has_instr(line[:cut] + b"}"))
+
+
+def _has_instr(text: bytes) -> bool:
+    """Whether ``text`` is a JSON object with an "instr" key."""
     try:
-        doc = _load_json(first.group(), "$")
+        doc = _load_json(text, "$", parse_int=str)
     except SchemaError:
         return False
     return isinstance(doc, dict) and "instr" in doc

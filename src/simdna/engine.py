@@ -473,7 +473,14 @@ def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[React
     a reaction needs an unbound matched position in the run that holds its
     overlap, and the one nearest a changed position is either that position
     or next to the one incumbent, which lies in lo..hi when it is new.  A
-    flank's toehold is next to its incumbent in the same way."""
+    flank's toehold is next to its incumbent in the same way.
+
+    The flanks of an incumbent flanked near the window are completed by a
+    second search over its span only where a cooperative pair can exist:
+    a flank's ``M`` is bound only within the incumbent (``_alignment``), so
+    a left flank holds the position before the incumbent unbound, and a
+    right flank the one after it.  An incumbent with either neighbour
+    bound or off the register has no pair, and is not searched around."""
     out: list[Reaction] = []
     left: dict[BoundStrand, list] = {}
     right: dict[BoundStrand, list] = {}
@@ -481,14 +488,21 @@ def _forward_reactions(ix: _Index, sp: _Species, lo: int, hi: int) -> list[React
     _survey(ix, near, out, left, right)
     if not (left or right):
         return out
-    # complete the flank lists of the incumbents flanked near the window
-    scope = set(left) | set(right)
-    a = min(min(ix.bound_of[inc]) for inc in scope) - 1
-    b = max(max(ix.bound_of[inc]) for inc in scope) + 1
+    owner, bound_of, total = ix.owner, ix.bound_of, ix.layout.total_positions
+    ends = {}  # incumbent -> its two neighbours, both unbound
+    for inc in left.keys() | right.keys():
+        inc_bound = bound_of[inc]
+        a, b = min(inc_bound) - 1, max(inc_bound) + 1
+        if a >= 0 and b < total and a not in owner and b not in owner:
+            ends[inc] = a, b
+    if not ends:
+        return out
+    a = min(a for a, _ in ends.values())
+    b = max(b for _, b in ends.values())
     if a < lo - 1 or b > hi + 1:
         _survey(ix, _candidates(ix, sp, a, b) - near, out, left, right)
-    for inc in scope:
-        inc_bound = ix.bound_of[inc]
+    for inc in ends:
+        inc_bound = bound_of[inc]
         for lspec, loff, lM, lcover in left.get(inc, ()):
             for rspec, roff, rM, rcover in right.get(inc, ()):
                 if lM & rM:
@@ -755,20 +769,16 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
 _handoff: dict[str, tuple[RegisterState, _Index]] = {}
 
 
-def _take_index(state: RegisterState) -> _Index:
-    """The index handed off with ``state`` itself, or else a new index of
-    ``state``, which checks it in full.  A handed-off state was built by
+def _take(state: RegisterState) -> tuple[RegisterState, _Index]:
+    """The pair handed off with ``state`` itself, or else ``state`` with a
+    new index, which checks it in full.  A handed-off state was built by
     the engine from a validated one, each delta checked where it landed.
     The slot is emptied either way, so a run that raises leaves no index
     behind."""
     kept = _handoff.pop("last", None)
     if kept is not None and kept[0] is state:
-        return kept[1]
-    return _Index(state)
-
-
-def _hand_off(state: RegisterState, index: _Index) -> None:
-    _handoff["last"] = (state, index)
+        return kept
+    return state, _Index(state)
 
 
 def run_instruction(
@@ -779,18 +789,22 @@ def run_instruction(
     The run keeps its occupancy index for the ``final_state`` object it
     returns: a call on that very object continues from the index and skips
     the full check and the rebuild; any other state is read anew, in one
-    pass that checks it and builds its index.  An instruction with no reaction (``_inert``) returns
-    ``state`` itself, as both modes would, in the one outcome the index
-    keeps for its state (``_Index.noop``): the inert instructions that follow
-    one another on a state return that same object and allocate nothing.
-    Otherwise ``VerifyConfluent``
-    searches every final state; its first branch is the canonical run, which
-    must end, without looping, in the unique one: the outcome.  A search
-    that never branched leaves the index at the outcome; any other is moved
-    there by undoing its path and applying the outcome's reactions."""
-    index = _take_index(state)
+    pass that checks it and builds its index.  An instruction with no
+    reaction (``_inert``) puts back the very pair it took, so a run of inert
+    instructions on one state pops and stores one tuple and builds nothing,
+    and returns ``state`` itself, as both modes would, in the one outcome
+    the index keeps for its state (``_Index.noop``).  Otherwise
+    ``VerifyConfluent`` searches every final state; its first branch is the
+    canonical run, which must end, without looping, in the unique one: the
+    outcome.  A search that never branched leaves the index at the outcome;
+    any other is moved there by undoing its path and applying the outcome's
+    reactions."""
+    kept = _handoff.pop("last", None)  # ``_take``, inlined for the inert path
+    if kept is None or kept[0] is not state:
+        kept = state, _Index(state)
+    index = kept[1]
     if _inert(index, _species(instr)):
-        _hand_off(state, index)
+        _handoff["last"] = kept
         return index.noop(state)
     firing = _Firing(state, instr, index)
     if isinstance(mode, VerifyConfluent):
@@ -808,7 +822,7 @@ def run_instruction(
                 index.apply(r.removed, r.added)
     else:
         out = _canonical_run(firing, state, instr.label)
-    _hand_off(out.final_state, index)
+    _handoff["last"] = out.final_state, index
     return out
 
 
@@ -823,7 +837,7 @@ def run_program(
         raise EngineError(
             f"register layout {state.layout} does not match program layout {prog.layout}"
         )
-    _hand_off(state, _take_index(state))  # checked here even when no instruction runs
+    _handoff["last"] = _take(state)  # checked here even when no instruction runs
     outcomes = []
     for number, instr in enumerate(prog.instructions, 1):
         try:

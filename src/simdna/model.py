@@ -390,11 +390,12 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
-def _load_json(text: bytes, path: str):
+def _load_json(text: bytes, path: str, parse_int=None):
     """The JSON document of ``text``, which must be UTF-8 without a BOM;
-    the only place input bytes become JSON."""
+    the only place input bytes become JSON.  ``parse_int`` is
+    ``json.loads``'s: ``str`` leaves integers unconverted."""
     try:
-        return json.loads(text.decode("utf-8"))
+        return json.loads(text.decode("utf-8"), parse_int=parse_int)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SchemaError(path, f"not valid UTF-8 JSON: {e}") from e
     except ValueError as e:  # the one other: an integer too long to convert

@@ -767,6 +767,40 @@ def test_an_integer_too_long_to_convert_exits_2(tmp_path, capsys, prog_path, reg
         assert err == f"error: {bad}: trace line 2: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
+@pytest.mark.parametrize("case", ["lost-4-bytes", "lost-2-bytes", "long-integer"])
+def test_a_trace_whose_first_line_does_not_read_names_that_line(tmp_path, capsys, case):
+    # the first line tells a trace from a register file: cut short, or
+    # holding an integer too long to convert, it is still a trace line
+    strand = {"offset": 0, "tokens": [{"m": 1}, {"m": 2}]}
+    first = _trace_line(1, [strand])
+    big = "1" + "0" * 5000
+    first = {
+        "lost-4-bytes": first[:-5] + "\n",
+        "lost-2-bytes": first[:-3] + "\n",
+        "long-integer": first.replace('"offset":0', f'"offset":{big}'),
+    }[case]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + _trace_line(2, [strand]))
+    capsys.readouterr()
+    assert main(["render", str(bad)]) == 2
+    err = capsys.readouterr().err
+    if case == "long-integer":
+        assert err == f"error: {bad}: trace line 1: an integer has more than {sys.get_int_max_str_digits()} digits\n"
+    else:
+        assert err.startswith(f"error: {bad}: trace line 1: not valid UTF-8 JSON: ")
+
+
+@pytest.mark.parametrize("case", ["syntax-error", "cut-short"])
+def test_a_pretty_printed_register_that_does_not_read_names_the_document(tmp_path, capsys, reg_path, case):
+    # its first line, "{", does not parse alone, and it is no trace line
+    text = json.dumps(json.loads(reg_path.read_bytes()), indent=2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"strands"', '"strands" x', 1) if case == "syntax-error" else text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["render", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: $: not valid UTF-8 JSON: ")
+
+
 def test_simulate_refuses_a_register_of_another_layout(tmp_path, capsys, prog_path):
     other = tmp_path / "other.json"
     other.write_text('{"layout": {"cells": 4, "domains_per_cell": 18}, "strands": []}')

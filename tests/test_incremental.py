@@ -45,11 +45,18 @@ def _check_kept(firing, cur, instr):
         assert brute_force_reactions(cur, instr) == set(), (cur, instr)
 
 
-def _fire(state, instr, max_steps=200, brute=False, rng=None):
+def _new_cooperatives(before, firing) -> int:
+    """The cooperative reactions that a step's search added to the kept
+    set: those kept now that were not kept in ``before``."""
+    return sum(isinstance(r, engine.Cooperative) and r not in before for r in firing.live)
+
+
+def _fire(state, instr, max_steps=200, brute=False, rng=None, found=None):
     """Run one instruction, checking the kept reaction set at every step;
     returns the number of steps checked.  Fires in canonical order, or in a
     random order drawn from ``rng``.  Stops after ``max_steps`` (a
-    livelocking instruction never stops by itself)."""
+    livelocking instruction never stops by itself).  Appends to ``found``
+    the number of cooperative reactions each step newly kept."""
     index = engine._Index(state)
     firing = engine._Firing(state, instr, index)
     steps = 0
@@ -68,7 +75,10 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None):
         if not firing.live or steps == max_steps:
             return steps
         order = sorted(firing.live, key=firing.live.__getitem__)
+        before = set(firing.live)
         firing.fire(rng.choice(order) if rng else order[0])
+        if found is not None:
+            found.append(_new_cooperatives(before, firing))
         steps += 1
 
 
@@ -76,18 +86,23 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None):
 def test_kept_reactions_match_scratch_on_random_states(order):
     rng = random.Random(20261018)
     steps = 0
+    found = []
     for _ in range(2000):
         state = random_state(rng)
         instr = random_instruction(rng, state)
-        steps += _fire(state, instr, max_steps=12, brute=True, rng=rng if order == "random" else None)
+        steps += _fire(state, instr, max_steps=12, brute=True, rng=rng if order == "random" else None, found=found)
     assert steps > 500
+    # the walks keep finding cooperative pairs after a step (85 canonical
+    # and 20 random), where only the incumbents with both neighbours
+    # unbound are searched around
+    assert sum(found) >= {"canonical": 40, "random": 10}[order]
 
 
 def test_kept_reactions_match_scratch_after_undo():
     # the confluence search takes reactions back as it backtracks: walk
     # forward and back at random, checking the kept set after every step
     rng = random.Random(20261019)
-    steps = 0
+    steps = found = 0
     for _ in range(800):
         state = random_state(rng)
         instr = random_instruction(rng, state)
@@ -95,6 +110,7 @@ def test_kept_reactions_match_scratch_after_undo():
         firing = engine._Firing(state, instr, index)
         path = []
         for _ in range(12):
+            before = set(firing.live)
             if path and (not firing.live or rng.random() < 0.4):
                 firing.undo(path.pop())
             elif firing.live:
@@ -103,6 +119,7 @@ def test_kept_reactions_match_scratch_after_undo():
                 path.append(r)
             else:
                 break
+            found += _new_cooperatives(before, firing)
             cur = index.state()
             assert set(firing.live) == brute_force_reactions(cur, instr), (cur, instr)
             _check_kept(firing, cur, instr)
@@ -111,6 +128,7 @@ def test_kept_reactions_match_scratch_after_undo():
             firing.undo(path.pop())
         assert index.state() == state
     assert steps > 2000
+    assert found >= 20  # cooperative pairs a fire or an undo newly kept: 43
 
 
 def test_cooperative_flank_found_beyond_the_changed_window():

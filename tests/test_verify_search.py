@@ -485,6 +485,26 @@ def test_paper_pass_search_never_branches(monkeypatch):
     assert calls == {"fire": applied, "state": reacting}
 
 
+@pytest.mark.parametrize("mode", [Canonical(), VerifyConfluent(500)], ids=["canonical", "verified"])
+def test_paper_pass_searches_no_flank_without_a_cooperative_pair(monkeypatch, mode):
+    # the pass fires no cooperative reaction, and no incumbent it flanks
+    # has both neighbours unbound: each reacting instruction's first search
+    # and each step search once, and no flank is completed over its
+    # incumbent's span (which took 102 more searches)
+    _, cp, _, st = _paper_pass()
+    searches = []
+    candidates = engine._candidates
+    monkeypatch.setattr(engine, "_candidates", lambda *args: searches.append(args) or candidates(*args))
+    applied = reacting = 0
+    for instr in cp.program.instructions:
+        out = run_instruction(st, instr, mode)
+        applied += len(out.applied)
+        reacting += bool(out.applied)
+        st = out.final_state
+    assert (reacting, applied) == (13, 179)
+    assert len(searches) == reacting + applied == 192
+
+
 def test_paper_machine_verifies_every_transition():
     # the one-step claim at paper scale: every transition of the t = 32
     # machine, three seeded configurations each, verified under a budget of
