@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import re
 import sys
 from pathlib import Path
@@ -27,17 +28,20 @@ from typing import Iterable, Optional
 from . import compiler, engine, render
 from .model import (
     MAX_POSITIONS,
+    BoundStrand,
+    Orientation,
     RegisterState,
     SchemaError,
-    TraceStateReader,
     add_where,
-    canon_with_state,
     parse_register,
     register_doc,
     register_from_doc,
     serialize_register,
+    strand_spec,
     _canon,
     _load_json,
+    _parse_tokens,
+    _tokens_bytes,
 )
 from .tm import (
     SpaceBoundViolationError,
@@ -80,6 +84,21 @@ def _naming(where: str):
     except tuple(_FAILURES) as e:
         add_where(e, where)
         raise
+
+
+def canon_with_state(head: dict, state: RegisterState, tails: dict) -> bytes:
+    """``_canon`` of ``head`` plus the keys ``"state"``, the register
+    document of ``state``, and ``"state_hash"``, the sha256 of exactly the
+    bytes embedded under ``"state"``.  ``head`` must be nonempty, and each
+    of its keys must sort before ``"state"``.  ``tails`` maps each state
+    already written to its bytes from ``,"state":`` on, so that the lines of
+    one run encode and hash each distinct state once."""
+    tail = tails.get(state)
+    if tail is None:
+        body = serialize_register(state)
+        digest = hashlib.sha256(body).hexdigest().encode()
+        tail = tails[state] = b',"state":%s,"state_hash":"%s"}' % (body, digest)
+    return _canon(head)[:-1] + tail
 
 
 def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome], tails: dict) -> list[bytes]:
@@ -271,6 +290,125 @@ _FIRST_LINE = re.compile(rb"(?<![^\r\n])[^\S\r\n]*\S[^\r\n]*")
 # characters XML 1.0 forbids: C0 controls but tab, LF and CR, lone
 # surrogates, U+FFFE and U+FFFF
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+# A trace line's tail as ``canon_with_state`` writes it: ``,"state":``, the
+# layout prefix, the strand documents joined by ``,``, then this suffix of
+# 83 bytes.
+_STATE_SUFFIX = re.compile(rb'\]\},"state_hash":"([0-9a-f]{64})"\}')
+
+
+class TraceStateReader:
+    """The states of one trace, read from the tails ``canon_with_state``
+    writes (a line's bytes from ``,"state":`` on), for one read of the trace.
+
+    ``read`` decodes each distinct tail once.  A tail in exactly the written
+    form, whose layout prefix a state of this trace has already decoded, is
+    read as a delta: its strand list is split into documents, each document
+    is the one ``BoundStrand`` of its bytes (a new one is built once, with
+    its token list parsed once per layout, and must encode back to exactly
+    its bytes), and the strands that left the layout's last state and those
+    that came move the layout's ``engine._Index`` by one ``apply``, which
+    checks them where they land and keeps the strands in canonical order.
+    Any other tail (the first of a layout, other spacing or key order, an
+    extra key, a duplicate strand, strands that cannot land, an offset too
+    long to convert) is parsed whole and decoded by ``register_from_doc``,
+    which words every error; the first state of a layout seeds its index.
+
+    This is exact.  Documents that each encode back to their bytes, joined
+    by ``,``, are canonical JSON that parses to their values, so the whole
+    read would build the same strands; and a valid state plus a delta whose
+    landings keep ``strand_violations`` is a valid state."""
+
+    def __init__(self):
+        self._tails: dict[bytes, tuple[dict, RegisterState]] = {}
+        # layout prefix -> the layout's index, its strands by the bytes of
+        # their documents after ``{"offset":``, its specs by token-list bytes
+        self._layouts: dict[bytes, tuple[engine._Index, dict, dict]] = {}
+
+    def read(self, tail: bytes) -> tuple[dict, RegisterState]:
+        """The tail object's keys other than ``"state"``, and its state;
+        a tail that does not read raises ``SchemaError``."""
+        known = self._tails.get(tail)
+        if known is None:
+            known = self._tails[tail] = self._delta(tail) or self._whole(tail)
+        return known
+
+    def _whole(self, tail: bytes) -> tuple[dict, RegisterState]:
+        rest = _load_json(b"{" + tail[1:], "$")
+        state = register_from_doc(rest.pop("state"))
+        layout = state.layout
+        prefix = b',"state":{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (
+            layout.cells, layout.domains_per_cell
+        )
+        if prefix not in self._layouts:
+            self._layouts[prefix] = (engine._Index(state), {}, {})
+        _, strands, specs = self._layouts[prefix]
+        for bs in state.strands:
+            tokens = _tokens_bytes(bs.spec)
+            specs.setdefault(tokens, bs.spec)
+            strands.setdefault(b'%d,"tokens":%s}' % (bs.offset, tokens), bs)
+        return rest, state
+
+    def _delta(self, tail: bytes) -> Optional[tuple[dict, RegisterState]]:
+        start = tail.find(b'"strands":[') + 11
+        known = self._layouts.get(tail[:start]) if start > 10 else None
+        end = len(tail) - 83
+        suffix = _STATE_SUFFIX.fullmatch(tail, end) if known and end >= start else None
+        if suffix is None:
+            return None
+        index, shared, specs = known
+        body = tail[start:end]
+        parts = (b"," + body).split(b',{"offset":') if body else [b""]
+        if parts[0]:  # the list is not strand documents joined by ","
+            return None
+        strands = []
+        for part in parts[1:]:
+            bs = shared.get(part)
+            if bs is None:
+                bs = _new_strand(part, specs, index.layout.domains_per_cell)
+                if bs is None:
+                    return None
+                shared[part] = bs
+            strands.append(bs)
+        now = set(strands)
+        if len(now) < len(strands):  # a duplicate strand
+            return None
+        placed = index.bound_of
+        try:
+            index.apply([bs for bs in placed if bs not in now], [bs for bs in strands if bs not in placed])
+        except engine.InapplicableReactionError:
+            del self._layouts[tail[:start]]  # the index is half moved
+            return None
+        return {"state_hash": suffix[1].decode()}, index.state()
+
+
+def _new_strand(part: bytes, specs: dict, d: int) -> Optional[BoundStrand]:
+    """The strand of the document ``{"offset":`` + ``part``, or None unless
+    it is canonical: its offset and its token list encode back to exactly
+    their bytes.  ``specs`` keeps the spec of each token list that does."""
+    cut = part.find(b',"tokens":')
+    # a valid strand's offset is far shorter than 20 bytes; a longer one is
+    # left to the whole read, not converted
+    if not 0 < cut <= 20 or part[-1:] != b"}":
+        return None
+    tokens = part[cut + 10 : -1]
+    spec = specs.get(tokens)
+    if spec is None:
+        try:
+            spec = strand_spec(_parse_tokens(json.loads(tokens), "$", d), Orientation.FORWARD)
+        except (ValueError, RecursionError):  # SchemaError and JSONDecodeError among them
+            return None
+        if _tokens_bytes(spec) != tokens:
+            return None
+        specs[tokens] = spec
+    try:
+        offset = int(part[:cut])
+    except ValueError:
+        return None
+    if b"%d" % offset != part[:cut]:
+        return None
+    return BoundStrand(spec, offset)
 
 
 def _state_of(doc, where: str) -> RegisterState:

@@ -511,7 +511,7 @@ class CompileStats:
     instruction_count: int
 
     def nucleotides(self, k: int) -> int:
-        return k * self.s * (2 * self.t + 8)
+        return k * self.s * self.d
 
     def to_doc(self) -> dict:
         return {

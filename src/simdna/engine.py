@@ -346,13 +346,7 @@ class _Index(Occupancy):
         """Apply one delta (a reaction is ``r.removed, r.added``, its undo
         ``r.added, r.removed``), checking the invariants of ``validate_state``
         only where it lands (a valid state plus a valid delta is a valid
-        state).  Returns the positions it bound or freed.
-
-        The placement changes as ``Occupancy.remove`` and ``Occupancy.land``
-        change it, in the same pass over each strand that updates the
-        index's own unbound positions, ``by_spec`` and strand order: through
-        the two methods, which take passes of their own, a paper-t32 pass
-        cost about 7 % more (probe-normalized, on a shared 2-vCPU host)."""
+        state).  Returns the positions it bound or freed."""
         owner = self.owner
         self._exposed = self._noop = None
         changed = set()

@@ -8,9 +8,7 @@ position carrying its domain, an Ortho token never pairs with the register.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -267,10 +265,8 @@ class Occupancy:
     """The placement of strands on one register: the strand that ``owner``s
     each bound position, and the bound set of each strand (``bound_of``).
 
-    ``add`` fills an empty placement and checks the whole lot; ``remove``
-    and ``land`` move a valid placement by a delta, checked only where it
-    lands: a valid state less some strands is valid, and a strand that keeps
-    ``strand_violations`` beside the rest keeps the state valid."""
+    ``add`` fills an empty placement and checks the whole lot; only the
+    engine's index (``engine._Index.apply``) moves a placement by a delta."""
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
@@ -306,30 +302,6 @@ class Occupancy:
             for p in bound:
                 seen.setdefault(p, bs)
         return violations
-
-    def remove(self, strands) -> None:
-        """Take ``strands`` off the placement; a strand that is not placed
-        raises ``KeyError``."""
-        owner = self.owner
-        for bs in strands:
-            for p in self.bound_of.pop(bs):
-                del owner[p]
-
-    def land(self, strands) -> list[str]:
-        """Place ``strands`` one at a time, each checked by
-        ``strand_violations`` beside the strands placed before it, and
-        return the violations of the first that cannot land (none when all
-        landed); the strands before it stay placed."""
-        layout, owner, bound_of = self.layout, self.owner, self.bound_of
-        for bs in strands:
-            bound = bound_set(layout, bs.spec, bs.offset)
-            bad = strand_violations(bs, bound, owner)
-            if bad:
-                return bad
-            for p in bound:
-                owner[p] = bs
-            bound_of[bs] = bound
-        return []
 
 
 def validate_state(state: RegisterState, into: Optional[Occupancy] = None) -> list[str]:
@@ -529,9 +501,9 @@ def register_from_doc(doc) -> RegisterState:
     """Register from an already decoded JSON document (see parse_register):
     each strand's token list is parsed, its spec is the one ``strand_spec``
     of the list, and the state passes the full ``validate_state``.  The
-    states of a trace are read by ``TraceStateReader``, which calls this for
-    a tail it cannot read as a delta, and so words every error of a trace
-    state as a register file's."""
+    states of a trace are read by ``cli.TraceStateReader``, which calls this
+    for a tail it cannot read as a delta, and so words every error of a
+    trace state as a register file's."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
@@ -588,137 +560,3 @@ def serialize_register(state: RegisterState) -> bytes:
     return b'{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[%s]}' % (
         layout.cells, layout.domains_per_cell, strands
     )
-
-
-def canon_with_state(head: dict, state: RegisterState, tails: Optional[dict] = None) -> bytes:
-    """``_canon`` of ``head`` plus the keys ``"state"``, the register
-    document of ``state``, and ``"state_hash"``, the sha256 of exactly the
-    bytes embedded under ``"state"``.  ``head`` must be nonempty, and each
-    of its keys must sort before ``"state"``.  ``tails`` maps each state
-    already written to its bytes from ``,"state":`` on, so that the lines of
-    one run encode and hash each distinct state once."""
-    tails = {} if tails is None else tails
-    tail = tails.get(state)
-    if tail is None:
-        body = serialize_register(state)
-        digest = hashlib.sha256(body).hexdigest().encode()
-        tail = tails[state] = b',"state":%s,"state_hash":"%s"}' % (body, digest)
-    return _canon(head)[:-1] + tail
-
-
-# A trace line's tail as ``canon_with_state`` writes it: ``,"state":``, the
-# layout prefix, the strand documents joined by ``,``, then this suffix of
-# 83 bytes.
-_STATE_SUFFIX = re.compile(rb'\]\},"state_hash":"([0-9a-f]{64})"\}')
-
-
-class TraceStateReader:
-    """The states of one trace, read from the tails ``canon_with_state``
-    writes (a line's bytes from ``,"state":`` on), for one read of the trace.
-
-    ``read`` decodes each distinct tail once.  A tail in exactly the written
-    form, whose layout prefix a state of this trace has already decoded, is
-    read as a delta: its strand list is split into documents, each document
-    is the one ``BoundStrand`` of its bytes (a new one is built once, with
-    its token list parsed once per layout, and must encode back to exactly
-    its bytes), and the strands that left the state read before are
-    ``remove``d from one ``Occupancy`` and those that came ``land`` on it.
-    Any other tail (the first of a layout, other spacing or key order, an
-    extra key, a duplicate strand, a landing that fails, an offset too long
-    to convert) is parsed whole and decoded by ``register_from_doc``, which
-    words every error.
-
-    This is exact.  Documents that each encode back to their bytes, joined
-    by ``,``, are canonical JSON that parses to their values, so the whole
-    read would build the same strands; and a valid state plus a delta whose
-    landings keep ``strand_violations`` is a valid state."""
-
-    def __init__(self):
-        self._tails: dict[bytes, tuple[dict, RegisterState]] = {}
-        # layout prefix -> the layout, its strands by the bytes of their
-        # documents after ``{"offset":``, its specs by token-list bytes
-        self._layouts: dict[bytes, tuple[RegisterLayout, dict, dict]] = {}
-        self._placed: Optional[Occupancy] = None
-
-    def read(self, tail: bytes) -> tuple[dict, RegisterState]:
-        """The tail object's keys other than ``"state"``, and its state;
-        a tail that does not read raises ``SchemaError``."""
-        known = self._tails.get(tail)
-        if known is None:
-            known = self._tails[tail] = self._delta(tail) or self._whole(tail)
-        return known
-
-    def _whole(self, tail: bytes) -> tuple[dict, RegisterState]:
-        rest = _load_json(b"{" + tail[1:], "$")
-        state = register_from_doc(rest.pop("state"))
-        layout = state.layout
-        prefix = b',"state":{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (
-            layout.cells, layout.domains_per_cell
-        )
-        _, strands, specs = self._layouts.setdefault(prefix, (layout, {}, {}))
-        for bs in state.strands:
-            tokens = _tokens_bytes(bs.spec)
-            specs.setdefault(tokens, bs.spec)
-            strands.setdefault(b'%d,"tokens":%s}' % (bs.offset, tokens), bs)
-        return rest, state
-
-    def _delta(self, tail: bytes) -> Optional[tuple[dict, RegisterState]]:
-        start = tail.find(b'"strands":[') + 11
-        known = self._layouts.get(tail[:start]) if start > 10 else None
-        end = len(tail) - 83
-        suffix = _STATE_SUFFIX.fullmatch(tail, end) if known and end >= start else None
-        if suffix is None:
-            return None
-        layout, shared, specs = known
-        body = tail[start:end]
-        parts = (b"," + body).split(b',{"offset":') if body else [b""]
-        if parts[0]:  # the list is not strand documents joined by ","
-            return None
-        strands = []
-        for part in parts[1:]:
-            bs = shared.get(part)
-            if bs is None:
-                bs = _new_strand(part, specs, layout.domains_per_cell)
-                if bs is None:
-                    return None
-                shared[part] = bs
-            strands.append(bs)
-        now = set(strands)
-        if len(now) < len(strands):  # a duplicate strand
-            return None
-        placed = self._placed
-        if placed is None or placed.layout is not layout:
-            placed = self._placed = Occupancy(layout)
-        placed.remove([bs for bs in placed.bound_of if bs not in now])
-        if placed.land([bs for bs in strands if bs not in placed.bound_of]):
-            self._placed = None
-            return None
-        return {"state_hash": suffix[1].decode()}, RegisterState(layout, tuple(strands))
-
-
-def _new_strand(part: bytes, specs: dict, d: int) -> Optional[BoundStrand]:
-    """The strand of the document ``{"offset":`` + ``part``, or None unless
-    it is canonical: its offset and its token list encode back to exactly
-    their bytes.  ``specs`` keeps the spec of each token list that does."""
-    cut = part.find(b',"tokens":')
-    # a valid strand's offset is far shorter than 20 bytes; a longer one is
-    # left to the whole read, not converted
-    if not 0 < cut <= 20 or part[-1:] != b"}":
-        return None
-    tokens = part[cut + 10 : -1]
-    spec = specs.get(tokens)
-    if spec is None:
-        try:
-            spec = strand_spec(_parse_tokens(json.loads(tokens), "$", d), Orientation.FORWARD)
-        except (ValueError, RecursionError):  # SchemaError and JSONDecodeError among them
-            return None
-        if _tokens_bytes(spec) != tokens:
-            return None
-        specs[tokens] = spec
-    try:
-        offset = int(part[:cut])
-    except ValueError:
-        return None
-    if b"%d" % offset != part[:cut]:
-        return None
-    return BoundStrand(spec, offset)

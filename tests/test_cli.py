@@ -12,9 +12,20 @@ from pathlib import Path
 import pytest
 
 from simdna import render
-from simdna.cli import main
+from simdna.cli import canon_with_state, main
 from simdna.compiler import encode_config
-from simdna.model import MAX_POSITIONS, parse_register, serialize_register
+from simdna.model import (
+    MAX_POSITIONS,
+    BoundStrand,
+    Match,
+    Ortho,
+    RegisterLayout,
+    RegisterState,
+    fwd,
+    parse_register,
+    register_doc,
+    serialize_register,
+)
 from simdna.tm import TMConfig
 
 
@@ -602,6 +613,14 @@ def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def test_canon_with_state_embeds_and_hashes_the_state_bytes():
+    state = RegisterState(RegisterLayout(2, 4), (BoundStrand(fwd(Match(3), Match(4), Ortho("t")), 2),))
+    head = {"instr": 7, "label": "L(a,1)#2", "applied": [{"rule": "attach"}]}
+    body = serialize_register(state)
+    want = {**head, "state": register_doc(state), "state_hash": hashlib.sha256(body).hexdigest()}
+    assert canon_with_state(head, state, {}) == _canonical(want)
+
+
 @pytest.fixture()
 def increment_trace(tmp_path, prog_path, reg_path) -> Path:
     out_dir = tmp_path / "inc"
@@ -767,10 +786,11 @@ def test_an_integer_too_long_to_convert_exits_2(tmp_path, capsys, prog_path, reg
         assert err == f"error: {bad}: trace line 2: an integer has more than {sys.get_int_max_str_digits()} digits\n"
 
 
-@pytest.mark.parametrize("case", ["lost-4-bytes", "lost-2-bytes", "long-integer"])
+@pytest.mark.parametrize("case", ["lost-4-bytes", "lost-2-bytes", "long-integer", "long-instr"])
 def test_a_trace_whose_first_line_does_not_read_names_that_line(tmp_path, capsys, case):
     # the first line tells a trace from a register file: cut short, or
-    # holding an integer too long to convert, it is still a trace line
+    # holding an integer too long to convert (in its state or in its head,
+    # whose "instr" is read unconverted), it is still a trace line
     strand = {"offset": 0, "tokens": [{"m": 1}, {"m": 2}]}
     first = _trace_line(1, [strand])
     big = "1" + "0" * 5000
@@ -778,13 +798,14 @@ def test_a_trace_whose_first_line_does_not_read_names_that_line(tmp_path, capsys
         "lost-4-bytes": first[:-5] + "\n",
         "lost-2-bytes": first[:-3] + "\n",
         "long-integer": first.replace('"offset":0', f'"offset":{big}'),
+        "long-instr": first.replace('"instr":1', f'"instr":{big}'),
     }[case]
     bad = tmp_path / "bad.jsonl"
     bad.write_text(first + _trace_line(2, [strand]))
     capsys.readouterr()
     assert main(["render", str(bad)]) == 2
     err = capsys.readouterr().err
-    if case == "long-integer":
+    if case in ("long-integer", "long-instr"):
         assert err == f"error: {bad}: trace line 1: an integer has more than {sys.get_int_max_str_digits()} digits\n"
     else:
         assert err.startswith(f"error: {bad}: trace line 1: not valid UTF-8 JSON: ")
@@ -1065,18 +1086,18 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
     # one read per distinct tail; in a trace of one layout in the written
     # form, only the first state is decoded whole, and each strand document
     # that state does not hold is built once
-    from simdna import model
+    from simdna import cli
 
     lines = increment_trace.read_bytes().splitlines()
     states = {_canonical(json.loads(raw)["state"]): json.loads(raw)["state"] for raw in lines}.values()
     first = {_canonical(strand) for strand in json.loads(lines[0])["state"]["strands"]}
     strands = {_canonical(strand) for state in states for strand in state["strands"]}
     assert 1 < len(states) < len(lines) and len(first) < len(strands)
-    delta, whole, new = model.TraceStateReader._delta, model.register_from_doc, model._new_strand
+    delta, whole, new = cli.TraceStateReader._delta, cli.register_from_doc, cli._new_strand
     for fmt in ("svg", "text"):
-        reads = _counting(monkeypatch, delta, model.TraceStateReader)
-        wholes = _counting(monkeypatch, whole, model)
-        built = _counting(monkeypatch, new, model)
+        reads = _counting(monkeypatch, delta, cli.TraceStateReader)
+        wholes = _counting(monkeypatch, whole, cli)
+        built = _counting(monkeypatch, new, cli)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
         assert (len(reads), len(wholes), len(built)) == (len(states), 1, len(strands - first))
 
@@ -1084,7 +1105,7 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
 def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):
     # the first state is decoded as a register file is, one parse per
     # strand; the delta read parses each token list no state before held once
-    from simdna import model
+    from simdna import cli, model
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
     states = {_canonical(doc["state"]): doc["state"] for doc in docs}.values()
@@ -1095,7 +1116,7 @@ def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, incr
     assert len(set(first)) < len(first)
     parse = model._parse_tokens
     for fmt in ("svg", "text"):
-        calls = _counting(monkeypatch, parse, model)
+        calls = _counting(monkeypatch, parse, model, cli)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
         parsed = [_canonical(args[0]) for args in calls]
         assert parsed[: len(first)] == first
@@ -1228,7 +1249,7 @@ def test_styled_render_of_increment_trace_pinned(tmp_path, increment_trace, flag
 def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, increment_path):
     from simdna import cli, model
 
-    lines = _counting(monkeypatch, model.canon_with_state, cli)
+    lines = _counting(monkeypatch, cli.canon_with_state, cli)
     encodes = _counting(monkeypatch, model.serialize_register, cli, model)
     argv = ["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--oracle"]
     assert main(argv) == 0

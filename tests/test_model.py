@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import re
@@ -10,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from generators import random_state, random_tokens
 
+from simdna.engine import InapplicableReactionError, _Index
 from simdna.model import (
     BoundStrand,
     Instruction,
@@ -23,7 +23,6 @@ from simdna.model import (
     SchemaError,
     StrandSpec,
     bound_set,
-    canon_with_state,
     fwd,
     parse_program,
     parse_register,
@@ -339,7 +338,8 @@ def test_serialization_canonical(prog):
 
 def test_a_placement_moved_by_a_delta_is_checked_where_it_lands():
     # from a valid state to a state made from some of its strands and up to
-    # two broken ones: the landings fail exactly when that state is invalid
+    # two broken ones: the engine's index refuses the delta exactly when
+    # that state is invalid
     rng = random.Random(2610)
     moved = refused = 0
     for _ in range(2000):
@@ -348,25 +348,26 @@ def test_a_placement_moved_by_a_delta_is_checked_where_it_lands():
         if len(set(b.strands)) < len(b.strands):
             continue  # a duplicate is not a landing
         layout = a.layout
-        placement = Occupancy(layout)
-        assert placement.add(a.strands) == []
-        placement.remove([bs for bs in a.strands if bs not in b.strands])
-        came = [bs for bs in b.strands if bs not in placement.bound_of]
-        bad = placement.land(came)
-        if not bad:
-            moved += 1
-            assert _reference_violations(b) == []
-            assert placement.bound_of == {bs: bs.bound_positions(layout) for bs in b.strands}
-            assert placement.owner == {p: bs for bs in b.strands for p in bs.bound_positions(layout)}
-        else:
+        index = _Index(a)
+        came = [bs for bs in b.strands if bs not in a.strands]
+        try:
+            index.apply([bs for bs in a.strands if bs not in b.strands], came)
+        except InapplicableReactionError as e:
             refused += 1
             assert _reference_violations(b)
             # the first strand that did not land is worded beside the rest
-            bs = next(bs for bs in came if bs not in placement.bound_of)
-            assert bad == strand_violations(bs, bs.bound_positions(layout), placement.owner)
+            bs = next(bs for bs in came if bs not in index.bound_of)
+            bad = strand_violations(bs, bs.bound_positions(layout), index.owner)
+            assert str(e) == f"binding {bs} makes an invalid state: " + "; ".join(bad)
+        else:
+            moved += 1
+            assert _reference_violations(b) == []
+            assert index.state().strands == b.strands
+            assert index.bound_of == {bs: bs.bound_positions(layout) for bs in b.strands}
+            assert index.owner == {p: bs for bs in b.strands for p in bs.bound_positions(layout)}
     assert moved > 500 and refused > 500, (moved, refused)
-    with pytest.raises(KeyError):
-        Occupancy(layout).remove([BoundStrand(fwd(Match(1), Match(2)), 0)])
+    with pytest.raises(InapplicableReactionError):
+        _Index(RegisterState(layout, ())).apply([BoundStrand(fwd(Match(1), Match(2)), 0)], [])
 
 
 def test_register_file_shares_one_spec_per_token_list():
@@ -395,14 +396,6 @@ def test_serialize_register_is_the_canonical_register_doc():
         data = serialize_register(state)
         assert data == _canonical(register_doc(state))
         assert parse_register(data) == state
-
-
-def test_canon_with_state_embeds_and_hashes_the_state_bytes():
-    state = RegisterState(RegisterLayout(2, 4), (BoundStrand(fwd(Match(3), Match(4), Ortho("t")), 2),))
-    head = {"instr": 7, "label": "L(a,1)#2", "applied": [{"rule": "attach"}]}
-    body = serialize_register(state)
-    want = {**head, "state": register_doc(state), "state_hash": hashlib.sha256(body).hexdigest()}
-    assert canon_with_state(head, state) == _canonical(want)
 
 
 @pytest.mark.parametrize(
