@@ -133,7 +133,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list[str], files: dict[st
 
 def _check_flags(args) -> None:
     """Each numeric flag that has a least meaningful value is at least that."""
-    for flag, least in (("--iterations", 0), ("--max-iters", 0), ("--max-states", 1), ("--every", 1)):
+    for flag, least in (("--iterations", 0), ("--max-iters", 0), ("--max-states", 1), ("--every", 1), ("--cells", 2)):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < least:
             raise CliError(f"{flag} must be at least {least}, got {value}")

@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import ClassVar, Union
 
 from .model import (
@@ -293,6 +293,7 @@ def _species(instr: Instruction) -> _Species:
 
 
 _offset = attrgetter("offset")
+_key = attrgetter("key")
 _has_ortho = attrgetter("spec.has_ortho")
 _LOOP = "reaction loop revisited a state while applying {!r}"
 
@@ -303,9 +304,11 @@ class _Index(Occupancy):
     each position, each strand's bound set), the unbound positions in
     order, the strands of each spec that carries an overhang (only those
     can be grabbed, see ``_Species.removers``), and the strands in
-    canonical order (by offset, then spec).  The domains of the unbound
-    positions (``exposed``) and the outcome of an instruction that does
-    nothing (``noop``) are made on demand and kept until the next delta.
+    canonical order (by offset, then spec).  ``at`` is the state object
+    the index stands at: the state it was built from, and after a delta
+    the one ``state()`` builds.  It, the domains of the unbound positions
+    (``exposed``) and the outcome of an instruction that does nothing
+    (``noop``) are made on demand and kept until the next delta.
 
     It is built from a state that passes the full ``validate_state``, whose
     placement it keeps: the register is read once, and the reactions
@@ -321,11 +324,15 @@ class _Index(Occupancy):
         for bs in filter(_has_ortho, self.strands):
             self.by_spec.setdefault(bs.spec, set()).add(bs)
         self.unbound = [p for p in range(self.layout.total_positions) if p not in self.owner]
+        self.at: RegisterState | None = state
         self._exposed: set[int] | None = None
         self._noop: InstructionOutcome | None = None
 
     def state(self) -> RegisterState:
-        return RegisterState.presorted(self.layout, tuple(self.strands))
+        """``at``, built from the strands when a delta has cleared it."""
+        if self.at is None:
+            self.at = RegisterState.presorted(self.layout, tuple(self.strands))
+        return self.at
 
     def exposed(self) -> set[int]:
         """The domains that the unbound positions carry."""
@@ -334,12 +341,12 @@ class _Index(Occupancy):
             self._exposed = {p % d + 1 for p in self.unbound}
         return self._exposed
 
-    def noop(self, state: RegisterState) -> InstructionOutcome:
-        """``InstructionOutcome(state, ())``, where ``state`` is the state
-        the index was built or handed off with: one object until the next
-        delta, shared by every instruction that leaves the state as it is."""
+    def noop(self) -> InstructionOutcome:
+        """``InstructionOutcome(self.state(), ())``: one object until the
+        next delta, shared by every instruction that leaves the state as it
+        is."""
         if self._noop is None:
-            self._noop = InstructionOutcome(state, ())
+            self._noop = InstructionOutcome(self.state(), ())
         return self._noop
 
     def apply(self, removed, added) -> set[int]:
@@ -348,7 +355,7 @@ class _Index(Occupancy):
         only where it lands (a valid state plus a valid delta is a valid
         state).  Returns the positions it bound or freed."""
         owner = self.owner
-        self._exposed = self._noop = None
+        self.at = self._exposed = self._noop = None
         changed = set()
         for bs in removed:
             bound = self.bound_of.pop(bs, None)
@@ -572,27 +579,20 @@ def apply_reaction(state: RegisterState, r: Reaction) -> RegisterState:
 
 class _Firing:
     """One instruction's reactions on an index, fired (and, for the
-    confluence search, undone) one at a time.  ``live`` maps every reaction
-    that applies to the index's current state to its sort key, the ``key``
-    it was found with.  A reaction depends only on the occupancy of its
-    ``footprint``: the matched positions of the strands it adds and the
-    bound sets of those it removes.  After each step exactly the reactions
+    confluence search, undone) one at a time.  ``live`` is the set of the
+    reactions that apply to the index's current state, ordered by the
+    ``key`` each was found with.  A reaction depends only on the occupancy
+    of its ``footprint``: the matched positions of the strands it adds and
+    the bound sets of those it removes.  After each step exactly the reactions
     whose footprint meets the changed positions are stale (a strand's
     positions change only when it leaves, and no reaction removes and adds
     one strand); only around them is searched, so a step costs the
     alignments near what it changed, not the register."""
 
-    def __init__(self, state: RegisterState, instr: Instruction, index: _Index):
+    def __init__(self, instr: Instruction, index: _Index):
         self.index = index
         self.species = _species(instr)
-        self.live: dict[Reaction, tuple] = {}
-        self._admit(applicable_reactions(state, instr, index))
-
-    def _admit(self, reactions) -> None:
-        live = self.live
-        for r in reactions:
-            if r not in live:
-                live[r] = r.key
+        self.live = applicable_reactions(index.state(), instr, index)
 
     def fire(self, r: Reaction) -> None:
         """Apply one live reaction and bring ``live`` up to date."""
@@ -606,14 +606,14 @@ class _Firing:
         # any delta: what it changed is all a reaction can newly need or lose
         changed = self.index.apply(removed, added)
         live = self.live
-        for x in [x for x in live if not changed.isdisjoint(x.footprint)]:
-            del live[x]
-        self._admit(_forward_reactions(self.index, self.species, min(changed), max(changed)))
-        self._admit(_detaches(self.index, self.species, ((bs.spec, (bs,)) for bs in added)))
+        live.difference_update([x for x in live if not changed.isdisjoint(x.footprint)])
+        # an equal reaction found again leaves the one kept in place
+        live.update(_forward_reactions(self.index, self.species, min(changed), max(changed)))
+        live.update(_detaches(self.index, self.species, ((bs.spec, (bs,)) for bs in added)))
 
 
-def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> InstructionOutcome:
-    """Fire the least live reaction until none is left, from ``state``.
+def _canonical_run(firing: _Firing, label: str) -> InstructionOutcome:
+    """Fire the least live reaction until none is left.
 
     Each step is a function of the register, so a run that revisits a state
     cycles for ever, and the cycle shows as the register coming back to the
@@ -622,12 +622,13 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
     that state (``_toggle``), cleared after steps 1, 2, 4, 8 and so on: the
     run has looped exactly when ``since`` is empty after a step, so the
     check costs the reaction, not the register.  The final state is built
-    once, and a run that fires nothing returns ``state`` itself."""
+    once (``_Index.state``), and a run that fires nothing returns the state
+    object it started from."""
     index, live = firing.index, firing.live
     applied: list[Reaction] = []
     since: set[BoundStrand] = set()
     while live:
-        r = min(live.items(), key=itemgetter(1))[0]
+        r = min(live, key=_key)
         firing.fire(r)
         applied.append(r)
         _toggle(since, r)
@@ -635,7 +636,7 @@ def _canonical_run(firing: _Firing, state: RegisterState, label: str) -> Instruc
             raise EngineError(_LOOP.format(label))
         if len(applied) & (len(applied) - 1) == 0:
             since.clear()
-    return InstructionOutcome(index.state() if applied else state, tuple(applied))
+    return InstructionOutcome(index.state(), tuple(applied))
 
 
 def _parts(ix: _Index, sp: _Species) -> dict[int, int]:
@@ -689,18 +690,19 @@ def _toggle(delta: set[BoundStrand], r: Reaction) -> None:
     delta.symmetric_difference_update(r.added)
 
 
-def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: str):
-    """Every final state reachable from ``state``, as outcomes with one
-    reaction order to each, in the order found; whether the canonical run
-    loops; and the path of reactions from ``state`` to where the search left
-    ``firing``'s index.  The search runs depth first on ``firing``.  It fires
-    the least reaction first and undoes one at once if its state was seen,
-    else after that subtree.  Until its first undo it is the canonical run:
-    the first final state is its outcome, a state seen again its loop.  It
-    stops as soon as only undos are left to do, so a search that never
-    branches ends at its outcome, with the outcome's order as its path.
+def _deadlocks(firing: _Firing, max_states: int, label: str):
+    """Every final state reachable from the state ``firing``'s index starts
+    at, as outcomes with one reaction order to each, in the order found;
+    whether the canonical run loops; and the path of reactions from that
+    state to where the search left the index.  The search runs depth first
+    on ``firing``.  It fires the least reaction first and undoes one at
+    once if its state was seen, else after that subtree.  Until its first
+    undo it is the canonical run: the first final state is its outcome, a
+    state seen again its loop.  It stops as soon as only undos are left to
+    do, so a search that never branches ends at its outcome, with the
+    outcome's order as its path.
 
-    A state is keyed by its delta from ``state`` (``_toggle``), which costs
+    A state is keyed by its delta from the start (``_toggle``), which costs
     the reactions fired, not the register; only a final state is built as a
     ``RegisterState``.
 
@@ -725,15 +727,15 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
     canonical, loops = True, False
     while True:
         if key is not None:  # a new state: a final one, or one to expand
-            ranked = sorted(live.items(), key=itemgetter(1))
+            ranked = sorted(live, key=_key)
             if not ranked:
-                finals[key] = InstructionOutcome(index.state() if path else state, tuple(path))
+                finals[key] = InstructionOutcome(index.state(), tuple(path))
             elif len(ranked) > 1:
                 if not parts:
                     parts = _parts(index, firing.species)
-                least = parts[ranked[0][1][0]]  # the least position a reaction binds or frees
-                ranked = [item for item in ranked if parts[item[1][0]] == least]
-            stack.extend(x for x, _ in reversed(ranked))
+                least = parts[ranked[0].key[0]]  # the least position a reaction binds or frees
+                ranked = [r for r in ranked if parts[r.key[0]] == least]
+            stack.extend(reversed(ranked))
         if len(stack) == len(path):  # each undo marker pairs with a step of the path
             return list(finals.values()), loops, path
         x = stack.pop()
@@ -757,22 +759,21 @@ def _deadlocks(state: RegisterState, firing: _Firing, max_states: int, label: st
             seen.add(key)
 
 
-# The last final state ``run_instruction`` returned, with the index it left
-# at that state: {"last": (state, index)}.  ``dict.pop`` takes it in one
+# The index ``run_instruction`` left at the final state it returned, which
+# is the index's ``at``: {"last": index}.  ``dict.pop`` takes it in one
 # step, so no two runs share an index, even across threads.
-_handoff: dict[str, tuple[RegisterState, _Index]] = {}
+_handoff: dict[str, _Index] = {}
 
 
-def _take(state: RegisterState) -> tuple[RegisterState, _Index]:
-    """The pair handed off with ``state`` itself, or else ``state`` with a
-    new index, which checks it in full.  A handed-off state was built by
-    the engine from a validated one, each delta checked where it landed.
-    The slot is emptied either way, so a run that raises leaves no index
-    behind."""
-    kept = _handoff.pop("last", None)
-    if kept is not None and kept[0] is state:
-        return kept
-    return state, _Index(state)
+def _take(state: RegisterState) -> _Index:
+    """The index handed off at ``state`` itself, or else a new index, which
+    checks it in full.  A handed-off index was built from a validated
+    state, each delta checked where it landed.  The slot is emptied either
+    way, so a run that raises leaves no index behind."""
+    index = _handoff.pop("last", None)
+    if index is not None and index.at is state:
+        return index
+    return _Index(state)
 
 
 def run_instruction(
@@ -784,25 +785,20 @@ def run_instruction(
     returns: a call on that very object continues from the index and skips
     the full check and the rebuild; any other state is read anew, in one
     pass that checks it and builds its index.  An instruction with no
-    reaction (``_inert``) puts back the very pair it took, so a run of inert
-    instructions on one state pops and stores one tuple and builds nothing,
-    and returns ``state`` itself, as both modes would, in the one outcome
-    the index keeps for its state (``_Index.noop``).  Otherwise
+    reaction (``_inert``) puts back the very index it took, so a run of
+    inert instructions on one state builds nothing, and returns ``state``
+    itself, as both modes would, in the one outcome the index keeps for its
+    state (``_Index.noop``).  Otherwise
     ``VerifyConfluent`` searches every final state; its first branch is the
     canonical run, which must end, without looping, in the unique one: the
     outcome.  A search that never branched leaves the index at the outcome;
     any other is moved there by undoing its path and applying the outcome's
     reactions."""
-    kept = _handoff.pop("last", None)  # ``_take``, inlined for the inert path
-    if kept is None or kept[0] is not state:
-        kept = state, _Index(state)
-    index = kept[1]
+    index = _take(state)
     if _inert(index, _species(instr)):
-        _handoff["last"] = kept
-        return index.noop(state)
-    firing = _Firing(state, instr, index)
-    if isinstance(mode, VerifyConfluent):
-        finals, loops, path = _deadlocks(state, firing, mode.max_states, instr.label)
+        out = index.noop()
+    elif isinstance(mode, VerifyConfluent):
+        finals, loops, path = _deadlocks(_Firing(instr, index), mode.max_states, instr.label)
         if len(finals) > 1:
             b, a = finals[:2]  # b: the canonical run's
             raise NonConfluentError(a.final_state, a.applied, b.final_state, b.applied, instr.label)
@@ -814,9 +810,10 @@ def run_instruction(
                 index.apply(r.added, r.removed)
             for r in out.applied:
                 index.apply(r.removed, r.added)
+        index.at = out.final_state
     else:
-        out = _canonical_run(firing, state, instr.label)
-    _handoff["last"] = out.final_state, index
+        out = _canonical_run(_Firing(instr, index), instr.label)
+    _handoff["last"] = index  # stored last: from here another run may take and move it
     return out
 
 

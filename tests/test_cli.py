@@ -225,10 +225,14 @@ def test_traces_hold_one_line_per_instruction_run(tmp_path, prog_path, reg_path,
         ("simulate", "-n", "-1"),
         ("run-tm", "--max-iters", "-1"),
         ("run-tm", "--max-states", "0"),
+        ("run-tm", "--cells", "0"),
+        ("compile", "--cells", "1"),
     ],
 )
 def test_meaningless_numeric_flags_exit_2(capsys, prog_path, reg_path, increment_path, command, flag, value):
-    inputs = [str(increment_path), "--cells", "3"] if command == "run-tm" else [str(prog_path), str(reg_path)]
+    inputs = {"run-tm": [str(increment_path), "--cells", "3"], "compile": [str(increment_path)]}.get(
+        command, [str(prog_path), str(reg_path)]
+    )
     capsys.readouterr()
     assert main([command, *inputs, flag, value]) == 2
     err = capsys.readouterr().err

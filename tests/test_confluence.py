@@ -1,6 +1,7 @@
 """Order-independence of compiled instructions."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from generators import random_tm
 
 from simdna import engine
 from simdna.compiler import compile_tm, encode_config, reachable_configs, verify_compilation
+from simdna.model import Program
 from simdna.tm import TMConfig
 
 
@@ -56,3 +58,13 @@ def test_verify_compilation_names_the_failing_configuration(increment_spec, incr
     with pytest.raises(engine.StateBudgetExceededError) as err:
         verify_compilation(increment_spec, 3, increment_compiled_s3, configs, engine.VerifyConfluent(1))
     assert err.value.where == (str(configs[0]), "instruction 1")
+
+
+def test_verify_compilation_reports_a_wrong_step(increment_spec, increment_compiled_s3):
+    # without its seventh instruction the program leaves the head of the
+    # first configuration unmoved, and the register decodes to a tape only
+    cp = increment_compiled_s3
+    program = Program(cp.program.layout, cp.program.instructions[:6] + cp.program.instructions[7:])
+    configs, _ = reachable_configs(increment_spec, "01", 3)
+    violations = verify_compilation(increment_spec, 3, dataclasses.replace(cp, program=program), configs)
+    assert violations == [f"{configs[0]}: expected {configs[1]}, decoded TapeOnly(tape=('0', '1', '_'))"]

@@ -269,13 +269,13 @@ def test_loop_after_a_prefix_is_reported(monkeypatch, cells):
 
 def test_canonical_run_builds_its_final_state_once(monkeypatch):
     calls = []
-    build = engine._Index.state
+    build = RegisterState.presorted.__func__
 
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    def counted(cls, *args):
+        calls.append(args)
+        return build(cls, *args)
 
-    monkeypatch.setattr(engine._Index, "state", counted)
+    monkeypatch.setattr(RegisterState, "presorted", classmethod(counted))
     st = state(L6)
     ins = Instruction((fwd(Match(1), Match(2)), fwd(Match(4), Match(5))))
     out = run_instruction(st, ins, Canonical())
@@ -284,6 +284,20 @@ def test_canonical_run_builds_its_final_state_once(monkeypatch):
     again = run_instruction(out.final_state, ins, Canonical())
     assert again.applied == () and again.final_state is out.final_state
     assert calls == []
+
+
+def test_index_keeps_its_state_until_the_next_delta():
+    st = state(L6, BoundStrand(fwd(Match(1), Match(2)), 0))
+    index = engine._Index(st)
+    assert index.state() is st and index.noop().final_state is st
+    r = Attach(fwd(Match(4), Match(5)), 3)
+    index.apply(r.removed, r.added)
+    moved = index.state()
+    assert moved is not st and index.state() is moved and index.noop().final_state is moved
+    assert moved == engine._Index(state(L6, *st.strands, *r.added)).state()
+    index.apply(r.added, r.removed)
+    back = index.state()
+    assert back is not st and back == st and back is not moved
 
 
 def test_state_budget():

@@ -46,3 +46,26 @@ def test_the_import_check_sees_every_form():
     # the layers above do import what the check looks for
     assert _simdna_imports("cli") >= {"model", "engine", "tm", "compiler", "render"}
     assert _simdna_imports("compiler") == {"model", "engine", "tm"}
+
+
+def _unused_imports(source: str) -> set[str]:
+    """The names an ``import`` of ``source`` binds that it never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_a_module_uses_every_name_it_imports(module):
+    # ``__init__`` imports names to export them
+    assert _unused_imports((SRC / f"{module}.py").read_text()) == set()
+
+
+def test_the_unused_import_check_sees_every_form():
+    source = "import os.path\nimport json as j\nfrom a import b, c as d\nfrom . import e\nj.dumps(b)\n"
+    assert _unused_imports(source) == {"os", "d", "e"}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,8 @@ def _check_kept(firing, cur, instr):
     domains against the unbound positions of ``cur``, and an inert verdict
     against the brute-force enumerator."""
     layout = cur.layout
-    for r, key in firing.live.items():
-        assert key == r.key == engine._order_key(r, layout), r
+    for r in firing.live:
+        assert r.key == engine._order_key(r, layout), r
         strands = (*r.added, *r.removed)
         assert r.footprint == frozenset().union(*(bs.bound_positions(layout) for bs in strands)), r
     bound = set().union(*(bs.bound_positions(layout) for bs in cur.strands))
@@ -58,7 +59,7 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None, found=None):
     livelocking instruction never stops by itself).  Appends to ``found``
     the number of cooperative reactions each step newly kept."""
     index = engine._Index(state)
-    firing = engine._Firing(state, instr, index)
+    firing = engine._Firing(instr, index)
     steps = 0
     while True:
         cur = index.state()
@@ -74,7 +75,7 @@ def _fire(state, instr, max_steps=200, brute=False, rng=None, found=None):
         _check_kept(firing, cur, instr)
         if not firing.live or steps == max_steps:
             return steps
-        order = sorted(firing.live, key=firing.live.__getitem__)
+        order = sorted(firing.live, key=attrgetter("key"))
         before = set(firing.live)
         firing.fire(rng.choice(order) if rng else order[0])
         if found is not None:
@@ -107,14 +108,14 @@ def test_kept_reactions_match_scratch_after_undo():
         state = random_state(rng)
         instr = random_instruction(rng, state)
         index = engine._Index(state)
-        firing = engine._Firing(state, instr, index)
+        firing = engine._Firing(instr, index)
         path = []
         for _ in range(12):
             before = set(firing.live)
             if path and (not firing.live or rng.random() < 0.4):
                 firing.undo(path.pop())
             elif firing.live:
-                r = rng.choice(sorted(firing.live, key=firing.live.__getitem__))
+                r = rng.choice(sorted(firing.live, key=attrgetter("key")))
                 firing.fire(r)
                 path.append(r)
             else:

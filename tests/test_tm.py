@@ -113,6 +113,27 @@ def test_step_into_halt_can_leave_tape(increment_spec):
     assert nxt.head is None
 
 
+def test_step_from_the_halt_state_halts_in_place():
+    # a machine that starts in its halt state halts on its first step, and
+    # a terminal configuration cannot be stepped
+    spec = parse_tm_spec(b'{"start state": "h", "halt state": "h", "table": {}}')
+    c = initial_config(spec, "01", 3)
+    nxt = tm_step(spec, c)
+    assert nxt.status is TMStatus.HALTED
+    assert (nxt.tape, nxt.head, nxt.state) == (c.tape, c.head, c.state)
+    with pytest.raises(TMError, match="^cannot step a terminal configuration$"):
+        tm_step(spec, nxt)
+
+
+def test_run_halting_on_its_last_allowed_step():
+    spec = parse_tm_spec(
+        b'{"start state": "a", "halt state": "h",'
+        b' "table": {"a": {"0": {"write": "1", "move": "R", "next": "h"}}}}'
+    )
+    final, steps = tm_run(spec, "0", 2, max_steps=1)
+    assert (final.tape, final.head, final.status, steps) == (("1", "_"), 1, TMStatus.HALTED, 1)
+
+
 def test_run_increments(increment_spec):
     final, steps = tm_run(increment_spec, "01", 3)
     assert final.tape == ("1", "0", "_")

@@ -17,6 +17,7 @@ import itertools
 import random
 import sys
 import threading
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -164,8 +165,9 @@ def test_verified_run_leaves_the_program_index_at_the_final_state(increment_spec
         cur = st
         for instr in cp.program.instructions:
             cur = run_instruction(cur, instr, VerifyConfluent()).final_state
-            kept, index = engine._handoff["last"]
-            assert kept is cur and index.state() == cur
+            index = engine._handoff["last"]
+            assert index.at is cur
+            _assert_index_is_fresh(index, cur)
         canon = engine.run_program(st, cp.program, Canonical())
         verified = engine.run_program(st, cp.program, VerifyConfluent())
         assert verified == canon
@@ -191,8 +193,8 @@ def _chain_keeps_a_fresh_index(registers, instructions, mode) -> int:
         for instr in instructions:
             out = run_instruction(st, instr, mode)
             st = out.final_state
-            kept, index = engine._handoff["last"]
-            assert kept is st
+            index = engine._handoff["last"]
+            assert index.at is st
             _assert_index_is_fresh(index, st)
             reactions += len(out.applied)
     return reactions
@@ -223,7 +225,7 @@ def test_search_leaves_the_run_index_equal_to_a_fresh_one(monkeypatch, increment
         except EngineError:
             assert not engine._handoff  # the search stopped: its index is dropped
             continue
-        _assert_index_is_fresh(engine._handoff["last"][1], out.final_state)
+        _assert_index_is_fresh(engine._handoff["last"], out.final_state)
         fired += bool(out.applied)
     assert fired > 150
     assert sum(away) > 20
@@ -239,7 +241,7 @@ def test_delta_key_is_equal_exactly_when_the_state_is():
         st = random_state(rng)
         instr = random_instruction(rng, st)
         index = engine._Index(st)
-        firing = engine._Firing(st, instr, index)
+        firing = engine._Firing(instr, index)
         delta, path = set(), []
         by_key, by_state = {frozenset(): (st, ())}, {st: frozenset()}
         for _ in range(16):
@@ -247,7 +249,7 @@ def test_delta_key_is_equal_exactly_when_the_state_is():
                 r = path.pop()
                 firing.undo(r)
             elif firing.live:
-                r = rng.choice(sorted(firing.live, key=firing.live.__getitem__))
+                r = rng.choice(sorted(firing.live, key=attrgetter("key")))
                 firing.fire(r)
                 path.append(r)
             else:
@@ -396,8 +398,9 @@ def test_reduced_budget_boundary():
 
 
 def _count_search_calls(monkeypatch) -> collections.Counter:
-    """Counts the calls of ``_Firing.fire``, ``_Firing.undo`` and
-    ``_Index.state`` from here on."""
+    """Counts the calls of ``_Firing.fire`` and ``_Firing.undo``, and the
+    states built (``RegisterState.presorted``; ``_Index.state`` builds only
+    where the index has moved), from here on."""
     calls = collections.Counter()
 
     def counted(name, method):
@@ -409,7 +412,7 @@ def _count_search_calls(monkeypatch) -> collections.Counter:
 
     monkeypatch.setattr(engine._Firing, "fire", counted("fire", engine._Firing.fire))
     monkeypatch.setattr(engine._Firing, "undo", counted("undo", engine._Firing.undo))
-    monkeypatch.setattr(engine._Index, "state", counted("state", engine._Index.state))
+    monkeypatch.setattr(RegisterState, "presorted", classmethod(counted("build", RegisterState.presorted.__func__)))
     return calls
 
 
@@ -423,14 +426,14 @@ def test_verified_run_fires_and_builds_each_state_once(monkeypatch):
         calls.clear()
         out = run_instruction(st, instr, VerifyConfluent())
         assert len(out.applied) == K
-        assert calls == {"fire": K, "state": 1}
+        assert calls == {"fire": K, "build": 1}
 
 
 def test_failed_search_leaves_no_stale_index():
     # the search stops with the index K - 1 detaches away from its state;
     # a rerun on that state object must not start from there
     st = run_instruction(K_STRANDS, Instruction(())).final_state
-    assert engine._handoff["last"][0] is st
+    assert engine._handoff["last"].at is st
     with pytest.raises(StateBudgetExceededError):
         run_instruction(st, K_DETACHES, VerifyConfluent(max_states=K))
     rerun = run_instruction(st, K_DETACHES)
@@ -482,7 +485,7 @@ def test_paper_pass_search_never_branches(monkeypatch):
         reacting += bool(out.applied)
         st = out.final_state
     assert reacting >= 10 and applied > 100
-    assert calls == {"fire": applied, "state": reacting}
+    assert calls == {"fire": applied, "build": reacting}
 
 
 @pytest.mark.parametrize("mode", [Canonical(), VerifyConfluent(500)], ids=["canonical", "verified"])
@@ -642,8 +645,8 @@ def test_no_reaction_spans_two_parts(increment_spec, increment_compiled_s3, incr
 
 
 def _reduced_finals(st, instr):
-    firing = engine._Firing(st, instr, engine._Index(st))
-    finals, _loops, _path = engine._deadlocks(st, firing, 100_000, instr.label)
+    firing = engine._Firing(instr, engine._Index(st))
+    finals, _loops, _path = engine._deadlocks(firing, 100_000, instr.label)
     return {out.final_state: out.applied for out in finals}
 
 
