@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import json
 import re
 import sys
 from pathlib import Path
@@ -28,20 +27,18 @@ from typing import Iterable, Optional
 from . import compiler, engine, render
 from .model import (
     MAX_POSITIONS,
-    BoundStrand,
-    Orientation,
     RegisterState,
     SchemaError,
     add_where,
+    layout_of_head,
     parse_register,
+    read_strand,
     register_doc,
     register_from_doc,
     serialize_register,
-    strand_spec,
+    split_register,
     _canon,
     _load_json,
-    _parse_tokens,
-    _tokens_bytes,
 )
 from .tm import (
     SpaceBoundViolationError,
@@ -292,10 +289,9 @@ _FIRST_LINE = re.compile(rb"(?<![^\r\n])[^\S\r\n]*\S[^\r\n]*")
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-# A trace line's tail as ``canon_with_state`` writes it: ``,"state":``, the
-# layout prefix, the strand documents joined by ``,``, then this suffix of
-# 83 bytes.
-_STATE_SUFFIX = re.compile(rb'\]\},"state_hash":"([0-9a-f]{64})"\}')
+# the end of a trace line's tail as ``canon_with_state`` writes it, after
+# the register document
+_STATE_HASH = re.compile(rb',"state_hash":"([0-9a-f]{64})"\}')
 
 
 class TraceStateReader:
@@ -303,28 +299,32 @@ class TraceStateReader:
     writes (a line's bytes from ``,"state":`` on), for one read of the trace.
 
     ``read`` decodes each distinct tail once.  A tail in exactly the written
-    form, whose layout prefix a state of this trace has already decoded, is
-    read as a delta: its strand list is split into documents, each document
-    is the one ``BoundStrand`` of its bytes (a new one is built once, with
-    its token list parsed once per layout, and must encode back to exactly
-    its bytes), and the strands that left the layout's last state and those
-    that came move the layout's ``engine._Index`` by one ``apply``, which
-    checks them where they land and keeps the strands in canonical order.
-    Any other tail (the first of a layout, other spacing or key order, an
-    extra key, a duplicate strand, strands that cannot land, an offset too
-    long to convert) is parsed whole and decoded by ``register_from_doc``,
-    which words every error; the first state of a layout seeds its index.
+    form, a register document and then ``,"state_hash":"<64 hex>"}``, is
+    read by its pieces (``model.split_register``): its head is the one
+    layout of its bytes, and each strand document is the one ``BoundStrand``
+    of its bytes (a new one is built once, with its token list parsed once
+    per layout, and must encode back to exactly its bytes).  The first such
+    state of a layout builds the layout's ``engine._Index`` in one pass,
+    which checks it whole; for each later one, the strands that left the
+    layout's last state and those that came move that index by one
+    ``apply``, which checks them where they land and keeps the strands in
+    canonical order.  Any other tail (other spacing or key order, an extra
+    key, a duplicate strand, strands that do not make a valid state, an
+    offset too long to convert) is parsed whole and decoded by
+    ``register_from_doc``, which words every error.
 
-    This is exact.  Documents that each encode back to their bytes, joined
-    by ``,``, are canonical JSON that parses to their values, so the whole
-    read would build the same strands; and a valid state plus a delta whose
-    landings keep ``strand_violations`` is a valid state."""
+    This is exact.  Pieces that each encode back to their bytes, joined as
+    ``serialize_register`` joins them, are canonical JSON that parses to
+    their values, so the whole read would build the same strands; and a
+    valid state plus a delta whose landings keep ``strand_violations`` is a
+    valid state."""
 
     def __init__(self):
         self._tails: dict[bytes, tuple[dict, RegisterState]] = {}
-        # layout prefix -> the layout's index, its strands by the bytes of
-        # their documents after ``{"offset":``, its specs by token-list bytes
-        self._layouts: dict[bytes, tuple[engine._Index, dict, dict]] = {}
+        # layout head -> [its index (None until a state of the layout is
+        # read), its strands by the bytes of their documents after
+        # ``{"offset":``, its specs by token-list bytes]
+        self._layouts: dict[bytes, list] = {}
 
     def read(self, tail: bytes) -> tuple[dict, RegisterState]:
         """The tail object's keys other than ``"state"``, and its state;
@@ -336,37 +336,21 @@ class TraceStateReader:
 
     def _whole(self, tail: bytes) -> tuple[dict, RegisterState]:
         rest = _load_json(b"{" + tail[1:], "$")
-        state = register_from_doc(rest.pop("state"))
-        layout = state.layout
-        prefix = b',"state":{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (
-            layout.cells, layout.domains_per_cell
-        )
-        if prefix not in self._layouts:
-            self._layouts[prefix] = (engine._Index(state), {}, {})
-        _, strands, specs = self._layouts[prefix]
-        for bs in state.strands:
-            tokens = _tokens_bytes(bs.spec)
-            specs.setdefault(tokens, bs.spec)
-            strands.setdefault(b'%d,"tokens":%s}' % (bs.offset, tokens), bs)
-        return rest, state
+        return rest, register_from_doc(rest.pop("state"))
 
     def _delta(self, tail: bytes) -> Optional[tuple[dict, RegisterState]]:
-        start = tail.find(b'"strands":[') + 11
-        known = self._layouts.get(tail[:start]) if start > 10 else None
-        end = len(tail) - 83
-        suffix = _STATE_SUFFIX.fullmatch(tail, end) if known and end >= start else None
-        if suffix is None:
+        suffix = _STATE_HASH.fullmatch(tail, len(tail) - 81)
+        pieces = split_register(tail[len(_STATE_MARK) : -81]) if suffix else None
+        layout = layout_of_head(pieces[0]) if pieces else None
+        if layout is None:
             return None
-        index, shared, specs = known
-        body = tail[start:end]
-        parts = (b"," + body).split(b',{"offset":') if body else [b""]
-        if parts[0]:  # the list is not strand documents joined by ","
-            return None
+        head, parts = pieces
+        index, shared, specs = entry = self._layouts.setdefault(head, [None, {}, {}])
         strands = []
-        for part in parts[1:]:
+        for part in parts:
             bs = shared.get(part)
             if bs is None:
-                bs = _new_strand(part, specs, index.layout.domains_per_cell)
+                bs = read_strand(part, specs, layout.domains_per_cell)
                 if bs is None:
                     return None
                 shared[part] = bs
@@ -374,41 +358,16 @@ class TraceStateReader:
         now = set(strands)
         if len(now) < len(strands):  # a duplicate strand
             return None
-        placed = index.bound_of
         try:
-            index.apply([bs for bs in placed if bs not in now], [bs for bs in strands if bs not in placed])
-        except engine.InapplicableReactionError:
-            del self._layouts[tail[:start]]  # the index is half moved
+            if index is None:
+                index = entry[0] = engine._Index(RegisterState(layout, tuple(strands)))
+            else:
+                placed = index.bound_of
+                index.apply([bs for bs in placed if bs not in now], [bs for bs in strands if bs not in placed])
+        except engine.EngineError:
+            del self._layouts[head]  # the index is half moved, or was never built
             return None
         return {"state_hash": suffix[1].decode()}, index.state()
-
-
-def _new_strand(part: bytes, specs: dict, d: int) -> Optional[BoundStrand]:
-    """The strand of the document ``{"offset":`` + ``part``, or None unless
-    it is canonical: its offset and its token list encode back to exactly
-    their bytes.  ``specs`` keeps the spec of each token list that does."""
-    cut = part.find(b',"tokens":')
-    # a valid strand's offset is far shorter than 20 bytes; a longer one is
-    # left to the whole read, not converted
-    if not 0 < cut <= 20 or part[-1:] != b"}":
-        return None
-    tokens = part[cut + 10 : -1]
-    spec = specs.get(tokens)
-    if spec is None:
-        try:
-            spec = strand_spec(_parse_tokens(json.loads(tokens), "$", d), Orientation.FORWARD)
-        except (ValueError, RecursionError):  # SchemaError and JSONDecodeError among them
-            return None
-        if _tokens_bytes(spec) != tokens:
-            return None
-        specs[tokens] = spec
-    try:
-        offset = int(part[:cut])
-    except ValueError:
-        return None
-    if b"%d" % offset != part[:cut]:
-        return None
-    return BoundStrand(spec, offset)
 
 
 def _state_of(doc, where: str) -> RegisterState:
@@ -573,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("input")
     d.add_argument("--format", choices=("svg", "text"), default="svg")
     d.add_argument("--every", type=int, help="panel stride for traces")
-    d.add_argument("--style", help="style table JSON (also: SIMDNA_STYLE)")
+    d.add_argument("--style", help="style table JSON (default: the built-in style)")
     d.add_argument("--output", "-o")
     d.set_defaults(func=cmd_render)
 

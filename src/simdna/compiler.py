@@ -611,7 +611,6 @@ def reachable_configs(
 
 def verify_compilation(
     spec: TMSpec,
-    s: int,
     compiled: CompiledProgram,
     inputs: list[TMConfig],
     mode: engine.Mode = engine.Canonical(),
@@ -625,7 +624,7 @@ def verify_compilation(
     does; terminal or head-erased ones must be left byte-identical."""
     violations = []
     for config in inputs:
-        reg, _ = encode_config(spec, compiled.scheme, config, s)
+        reg, _ = encode_config(spec, compiled.scheme, config, compiled.program.layout.cells)
         try:
             final, _ = engine.run_program(reg, compiled.program, mode)
         except engine.EngineError as e:

@@ -11,7 +11,6 @@ arrowhead: right for forward strands, left for reverse.
 """
 from __future__ import annotations
 
-import os
 import re
 import zlib
 from dataclasses import dataclass
@@ -62,9 +61,8 @@ _NOT_IN_ATTRIBUTE = re.compile(r'[&"<]|[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U0001000
 
 
 def load_style(path: Optional[str] = None) -> StyleTable:
-    """Style table, optionally overridden by a JSON file (SIMDNA_STYLE).
+    """The default style table, or the one a JSON file at ``path`` gives.
     Raises SchemaError, naming the file, on a malformed table."""
-    path = path or os.environ.get("SIMDNA_STYLE")
     if not path:
         return StyleTable()
     with open(path, "rb") as fh:
@@ -437,7 +435,7 @@ def render_trace_parts(
 ) -> list[str]:
     """The SVG of ``render_trace`` as the parts whose newline-join it is, so
     that a large document can be written out without being held whole."""
-    style = style or load_style()
+    style = style or StyleTable()
     chosen: list[RenderScene] = []
     for i, scene in enumerate(scenes):
         fired = None if reaction_counts is None else reaction_counts[i]

@@ -50,9 +50,7 @@ def test_criterion_1_oracle_equivalence(increment_spec, increment_compiled_s4, i
     t0 = time.monotonic()
     assert len(INPUTS_14) == 14
     configs = _corpus_configs(increment_spec)
-    violations = verify_compilation(
-        increment_spec, 4, increment_compiled_s4, configs, engine.Canonical()
-    )
+    violations = verify_compilation(increment_spec, increment_compiled_s4, configs, engine.Canonical())
     assert not violations, violations[:3]
 
     for x in INPUTS_14:
@@ -149,6 +147,9 @@ def test_criterion_5_simd_parallelism(increment_spec, increment_compiled_s4):
         assert configs_equivalent(spec, tm_step(spec, c), got), c
     assert serialize_register(results[6][0]) == serialize_register(regs[6])
     assert serialize_register(results[7][0]) == serialize_register(regs[7])
+    # and no instruction applied anything to them
+    assert all(len(o.applied) == 0 for o in results[6][1])
+    assert all(len(o.applied) == 0 for o in results[7][1])
     _report(5, "8 registers advanced independently; halted/stuck byte-identical")
 
 
@@ -157,6 +158,12 @@ def test_criterion_6_protection(increment_spec, increment_compiled_s3):
     reg, _ = encode_config(increment_spec, cp.scheme, TMConfig(("0", "1", "_"), 1, "a"), 3)
     _final, outcomes = engine.run_program(reg, cp.program)
     counts = [len(o.applied) for o in outcomes]
+    # the register reacts during the shared pre-plug step, its own sublist
+    # and the final deprotect
+    assert counts[0] == 1
+    assert counts[cp.stats.instruction_count - 1] == 1
+    own_first, own_last = cp.sublist_index[("a", "1")]
+    assert sum(counts[own_first - 1 : own_last]) > 0
     foreign = 0
     for key in (("a", "0"), ("a", "_"), ("b", "0"), ("b", "1")):
         first, last = cp.sublist_index[key]

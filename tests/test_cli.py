@@ -1088,8 +1088,8 @@ def _counting(monkeypatch, fn, *modules) -> list:
 
 def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, increment_trace):
     # one read per distinct tail; in a trace of one layout in the written
-    # form, only the first state is decoded whole, and each strand document
-    # that state does not hold is built once
+    # form, no state is decoded whole, and each distinct strand document is
+    # built once
     from simdna import cli
 
     lines = increment_trace.read_bytes().splitlines()
@@ -1097,19 +1097,19 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
     first = {_canonical(strand) for strand in json.loads(lines[0])["state"]["strands"]}
     strands = {_canonical(strand) for state in states for strand in state["strands"]}
     assert 1 < len(states) < len(lines) and len(first) < len(strands)
-    delta, whole, new = cli.TraceStateReader._delta, cli.register_from_doc, cli._new_strand
+    delta, whole, new = cli.TraceStateReader._delta, cli.register_from_doc, cli.read_strand
     for fmt in ("svg", "text"):
         reads = _counting(monkeypatch, delta, cli.TraceStateReader)
         wholes = _counting(monkeypatch, whole, cli)
         built = _counting(monkeypatch, new, cli)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert (len(reads), len(wholes), len(built)) == (len(states), 1, len(strands - first))
+        assert (len(reads), len(wholes), len(built)) == (len(states), 0, len(strands))
 
 
 def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):
-    # the first state is decoded as a register file is, one parse per
-    # strand; the delta read parses each token list no state before held once
-    from simdna import cli, model
+    # the token lists repeat within a state and across states, and each
+    # distinct one is parsed once
+    from simdna import model
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
     states = {_canonical(doc["state"]): doc["state"] for doc in docs}.values()
@@ -1120,11 +1120,9 @@ def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, incr
     assert len(set(first)) < len(first)
     parse = model._parse_tokens
     for fmt in ("svg", "text"):
-        calls = _counting(monkeypatch, parse, model, cli)
+        calls = _counting(monkeypatch, parse, model)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        parsed = [_canonical(args[0]) for args in calls]
-        assert parsed[: len(first)] == first
-        assert sorted(parsed[len(first) :]) == sorted(lists - set(first))
+        assert sorted(_canonical(args[0]) for args in calls) == sorted(lists)
 
 
 # a token that equals, but is not, the token {"m": 1}, and an overhang tag

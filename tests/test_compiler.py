@@ -22,9 +22,10 @@ from simdna.compiler import (
     decode_register,
     encode_config,
     load_program_file,
+    reachable_configs,
     serialize_compiled,
 )
-from simdna.model import BoundStrand, Match, Orientation, Ortho, RegisterState, fwd
+from simdna.model import BoundStrand, Match, Orientation, Ortho, RegisterState, fwd, register_layout
 from simdna.tm import TMConfig, TMSpec, TMStatus, parse_tm_spec
 
 
@@ -157,6 +158,36 @@ def test_encode_stuck_is_lossy(increment_spec):
     reg, lossy = encode_config(increment_spec, scheme, config, 3)
     assert lossy
     assert isinstance(decode_register(increment_spec, scheme, reg), TapeOnly)
+
+
+def test_encode_rejects_a_tape_of_another_length(increment_spec):
+    scheme = build_scheme(increment_spec)
+    with pytest.raises(CompileError, match=r"^tape length 2 != register cells 3$"):
+        encode_config(increment_spec, scheme, TMConfig(("0", "1"), 0, "a"), 3)
+
+
+def test_decode_rejects_a_register_of_another_layout(increment_spec):
+    scheme = build_scheme(increment_spec)
+    with pytest.raises(CompileError, match=r"^register layout does not match scheme$"):
+        decode_register(increment_spec, scheme, RegisterState(register_layout(3, 20), ()))
+
+
+LOOPING = b"""
+start state: a
+halt state: h
+table:
+  a:
+    0: {write: 0, move: R, next: b}
+  b:
+    0: {write: 0, move: L, next: a}
+"""
+
+
+def test_reachable_configs_stop_at_max_steps():
+    # the machine steps between its two states forever, on the tape
+    configs, walked_off = reachable_configs(parse_tm_spec(LOOPING), "00", 3, max_steps=5)
+    assert (len(configs), walked_off) == (6, False)
+    assert [c.state for c in configs] == ["a", "b"] * 3
 
 
 def test_decode_multiple_heads(increment_spec):

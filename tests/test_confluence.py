@@ -22,9 +22,7 @@ def test_compiled_program_confluent_on_reachable(increment_spec, increment_compi
             configs, _ = reachable_configs(increment_spec, "".join(bits), 4)
             for c in configs:
                 seen[c] = None
-    violations = verify_compilation(
-        increment_spec, 4, cp, list(seen), engine.VerifyConfluent(100_000)
-    )
+    violations = verify_compilation(increment_spec, cp, list(seen), engine.VerifyConfluent(100_000))
     assert not violations, violations[:3]
 
 
@@ -49,14 +47,14 @@ def test_random_machine_confluent():
         configs, _ = reachable_configs(spec, x, 3, max_steps=20)
         for c in configs[:6]:
             seen[c] = None
-    violations = verify_compilation(spec, 3, cp, list(seen), engine.VerifyConfluent())
+    violations = verify_compilation(spec, cp, list(seen), engine.VerifyConfluent())
     assert not violations, violations[:3]
 
 
 def test_verify_compilation_names_the_failing_configuration(increment_spec, increment_compiled_s3):
     configs, _ = reachable_configs(increment_spec, "01", 3)
     with pytest.raises(engine.StateBudgetExceededError) as err:
-        verify_compilation(increment_spec, 3, increment_compiled_s3, configs, engine.VerifyConfluent(1))
+        verify_compilation(increment_spec, increment_compiled_s3, configs, engine.VerifyConfluent(1))
     assert err.value.where == (str(configs[0]), "instruction 1")
 
 
@@ -66,5 +64,5 @@ def test_verify_compilation_reports_a_wrong_step(increment_spec, increment_compi
     cp = increment_compiled_s3
     program = Program(cp.program.layout, cp.program.instructions[:6] + cp.program.instructions[7:])
     configs, _ = reachable_configs(increment_spec, "01", 3)
-    violations = verify_compilation(increment_spec, 3, dataclasses.replace(cp, program=program), configs)
+    violations = verify_compilation(increment_spec, dataclasses.replace(cp, program=program), configs)
     assert violations == [f"{configs[0]}: expected {configs[1]}, decoded TapeOnly(tape=('0', '1', '_'))"]

@@ -1,5 +1,7 @@
 """The order in which simdna's modules may import each other: each layer
-imports only the layers below it (``cli`` and the package sit on top)."""
+imports only the layers below it (``cli`` and the package sit on top).
+Every name a module imports is used, and only ``model`` spells the bytes
+of a register document."""
 from __future__ import annotations
 
 import ast
@@ -69,3 +71,29 @@ def test_a_module_uses_every_name_it_imports(module):
 def test_the_unused_import_check_sees_every_form():
     source = "import os.path\nimport json as j\nfrom a import b, c as d\nfrom . import e\nj.dumps(b)\n"
     assert _unused_imports(source) == {"os", "d", "e"}
+
+
+# the keys of a register document: ``model`` alone writes and reads its bytes
+_REGISTER_KEYS = (b"layout", b"strands", b"offset", b"tokens")
+
+
+def _register_bytes(source: str) -> list[bytes]:
+    """The bytes literals of ``source`` that spell a key of a register
+    document."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, bytes)
+        and any(key in node.value for key in _REGISTER_KEYS)
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "model"))
+def test_only_model_spells_a_register_document_in_bytes(module):
+    assert _register_bytes((SRC / f"{module}.py").read_text()) == []
+
+
+def test_the_register_bytes_check_sees_every_form():
+    source = 'a = b\'{"layout":\'\nb = rb"\\d+,\\"tokens\\""\nc = b"%d" % 1\nd = "offset"\n'
+    assert _register_bytes(source) == [b'{"layout":', b'\\d+,\\"tokens\\"']
+    assert _register_bytes((SRC / "model.py").read_text())

@@ -271,6 +271,11 @@ def test_parse_rejects_empty_tokens():
         parse_program(doc)
 
 
+def test_a_strand_has_a_token():
+    with pytest.raises(ValueError, match=r"^strand must have at least one token$"):
+        fwd()
+
+
 def test_register_roundtrip():
     layout = RegisterLayout(2, 4)
     state = RegisterState(

@@ -19,6 +19,7 @@ from simdna.model import (
 from simdna.render import (
     RenderScene,
     StyleTable,
+    load_style,
     make_scene,
     render_svg,
     render_text,
@@ -71,6 +72,11 @@ def test_inert_species_sits_where_it_binds_most():
     nowhere = fwd(Ortho("x"), Ortho("y"))
     scene = make_scene(state, Instruction((once, nowhere)))
     assert {(p.spec, p.offset, p.reactive) for p in scene.pending} == {(once, -1, False), (nowhere, 0, False)}
+
+
+def test_a_scene_without_an_instruction_holds_the_register_alone():
+    reg = RegisterState(RegisterLayout(2, 4), (BoundStrand(fwd(Match(1), Match(2)), 0),))
+    assert make_scene(reg, label="x") == RenderScene(reg, (), "x")
 
 
 def encoded_scene(increment_spec):
@@ -192,15 +198,11 @@ def test_style_table_override(tmp_path, increment_spec):
     a = render_svg(encoded_scene(increment_spec))
     b = render_svg(encoded_scene(increment_spec), style)
     assert a != b
-    # env-driven style file
+    # a style file
     p = tmp_path / "style.json"
     p.write_text('{"unit_width": 10}')
-    os.environ["SIMDNA_STYLE"] = str(p)
-    try:
-        c = render_svg(encoded_scene(increment_spec))
-    finally:
-        del os.environ["SIMDNA_STYLE"]
-    assert c == b
+    assert load_style(str(p)) == style
+    assert load_style(None) == StyleTable()
 
 
 def test_svg_coordinates_are_exact_past_a_million():

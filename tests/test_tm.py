@@ -26,6 +26,11 @@ def test_parse_increment(increment_path):
     assert extras["input"] == "01"
 
 
+def test_a_running_configuration_has_a_head():
+    with pytest.raises(ValueError, match=r"^a running configuration needs a head position$"):
+        TMConfig(("0",), None, "a")
+
+
 def test_parse_json_equivalent():
     doc = b"""
     {"start state": "a", "halt state": "h",

@@ -518,7 +518,7 @@ def test_paper_machine_verifies_every_transition():
     rng = random.Random(0)
     configs = [pm.steppable_config(spec, key, 4, rng) for key in cp.scheme.transition_order for _ in range(3)]
     assert len(configs) == 3 * len(spec.transitions) == 96
-    assert verify_compilation(spec, 4, cp, configs, VerifyConfluent(500)) == []
+    assert verify_compilation(spec, cp, configs, VerifyConfluent(500)) == []
 
 
 @pytest.mark.parametrize("mode", [Canonical(), VerifyConfluent(500)], ids=["canonical", "verified"])

@@ -77,7 +77,7 @@ def main() -> int:
         inputs = step_configs(spec, s, rng)
         configs += len(inputs)
         try:
-            failures += [f"machine {i}: {v}" for v in verify_compilation(spec, s, compiled, inputs, mode)]
+            failures += [f"machine {i}: {v}" for v in verify_compilation(spec, compiled, inputs, mode)]
         except EngineError as e:
             failures.append(f"machine {i}: engine error: {e}")
     print(f"machines {machines}, not compiled {uncompiled}, configurations {configs}, failures {len(failures)}")
