@@ -27,18 +27,20 @@ from typing import Iterable, Optional
 from . import compiler, engine, render
 from .model import (
     MAX_POSITIONS,
+    BoundStrand,
     RegisterState,
     SchemaError,
+    StrandSpec,
     add_where,
-    layout_of_head,
+    bound_spec,
     parse_register,
-    read_strand,
     register_doc,
     register_from_doc,
     serialize_register,
-    split_register,
     _canon,
     _load_json,
+    _register_bytes,
+    _strand_bytes,
 )
 from .tm import (
     SpaceBoundViolationError,
@@ -88,14 +90,19 @@ def canon_with_state(head: dict, state: RegisterState, tails: dict) -> bytes:
     document of ``state``, and ``"state_hash"``, the sha256 of exactly the
     bytes embedded under ``"state"``.  ``head`` must be nonempty, and each
     of its keys must sort before ``"state"``.  ``tails`` maps each state
-    already written to its bytes from ``,"state":`` on, so that the lines of
-    one run encode and hash each distinct state once."""
+    already written to its ``_state_tail``, so that the lines of one run
+    encode and hash each distinct state once."""
     tail = tails.get(state)
     if tail is None:
-        body = serialize_register(state)
-        digest = hashlib.sha256(body).hexdigest().encode()
-        tail = tails[state] = b',"state":%s,"state_hash":"%s"}' % (body, digest)
+        tail = tails[state] = _state_tail(serialize_register(state))
     return _canon(head)[:-1] + tail
+
+
+def _state_tail(body: bytes) -> bytes:
+    """A trace line's bytes from ``,"state":`` on, as ``canon_with_state``
+    writes them for the register document ``body``: ``body``, then its
+    sha256."""
+    return b',"state":%s,"state_hash":"%s"}' % (body, hashlib.sha256(body).hexdigest().encode())
 
 
 def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome], tails: dict) -> list[bytes]:
@@ -289,85 +296,86 @@ _FIRST_LINE = re.compile(rb"(?<![^\r\n])[^\S\r\n]*\S[^\r\n]*")
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-# the end of a trace line's tail as ``canon_with_state`` writes it, after
-# the register document
-_STATE_HASH = re.compile(rb',"state_hash":"([0-9a-f]{64})"\}')
-
-
 class TraceStateReader:
     """The states of one trace, read from the tails ``canon_with_state``
     writes (a line's bytes from ``,"state":`` on), for one read of the trace.
 
-    ``read`` decodes each distinct tail once.  A tail in exactly the written
-    form, a register document and then ``,"state_hash":"<64 hex>"}``, is
-    read by its pieces (``model.split_register``): its head is the one
-    layout of its bytes, and each strand document is the one ``BoundStrand``
-    of its bytes (a new one is built once, with its token list parsed once
-    per layout, and must encode back to exactly its bytes).  The first such
-    state of a layout builds the layout's ``engine._Index`` in one pass,
-    which checks it whole; for each later one, the strands that left the
-    layout's last state and those that came move that index by one
-    ``apply``, which checks them where they land and keeps the strands in
-    canonical order.  Any other tail (other spacing or key order, an extra
-    key, a duplicate strand, strands that do not make a valid state, an
-    offset too long to convert) is parsed whole and decoded by
-    ``register_from_doc``, which words every error.
+    ``read`` decodes each distinct tail once.  A new tail is first replayed
+    through the writer: the line's ``applied`` reactions
+    (``engine.reaction_strands``) move one ``engine._Index`` from the state
+    read last, each checked where it lands (``_Index.apply``), and the state
+    they reach is taken only when its ``_state_tail`` is exactly the tail.
+    Any other tail (the trace's first, one whose reactions do not decode or
+    apply, one in other bytes) is parsed whole and decoded by
+    ``register_from_doc``, which words every error, and the index is built
+    anew at that state.
 
-    This is exact.  Pieces that each encode back to their bytes, joined as
-    ``serialize_register`` joins them, are canonical JSON that parses to
-    their values, so the whole read would build the same strands; and a
-    valid state plus a delta whose landings keep ``strand_violations`` is a
-    valid state."""
+    This is exact: a state built by checked deltas from a valid state is
+    valid, and the written tail of a valid state parses back to that very
+    state, so the whole read gives it too.  Every state read holds one
+    strand object per spec and offset, and each token list that ``applied``
+    names is parsed once per number of domains per cell."""
 
     def __init__(self):
         self._tails: dict[bytes, tuple[dict, RegisterState]] = {}
-        # layout head -> [its index (None until a state of the layout is
-        # read), its strands by the bytes of their documents after
-        # ``{"offset":``, its specs by token-list bytes]
-        self._layouts: dict[bytes, list] = {}
+        self._last: Optional[RegisterState] = None
+        self._index: Optional[engine._Index] = None
+        # (repr of a token list document, domains per cell) -> its spec
+        self._specs: dict[tuple[str, int], StrandSpec] = {}
+        # (spec, offset) -> the one strand, and that strand -> its document
+        self._strands: dict[tuple[StrandSpec, int], BoundStrand] = {}
+        self._docs: dict[BoundStrand, bytes] = {}
 
-    def read(self, tail: bytes) -> tuple[dict, RegisterState]:
+    def read(self, tail: bytes, applied) -> tuple[dict, RegisterState]:
         """The tail object's keys other than ``"state"``, and its state;
-        a tail that does not read raises ``SchemaError``."""
+        a tail that does not read raises ``SchemaError``.  ``applied`` is
+        the line's: the reactions from the state read last to this one."""
         known = self._tails.get(tail)
         if known is None:
-            known = self._tails[tail] = self._delta(tail) or self._whole(tail)
+            known = self._tails[tail] = self._replay(tail, applied) or self._whole(tail)
+        self._last = known[1]
         return known
 
     def _whole(self, tail: bytes) -> tuple[dict, RegisterState]:
         rest = _load_json(b"{" + tail[1:], "$")
-        return rest, register_from_doc(rest.pop("state"))
+        state = register_from_doc(rest.pop("state"))
+        return rest, RegisterState.presorted(state.layout, tuple(map(self._shared, state.strands)))
 
-    def _delta(self, tail: bytes) -> Optional[tuple[dict, RegisterState]]:
-        suffix = _STATE_HASH.fullmatch(tail, len(tail) - 81)
-        pieces = split_register(tail[len(_STATE_MARK) : -81]) if suffix else None
-        layout = layout_of_head(pieces[0]) if pieces else None
-        if layout is None:
+    def _replay(self, tail: bytes, applied) -> Optional[tuple[dict, RegisterState]]:
+        if self._last is None:
             return None
-        head, parts = pieces
-        index, shared, specs = entry = self._layouts.setdefault(head, [None, {}, {}])
-        strands = []
-        for part in parts:
-            bs = shared.get(part)
-            if bs is None:
-                bs = read_strand(part, specs, layout.domains_per_cell)
-                if bs is None:
-                    return None
-                shared[part] = bs
-            strands.append(bs)
-        now = set(strands)
-        if len(now) < len(strands):  # a duplicate strand
-            return None
+        index = self._index
+        if index is None or index.at is not self._last:  # a miss, or a repeated tail, left it elsewhere
+            index = self._index = engine._Index(self._last)
         try:
-            if index is None:
-                index = entry[0] = engine._Index(RegisterState(layout, tuple(strands)))
-            else:
-                placed = index.bound_of
-                index.apply([bs for bs in placed if bs not in now], [bs for bs in strands if bs not in placed])
-        except engine.EngineError:
-            del self._layouts[head]  # the index is half moved, or was never built
+            for doc in applied:
+                index.apply(*engine.reaction_strands(doc, self._strand))
+        except (KeyError, TypeError, ValueError, RecursionError, engine.EngineError):
             return None
-        return {"state_hash": suffix[1].decode()}, index.state()
+        state = index.state()
+        if _state_tail(_register_bytes(state.layout, map(self._docs.__getitem__, state.strands))) != tail:
+            return None
+        return {"state_hash": tail[-66:-2].decode()}, state
+
+    def _strand(self, offset, tokens) -> BoundStrand:
+        """The one strand at ``offset`` of the token list document
+        ``tokens``, on the index's layout."""
+        if type(offset) is not int:
+            raise TypeError("a strand's offset must be an integer")
+        key = repr(tokens), self._index.layout.domains_per_cell
+        spec = self._specs.get(key)
+        if spec is None:
+            spec = self._specs[key] = bound_spec(tokens, "$", key[1])
+        bs = self._strands.get((spec, offset))
+        return self._shared(BoundStrand.hashed(spec, offset)) if bs is None else bs
+
+    def _shared(self, bs: BoundStrand) -> BoundStrand:
+        """The one strand of ``bs``'s spec and offset: ``bs`` itself, unless
+        the read met that strand before."""
+        one = self._strands.setdefault((bs.spec, bs.offset), bs)
+        if one is bs:
+            self._docs[bs] = _strand_bytes(bs)
+        return one
 
 
 def _state_of(doc, where: str) -> RegisterState:
@@ -382,8 +390,9 @@ def _read_line(raw: bytes, where: str, states: TraceStateReader) -> tuple[dict, 
     is split at its first ``,"state":`` into a head ``H`` and a tail ``T``:
     ``H + "}"`` is parsed on every line, and ``T`` is read by ``states``
     (``TraceStateReader.read``: the object ``"{" + T[1:]``, once per
-    distinct tail).  A line with no mark, an empty head, or a head or tail
-    that does not read is read whole, which names its error.
+    distinct tail, replayed by the head's ``applied``).  A line with no
+    mark, an empty head, or a head or tail that does not read is read
+    whole, which names its error.
 
     This is exact.  A head that parses as a nonempty object puts the mark
     at depth 1 right after a member, so the line is valid JSON if and only
@@ -392,7 +401,7 @@ def _read_line(raw: bytes, where: str, states: TraceStateReader) -> tuple[dict, 
     try:
         head = _load_json(raw[:cut] + b"}", where) if cut > 0 else None
         if isinstance(head, dict) and head:
-            rest, state = states.read(raw[cut:])
+            rest, state = states.read(raw[cut:], head.get("applied", ()))
             return {**head, **rest}, state
     except SchemaError:
         pass

@@ -230,6 +230,33 @@ class Detach(Reaction):
         return {"rule": self.rule, "remover": spec_doc(self.remover), "target": strand_doc(self.target)}
 
 
+def reaction_strands(doc, strand) -> tuple[tuple[BoundStrand, ...], tuple[BoundStrand, ...]]:
+    """The strands that the reaction document ``doc`` (``Reaction.doc()``)
+    removes and adds, as ``(removed, added)``.  Each is ``strand(offset,
+    tokens)`` of its strand document: an incumbent's or a target's
+    ``{"offset", "tokens"}``, or an actor's offset and its spec's token
+    list (a detach's remover is no strand of the register).  A document
+    that is no reaction's raises ``KeyError`` or ``TypeError``, or what
+    ``strand`` raises."""
+    rule = doc["rule"]
+
+    def bound(sdoc):
+        return strand(sdoc["offset"], sdoc["tokens"])
+
+    def placed(pdoc):
+        return strand(pdoc["offset"], pdoc["strand"]["tokens"])
+
+    if rule == Attach.rule:
+        return (), (placed(doc),)
+    if rule in (Displace.rule, ToeholdExchange.rule):
+        return (bound(doc["incumbent"]),), (placed(doc),)
+    if rule == Cooperative.rule:
+        return (bound(doc["incumbent"]),), (placed(doc["left"]), placed(doc["right"]))
+    if rule == Detach.rule:
+        return (bound(doc["target"]),), ()
+    raise KeyError(f"no reaction rule {rule!r}")
+
+
 @dataclass(frozen=True)
 class Canonical:
     """Fire reactions in a fixed total order until none applies."""

@@ -9,7 +9,6 @@ position carrying its domain, an Ortho token never pairs with the register.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -500,12 +499,10 @@ def parse_register(text: bytes) -> RegisterState:
 
 def register_from_doc(doc) -> RegisterState:
     """Register from an already decoded JSON document (see parse_register):
-    each strand's token list is parsed, its spec is the one ``strand_spec``
-    of the list, and the state passes the full ``validate_state``.  The
-    states of a trace are read by ``cli.TraceStateReader``, which calls this
-    only for a tail that is not a register document in the written form
-    (``split_register``) or does not read as one, and so words every error
-    of a trace state as a register file's."""
+    each strand's spec is ``bound_spec`` of its token list, and the state
+    passes the full ``validate_state``.  ``cli.TraceStateReader`` calls this
+    for a trace state that its replay does not give, so it words every
+    error of a trace state as a register file's."""
     _expect(isinstance(doc, dict), "$", "top level must be an object")
     _expect("layout" in doc, "$", "missing key 'layout'")
     _expect("strands" in doc, "$", "missing key 'strands'")
@@ -523,13 +520,19 @@ def register_from_doc(doc) -> RegisterState:
         off = sdoc.get("offset") if isinstance(sdoc, dict) else None
         if not isinstance(off, int) or isinstance(off, bool):
             _offset_error(sdoc, f"$.strands[{i}]")
-        tokens = _parse_tokens(sdoc.get("tokens"), f"$.strands[{i}].tokens", layout.domains_per_cell)
-        strands.append(BoundStrand(strand_spec(tokens, Orientation.FORWARD), off))
+        spec = bound_spec(sdoc.get("tokens"), f"$.strands[{i}].tokens", layout.domains_per_cell)
+        strands.append(BoundStrand(spec, off))
     state = RegisterState(layout, tuple(strands))
     bad = validate_state(state)
     if bad:
         raise SchemaError("$.strands", "; ".join(bad))
     return state
+
+
+def bound_spec(doc, path: str, d: int) -> StrandSpec:
+    """The spec of a bound strand (forward) whose token list document is
+    ``doc``, on a register of ``d`` domains per cell."""
+    return strand_spec(_parse_tokens(doc, path, d), Orientation.FORWARD)
 
 
 def _offset_error(sdoc, spath: str):
@@ -552,20 +555,6 @@ def _tokens_bytes(spec: StrandSpec) -> bytes:
     return _canon([_token_doc(t) for t in spec.tokens])
 
 
-# --- the register document in the written form -------------------------------
-#
-# ``serialize_register`` writes ``_canon(register_doc(state))`` as the layout
-# head ``{"layout":{...},"strands":[``, the strand documents
-# ``{"offset":N,"tokens":[...]}`` joined by ``,``, and ``]}``.  The readers
-# below take those pieces back, each only when its encoder here gives
-# exactly its bytes, and so only where ``register_from_doc`` would read the
-# same values.
-
-
-def register_head(layout: RegisterLayout) -> bytes:
-    return b'{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (layout.cells, layout.domains_per_cell)
-
-
 def _strand_bytes(bs: BoundStrand) -> bytes:
     return b'{"offset":%d,"tokens":%s}' % (bs.offset, _tokens_bytes(bs.spec))
 
@@ -573,56 +562,11 @@ def _strand_bytes(bs: BoundStrand) -> bytes:
 def serialize_register(state: RegisterState) -> bytes:
     """``_canon(register_doc(state))``, built from each spec's token list
     encoded once."""
-    return register_head(state.layout) + b",".join(map(_strand_bytes, state.strands)) + b"]}"
+    return _register_bytes(state.layout, map(_strand_bytes, state.strands))
 
 
-# digits enough for any layout of at most MAX_POSITIONS positions
-_HEAD = re.compile(rb'\{"layout":\{"cells":(\d{1,7}),"domains_per_cell":(\d{1,7})\},"strands":\[')
-
-
-def split_register(doc: bytes) -> Optional[tuple[bytes, list[bytes]]]:
-    """Register document ``doc`` cut as ``serialize_register`` joins it:
-    its head, up to ``"strands":[``, and its strand documents, each without
-    its leading ``{"offset":`` (which, in a string, would be escaped, so it
-    starts a strand document and nothing else); None when ``doc`` does not
-    cut so.  The pieces are read by ``layout_of_head`` and ``read_strand``."""
-    start = doc.find(b'"strands":[') + 11
-    if start == 10 or doc[-2:] != b"]}":
-        return None
-    body = doc[start:-2]
-    parts = (b"," + body).split(b',{"offset":') if body else [b""]
-    if parts[0]:  # the list is not strand documents joined by ","
-        return None
-    return doc[:start], parts[1:]
-
-
-def layout_of_head(head: bytes) -> Optional[RegisterLayout]:
-    """The layout whose ``register_head`` is exactly ``head``, or None when
-    there is none or ``register_from_doc`` would refuse it."""
-    m = _HEAD.fullmatch(head)
-    cells, d = map(int, m.groups()) if m else (0, 0)
-    if cells < 1 or d < 2 or cells * d > MAX_POSITIONS:
-        return None
-    layout = register_layout(cells, d)
-    return layout if register_head(layout) == head else None
-
-
-def read_strand(part: bytes, specs: dict, d: int) -> Optional[BoundStrand]:
-    """The strand of the document ``{"offset":`` + ``part`` on a register
-    of ``d`` domains per cell, or None unless ``_strand_bytes`` gives
-    exactly its bytes.  ``specs`` keeps the spec of each token list parsed,
-    by its bytes, so that a list is parsed once."""
-    cut = part.find(b',"tokens":')
-    # a valid strand's offset is far shorter than 20 bytes; a longer one is
-    # left unread, not converted
-    if not 0 < cut <= 20:
-        return None
-    tokens = part[cut + 10 : -1]
-    try:
-        spec = specs.get(tokens)
-        if spec is None:
-            spec = specs[tokens] = strand_spec(_parse_tokens(json.loads(tokens), "$", d), Orientation.FORWARD)
-        bs = BoundStrand(spec, int(part[:cut]))
-    except (ValueError, RecursionError):  # SchemaError and JSONDecodeError among them
-        return None
-    return bs if _strand_bytes(bs) == b'{"offset":' + part else None
+def _register_bytes(layout: RegisterLayout, strands) -> bytes:
+    """The register document of ``layout`` whose strand documents, in
+    order, are the bytes ``strands`` (``_strand_bytes`` of each strand)."""
+    head = b'{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (layout.cells, layout.domains_per_cell)
+    return head + b",".join(strands) + b"]}"

@@ -6,12 +6,9 @@ report; any failure is a hard test failure at the stated tolerance.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import time
 from pathlib import Path
-
-import pytest
 
 from brute_oracle import brute_force_reactions
 from generators import random_instruction, random_state

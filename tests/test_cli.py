@@ -96,7 +96,6 @@ def test_simulate_empty_program_identity(tmp_path, reg_path, capsys):
 def test_simulate_two_iterations_matches_library(
     tmp_path, prog_path, reg_path, increment_spec, increment_compiled_s3, capsys
 ):
-    from simdna import engine
     from simdna.compiler import decode_register
     from simdna.model import parse_register
 
@@ -776,7 +775,7 @@ def test_an_integer_too_long_to_convert_exits_2(tmp_path, capsys, prog_path, reg
         "program": (f'{{{layout}, "instructions": [{{"strands": [{{"tokens": [{{"m": {big}}}]}}]}}]}}', ["simulate", "BAD", reg_path]),
         "register": (f'{{{layout}, "strands": [{{"offset": {big}, "tokens": [{{"m": 1}}, {{"m": 2}}]}}]}}', ["render", "BAD"]),
         "trace-head": (trace.replace('"instr":2', f'"instr":{big}'), ["render", "BAD", "--format", "text"]),
-        # the tail is in the written form, so the delta read meets the offset
+        # the line splits, so the offset is met in the tail read on its own
         "trace-tail": (trace[: trace.index("\n") + 1] + trace[trace.index("\n") + 1 :].replace('"offset":0', f'"offset":{big}'), ["render", "BAD"]),
         "style": ('{"unit_width": %s}' % big, ["render", reg_path, "--style", "BAD"]),
     }[case]
@@ -999,7 +998,7 @@ SPLIT_CASES = {
     "bad-utf8-in-head": (lambda raw: raw.replace(b'"label":"', b'"label":"\xff', 1), "invalid start byte"),
     "bad-utf8-in-tail": (lambda raw: raw[:-2] + b"\xff" + raw[-2:], "invalid start byte"),
     "bad-json-in-tail": (lambda raw: raw[:-1], "Expecting ',' delimiter"),
-    # aimed at the delta read of a tail in the written form
+    # aimed at the replay, which takes only a tail in the written form
     "strands-swapped": (lambda raw: _restranded(raw, _swap_first_two), None),
     "strand-duplicated": (lambda raw: _restranded(raw, lambda s: s.append(dict(s[0]))), "bound by two strands"),
     "strand-dropped": (lambda raw: _restranded(raw, lambda s: s.pop(0)), ANOTHER_STATE),
@@ -1050,7 +1049,7 @@ def test_split_trace_reader_agrees_with_a_whole_line_reader(increment_trace, cas
 
 def test_delta_read_agrees_with_a_whole_line_reader_on_mutated_tails(increment_trace):
     # seeded byte substitutions, insertions and deletions in the tail of a
-    # line that the delta read meets after two states it has read
+    # line that the replay meets after two states it has read
     from simdna.cli import _scenes_from_trace
 
     lines = increment_trace.read_bytes().splitlines()
@@ -1071,6 +1070,86 @@ def test_delta_read_agrees_with_a_whole_line_reader_on_mutated_tails(increment_t
     assert 100 < read < 1200
 
 
+def test_replay_agrees_with_a_whole_line_reader_on_edits_in_place(increment_trace):
+    # seeded byte edits of the first line, of a reacting line's "applied"
+    # array, and of a later line's tail; the edited line stays at its place,
+    # after every line before it and before the line after it.  The
+    # whole-line reader reads each line on its own, so it reads only those
+    # two, behind blank lines that keep their numbers
+    from simdna.cli import _scenes_from_trace
+
+    lines = increment_trace.read_bytes().splitlines()
+    scenes, counts = _whole_line_scenes(b"\n".join(lines))
+    reacting = [i for i, raw in enumerate(lines[:-1]) if b'"applied":[{' in raw]
+    rng = random.Random(0)
+    alphabet = b'0123456789-+.,:{}[]" \\motruefalsenul{"offset":'
+    for place in ("first", "applied", "tail"):
+        read = 0
+        for _ in range(500):
+            i = {"first": 0, "applied": rng.choice(reacting), "tail": rng.randrange(1, len(lines) - 1)}[place]
+            raw = lines[i]
+            lo, hi = {
+                "first": (0, len(raw)),
+                "applied": (raw.index(b'"applied":[') + 11, raw.index(b',"instr":')),
+                "tail": (raw.index(b',"state":'), len(raw)),
+            }[place]
+            p = rng.randrange(lo, hi)
+            c = bytes([rng.choice(alphabet)])
+            edited = rng.choice([raw[:p] + c + raw[p + 1 :], raw[:p] + c + raw[p:], raw[:p] + raw[p + 1 :]])
+            want = _reading(_whole_line_scenes, b"\n" * i + edited + b"\n" + lines[i + 1])
+            if want[0] != "error":
+                want = (scenes[:i] + want[0], counts[:i] + want[1])
+            text = b"\n".join([*lines[:i], edited, lines[i + 1]])
+            assert _reading(_scenes_from_trace, text) == want, edited
+            read += want[0] != "error"
+        # most edits break the line, and some still read
+        assert 10 < read < 400, place
+
+
+def _float_offsets(raw: bytes) -> bytes:
+    """The line with every offset that its reactions name written as a
+    float."""
+    doc = json.loads(raw)
+    for r in doc["applied"]:
+        for placed in [r, *(r[k] for k in ("left", "right", "incumbent", "target") if k in r)]:
+            if "offset" in placed:
+                placed["offset"] = float(placed["offset"])
+    return _canonical(doc)
+
+
+def test_reactions_that_name_float_offsets_are_not_replayed(increment_trace):
+    # a strand at offset 2.0 would encode as one at 2, so only the offset's
+    # type keeps it out of a replayed state: the lines read as a whole-line
+    # reader reads them, and every offset read is an int
+    from simdna.cli import _scenes_from_trace
+
+    text = b"\n".join(map(_float_offsets, increment_trace.read_bytes().splitlines()))
+    assert b'.0,"' in text
+    scenes, counts = _scenes_from_trace(text)
+    assert (scenes, counts) == _whole_line_scenes(text)
+    assert all(type(bs.offset) is int for scene in scenes for bs in scene.state.strands)
+
+
+def test_a_token_list_is_parsed_anew_for_another_domain_count():
+    # domain 5 is in range on a register of 6 domains per cell and not on
+    # one of 4, where the attach still binds two positions: the line that
+    # claims it there fails as the whole-line reader has it
+    from simdna.cli import _scenes_from_trace
+    from simdna.engine import Attach
+
+    spec = fwd(Match(1), Match(2), Match(5))
+    attach = [Attach(spec, 0).doc()]
+    six, four = RegisterLayout(1, 6), RegisterLayout(1, 4)
+    steps = [(six, [], ()), (six, attach, (BoundStrand(spec, 0),)), (four, [], ()), (four, attach, (BoundStrand(spec, 0),))]
+    text = b"\n".join(
+        canon_with_state({"applied": applied, "instr": k}, RegisterState(layout, strands), {})
+        for k, (layout, applied, strands) in enumerate(steps, 1)
+    )
+    want = _reading(_whole_line_scenes, text)
+    assert want == ("error", "trace line 4: $.state.strands[0].tokens[2]: domain index 5 out of range 1..4")
+    assert _reading(_scenes_from_trace, text) == want
+
+
 # --- the trace path does each piece of work once --------------------------------
 
 
@@ -1086,43 +1165,57 @@ def _counting(monkeypatch, fn, *modules) -> list:
     return calls
 
 
-def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, increment_trace):
-    # one read per distinct tail; in a trace of one layout in the written
-    # form, no state is decoded whole, and each distinct strand document is
-    # built once
-    from simdna import cli
+def _placed(reaction: dict) -> list[dict]:
+    """The documents ``{"offset", "strand"}`` of the strands that a
+    reaction document adds."""
+    if "left" in reaction:
+        return [reaction["left"], reaction["right"]]
+    return [reaction] if "strand" in reaction else []
 
-    lines = increment_trace.read_bytes().splitlines()
-    states = {_canonical(json.loads(raw)["state"]): json.loads(raw)["state"] for raw in lines}.values()
-    first = {_canonical(strand) for strand in json.loads(lines[0])["state"]["strands"]}
-    strands = {_canonical(strand) for state in states for strand in state["strands"]}
-    assert 1 < len(states) < len(lines) and len(first) < len(strands)
-    delta, whole, new = cli.TraceStateReader._delta, cli.register_from_doc, cli.read_strand
+
+def _named(reaction: dict) -> list[tuple[int, list]]:
+    """The offset and token list of each strand that a reaction document
+    removes or adds."""
+    gone = [reaction[k] for k in ("incumbent", "target") if k in reaction]
+    return [(s["offset"], s["tokens"]) for s in gone] + [(p["offset"], p["strand"]["tokens"]) for p in _placed(reaction)]
+
+
+def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, increment_trace):
+    # one replay per distinct tail; in a trace as written, only the first
+    # state is decoded whole, and each distinct strand is built once: those
+    # of the first state by that read, the rest by the reactions that add them
+    from simdna import cli, model
+
+    docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
+    states = {_canonical(doc["state"]) for doc in docs}
+    first = {(_canonical(s["tokens"]), s["offset"]) for s in docs[0]["state"]["strands"]}
+    strands = {(_canonical(s["tokens"]), s["offset"]) for doc in docs for s in doc["state"]["strands"]}
+    strands |= {(_canonical(tokens), offset) for doc in docs for r in doc["applied"] for offset, tokens in _named(r)}
+    assert 1 < len(states) < len(docs) and len(first) < len(strands)
+    replay, whole, build = cli.TraceStateReader._replay, cli.register_from_doc, model.BoundStrand.__init__
     for fmt in ("svg", "text"):
-        reads = _counting(monkeypatch, delta, cli.TraceStateReader)
+        replays = _counting(monkeypatch, replay, cli.TraceStateReader)
         wholes = _counting(monkeypatch, whole, cli)
-        built = _counting(monkeypatch, new, cli)
+        built = _counting(monkeypatch, build, model.BoundStrand)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert (len(reads), len(wholes), len(built)) == (len(states), 0, len(strands))
+        assert (len(replays), len(wholes), len(built)) == (len(states), 1, len(strands))
 
 
 def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):
-    # the token lists repeat within a state and across states, and each
-    # distinct one is parsed once
+    # the first state, read whole, parses the token list of each of its
+    # strands; the reactions name token lists again and again, and the
+    # replay parses each distinct one once
     from simdna import model
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
-    states = {_canonical(doc["state"]): doc["state"] for doc in docs}.values()
     first = [_canonical(strand["tokens"]) for strand in docs[0]["state"]["strands"]]
-    lists = {_canonical(strand["tokens"]) for state in states for strand in state["strands"]}
-    # the lists repeat across states, not only within one
-    assert len(lists) < sum(len({_canonical(strand["tokens"]) for strand in state["strands"]}) for state in states)
-    assert len(set(first)) < len(first)
+    named = [_canonical(tokens) for doc in docs for r in doc["applied"] for _, tokens in _named(r)]
+    assert len(set(named)) < len(named)
     parse = model._parse_tokens
     for fmt in ("svg", "text"):
         calls = _counting(monkeypatch, parse, model)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert sorted(_canonical(args[0]) for args in calls) == sorted(lists)
+        assert sorted(_canonical(args[0]) for args in calls) == sorted(first + list(set(named)))
 
 
 # a token that equals, but is not, the token {"m": 1}, and an overhang tag
@@ -1198,17 +1291,26 @@ def test_equal_specs_are_one_object(increment_spec, increment_trace):
     assert set(strands) & set(species)
 
 
-def test_decoded_states_share_one_strand_per_token_list_and_offset(increment_trace):
-    from simdna.cli import _scenes_from_trace
+def test_decoded_states_share_one_strand_per_token_list_and_offset(monkeypatch, increment_trace):
+    # also when one reacting line in the middle has its "applied" emptied:
+    # its replay misses, so it and the first line are read whole
+    from simdna import cli
 
-    scenes, _ = _scenes_from_trace(increment_trace.read_bytes())
-    states = {id(scene.state): scene.state for scene in scenes}.values()
-    strands = [bs for state in states for bs in state.strands]
-    one: dict = {}
-    for bs in strands:
-        assert one.setdefault((bs.spec.tokens, bs.offset), bs) is bs
-    # the strands repeat across distinct states
-    assert 1 < len(states) and len(one) < len(strands)
+    lines = increment_trace.read_bytes().splitlines()
+    j = [i for i, raw in enumerate(lines) if b'"applied":[{' in raw][len(lines) // 20]
+    spliced = [*lines[:j], _canonical({**json.loads(lines[j]), "applied": []}), *lines[j + 1 :]]
+    whole = cli.register_from_doc
+    for text, reads in ((lines, 1), (spliced, 2)):
+        wholes = _counting(monkeypatch, whole, cli)
+        scenes, _ = cli._scenes_from_trace(b"\n".join(text))
+        assert len(wholes) == reads
+        states = {id(scene.state): scene.state for scene in scenes}.values()
+        strands = [bs for state in states for bs in state.strands]
+        one: dict = {}
+        for bs in strands:
+            assert one.setdefault((bs.spec.tokens, bs.offset), bs) is bs
+        # the strands repeat across distinct states
+        assert 1 < len(states) and len(one) < len(strands)
 
 
 @pytest.mark.parametrize("fmt", ["svg", "text"])

@@ -29,6 +29,7 @@ from simdna.model import (
     Program,
     RegisterLayout,
     RegisterState,
+    bound_spec,
     fwd,
     rev,
     validate_state,
@@ -167,19 +168,35 @@ def test_noop_self_displacement_excluded():
     assert all(not isinstance(r, Displace) for r in rs)
 
 
-@pytest.mark.parametrize(
-    "r",
-    [
-        Attach(fwd(Match(1), Match(2)), 0),
-        Displace(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3), Match(4)), 1),
-        ToeholdExchange(BoundStrand(fwd(Match(2), Match(3)), 1), fwd(Match(1), Match(2)), 0),
-        Cooperative(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3)), 1, fwd(Match(4), Match(5)), 3),
-        Detach(BoundStrand(fwd(Match(3), Ortho("x")), 2), rev(Match(3), Ortho("x"))),
-    ],
-    ids=lambda r: r.rule,
-)
+ONE_OF_EACH_RULE = [
+    Attach(fwd(Match(1), Match(2)), 0),
+    Displace(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3), Match(4)), 1),
+    ToeholdExchange(BoundStrand(fwd(Match(2), Match(3)), 1), fwd(Match(1), Match(2)), 0),
+    Cooperative(BoundStrand(fwd(Match(3), Match(4)), 2), fwd(Match(2), Match(3)), 1, fwd(Match(4), Match(5)), 3),
+    Detach(BoundStrand(fwd(Match(3), Ortho("x")), 2), rev(Match(3), Ortho("x"))),
+]
+
+
+@pytest.mark.parametrize("r", ONE_OF_EACH_RULE, ids=lambda r: r.rule)
 def test_a_reaction_gives_the_same_strands_on_every_read(r):
     assert r.added is r.added and r.removed is r.removed
+
+
+@pytest.mark.parametrize("r", ONE_OF_EACH_RULE, ids=lambda r: r.rule)
+def test_a_reaction_document_names_the_strands_the_reaction_moves(r):
+    def strand(offset, tokens):
+        return BoundStrand(bound_spec(tokens, "$", 6), offset)
+
+    assert engine.reaction_strands(r.doc(), strand) == (r.removed, r.added)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[], "attach", {}, {"rule": "merge"}, {"rule": "attach", "offset": 0}, {"rule": "detach", "target": [1]}],
+)
+def test_a_document_of_no_reaction_raises(doc):
+    with pytest.raises((KeyError, TypeError)):
+        engine.reaction_strands(doc, lambda offset, tokens: None)
 
 
 def test_run_instruction_fixed_point_and_wash():

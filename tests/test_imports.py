@@ -1,7 +1,7 @@
 """The order in which simdna's modules may import each other: each layer
 imports only the layers below it (``cli`` and the package sit on top).
-Every name a module imports is used, and only ``model`` spells the bytes
-of a register document."""
+Every name a module or a test module imports is used, and only ``model``
+spells the bytes of a register document."""
 from __future__ import annotations
 
 import ast
@@ -12,6 +12,7 @@ import pytest
 import simdna
 
 SRC = Path(simdna.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # module -> the simdna modules it may import
 BELOW = {
@@ -68,12 +69,17 @@ def test_a_module_uses_every_name_it_imports(module):
     assert _unused_imports((SRC / f"{module}.py").read_text()) == set()
 
 
+@pytest.mark.parametrize("module", sorted(p.stem for p in TESTS.glob("*.py")))
+def test_a_test_module_uses_every_name_it_imports(module):
+    assert _unused_imports((TESTS / f"{module}.py").read_text()) == set()
+
+
 def test_the_unused_import_check_sees_every_form():
     source = "import os.path\nimport json as j\nfrom a import b, c as d\nfrom . import e\nj.dumps(b)\n"
     assert _unused_imports(source) == {"os", "d", "e"}
 
 
-# the keys of a register document: ``model`` alone writes and reads its bytes
+# the keys of a register document: ``model`` alone writes its bytes
 _REGISTER_KEYS = (b"layout", b"strands", b"offset", b"tokens")
 
 
