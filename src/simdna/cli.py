@@ -39,8 +39,6 @@ from .model import (
     serialize_register,
     _canon,
     _load_json,
-    _register_bytes,
-    _strand_bytes,
 )
 from .tm import (
     SpaceBoundViolationError,
@@ -85,35 +83,47 @@ def _naming(where: str):
         raise
 
 
-def canon_with_state(head: dict, state: RegisterState, tails: dict) -> bytes:
-    """``_canon`` of ``head`` plus the keys ``"state"``, the register
-    document of ``state``, and ``"state_hash"``, the sha256 of exactly the
-    bytes embedded under ``"state"``.  ``head`` must be nonempty, and each
-    of its keys must sort before ``"state"``.  ``tails`` maps each state
-    already written to its ``_state_tail``, so that the lines of one run
-    encode and hash each distinct state once."""
-    tail = tails.get(state)
-    if tail is None:
-        tail = tails[state] = _state_tail(serialize_register(state))
-    return _canon(head)[:-1] + tail
+class TraceWriter:
+    """The trace of one run, kept as the chunks that ``_write`` writes:
+    each line is its head, the ``_canon`` of its ``"instr"``, ``"label"``
+    and ``"applied"`` without the closing brace, then its tail
+    (``_state_tail`` of the register document of the outcome's state),
+    then ``b"\\n"``.  So a line is the ``_canon`` of the whole document,
+    and its ``"state_hash"`` is the sha256 of exactly the bytes under
+    ``"state"``.  No line is ever joined.
+
+    A line costs what changed: each distinct state of the run is encoded
+    and hashed once, an inert line's head, which depends only on its
+    instruction, is built once per instruction, and a strand's document is
+    built once per strand (``model._strand_bytes``)."""
+
+    def __init__(self, labels: list[str]):
+        self.chunks: list[bytes] = []
+        self._labels = labels
+        self._tails: dict[RegisterState, bytes] = {}
+        self._inert: dict[int, bytes] = {}
+
+    def add(self, outcomes: list[engine.InstructionOutcome]) -> None:
+        """One line per outcome of a pass; ``instr`` counts from 1."""
+        chunks, tails, inert = self.chunks, self._tails, self._inert
+        for k, (label, out) in enumerate(zip(self._labels, outcomes), 1):
+            if out.applied:
+                head = _canon({"instr": k, "label": label, "applied": [r.doc() for r in out.applied]})[:-1]
+            else:
+                head = inert.get(k)
+                if head is None:
+                    head = inert[k] = _canon({"instr": k, "label": label, "applied": []})[:-1]
+            tail = tails.get(out.final_state)
+            if tail is None:
+                tail = tails[out.final_state] = _state_tail(serialize_register(out.final_state))
+            chunks += (head, tail, b"\n")
 
 
 def _state_tail(body: bytes) -> bytes:
-    """A trace line's bytes from ``,"state":`` on, as ``canon_with_state``
+    """A trace line's bytes from ``,"state":`` on, as ``TraceWriter``
     writes them for the register document ``body``: ``body``, then its
     sha256."""
     return b',"state":%s,"state_hash":"%s"}' % (body, hashlib.sha256(body).hexdigest().encode())
-
-
-def _outcome_lines(labels: list[str], outcomes: list[engine.InstructionOutcome], tails: dict) -> list[bytes]:
-    """One trace line per outcome; ``instr`` counts from 1.  ``tails`` holds
-    the encoded states of the run (see ``canon_with_state``)."""
-    return [
-        canon_with_state(
-            {"instr": k, "label": label, "applied": [r.doc() for r in out.applied]}, out.final_state, tails
-        )
-        for k, (label, out) in enumerate(zip(labels, outcomes), 1)
-    ]
 
 
 def _write(path: str | Path | None, chunks: Iterable[bytes]) -> None:
@@ -190,14 +200,13 @@ def cmd_simulate(args, argv) -> None:
 
     labels = [ins.label for ins in program.instructions]
     for i, (path, state) in enumerate(zip(args.registers, registers)):
-        lines: list[bytes] = []
-        tails: dict = {}
+        trace = TraceWriter(labels)
         with _naming(f"register {i} ({path})"):
             try:
                 for _ in range(args.iterations):
                     state, outcomes = engine.run_program(state, program, mode)
                     if out_dir:
-                        lines += _outcome_lines(labels, outcomes, tails)
+                        trace.add(outcomes)
             except engine.NonConfluentError as e:
                 if not out_dir:
                     raise
@@ -214,7 +223,7 @@ def cmd_simulate(args, argv) -> None:
                     raise
         final = serialize_register(state)
         if out_dir:
-            _write(out_dir / f"trace-{i}.jsonl", (line + b"\n" for line in lines))
+            _write(out_dir / f"trace-{i}.jsonl", trace.chunks)
             _write(out_dir / f"final-{i}.json", [final, b"\n"])
         print(f"register {i}: {hashlib.sha256(final).hexdigest()}")
 
@@ -245,9 +254,7 @@ def cmd_run_tm(args, argv) -> None:
     state, lossy = compiler.encode_config(spec, compiled.scheme, config, args.cells)
     if lossy:
         print("note: initial configuration is not head-representable", file=sys.stderr)
-    labels = [ins.label for ins in compiled.program.instructions]
-    trace_lines: list[bytes] = []
-    tails: dict = {}
+    trace = TraceWriter([ins.label for ins in compiled.program.instructions])
     decoded = compiler.decode_register(spec, compiled.scheme, state)
     current = config
     with _naming(args.machine):
@@ -269,7 +276,7 @@ def cmd_run_tm(args, argv) -> None:
                 except compiler.DecodeError as e:
                     raise Mismatch(f"register no longer decodes: {e}") from e
             if out_dir:
-                trace_lines += _outcome_lines(labels, outcomes, tails)
+                trace.add(outcomes)
             # a terminal `expected` matches only a TapeOnly decode, which ends the loop
             if args.oracle and not compiler.configs_equivalent(spec, expected, decoded):
                 raise Mismatch(
@@ -280,7 +287,7 @@ def cmd_run_tm(args, argv) -> None:
 
     tape = decoded.tape_str()
     if out_dir:
-        _write(out_dir / "trace.jsonl", (line + b"\n" for line in trace_lines))
+        _write(out_dir / "trace.jsonl", trace.chunks)
         _write(out_dir / "final.json", [serialize_register(state), b"\n"])
     print(tape)
 
@@ -297,8 +304,8 @@ _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class TraceStateReader:
-    """The states of one trace, read from the tails ``canon_with_state``
-    writes (a line's bytes from ``,"state":`` on), for one read of the trace.
+    """The states of one trace, read from the tails ``TraceWriter`` writes
+    (a line's bytes from ``,"state":`` on), for one read of the trace.
 
     ``read`` decodes each distinct tail once.  A new tail is first replayed
     through the writer: the line's ``applied`` reactions
@@ -313,7 +320,8 @@ class TraceStateReader:
     This is exact: a state built by checked deltas from a valid state is
     valid, and the written tail of a valid state parses back to that very
     state, so the whole read gives it too.  Every state read holds one
-    strand object per spec and offset, and each token list that ``applied``
+    strand object per spec and offset, each of which builds its document
+    once (``model._strand_bytes``), and each token list that ``applied``
     names is parsed once per number of domains per cell."""
 
     def __init__(self):
@@ -322,9 +330,8 @@ class TraceStateReader:
         self._index: Optional[engine._Index] = None
         # (repr of a token list document, domains per cell) -> its spec
         self._specs: dict[tuple[str, int], StrandSpec] = {}
-        # (spec, offset) -> the one strand, and that strand -> its document
+        # (spec, offset) -> the one strand
         self._strands: dict[tuple[StrandSpec, int], BoundStrand] = {}
-        self._docs: dict[BoundStrand, bytes] = {}
 
     def read(self, tail: bytes, applied) -> tuple[dict, RegisterState]:
         """The tail object's keys other than ``"state"``, and its state;
@@ -353,7 +360,7 @@ class TraceStateReader:
         except (KeyError, TypeError, ValueError, RecursionError, engine.EngineError):
             return None
         state = index.state()
-        if _state_tail(_register_bytes(state.layout, map(self._docs.__getitem__, state.strands))) != tail:
+        if _state_tail(serialize_register(state)) != tail:
             return None
         return {"state_hash": tail[-66:-2].decode()}, state
 
@@ -372,10 +379,7 @@ class TraceStateReader:
     def _shared(self, bs: BoundStrand) -> BoundStrand:
         """The one strand of ``bs``'s spec and offset: ``bs`` itself, unless
         the read met that strand before."""
-        one = self._strands.setdefault((bs.spec, bs.offset), bs)
-        if one is bs:
-            self._docs[bs] = _strand_bytes(bs)
-        return one
+        return self._strands.setdefault((bs.spec, bs.offset), bs)
 
 
 def _state_of(doc, where: str) -> RegisterState:

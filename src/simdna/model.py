@@ -174,8 +174,16 @@ def rev(*tokens: Token) -> StrandSpec:
     return strand_spec(tokens, Orientation.REVERSE)
 
 
+class _EncodedRecord(_Record):
+    """A record that also keeps its document bytes, built on first use
+    (``_strand_bytes``), in the ``_bytes`` slot: like ``_hash``, the slot
+    takes no part in equality, hash, ``repr`` or pickling."""
+
+    __slots__ = ("_bytes",)
+
+
 @dataclass(frozen=True, slots=True)
-class BoundStrand(_Record):
+class BoundStrand(_EncodedRecord):
     """A forward strand sitting on the register with its leftmost token over
     ``offset``.  Edge tokens may hang off either register end; they never bind.
     """
@@ -556,17 +564,19 @@ def _tokens_bytes(spec: StrandSpec) -> bytes:
 
 
 def _strand_bytes(bs: BoundStrand) -> bytes:
-    return b'{"offset":%d,"tokens":%s}' % (bs.offset, _tokens_bytes(bs.spec))
+    """``_canon(strand_doc(bs))``, built once per strand and kept in its
+    ``_bytes`` slot."""
+    try:
+        return bs._bytes
+    except AttributeError:
+        data = b'{"offset":%d,"tokens":%s}' % (bs.offset, _tokens_bytes(bs.spec))
+        object.__setattr__(bs, "_bytes", data)
+        return data
 
 
 def serialize_register(state: RegisterState) -> bytes:
-    """``_canon(register_doc(state))``, built from each spec's token list
-    encoded once."""
-    return _register_bytes(state.layout, map(_strand_bytes, state.strands))
-
-
-def _register_bytes(layout: RegisterLayout, strands) -> bytes:
-    """The register document of ``layout`` whose strand documents, in
-    order, are the bytes ``strands`` (``_strand_bytes`` of each strand)."""
+    """``_canon(register_doc(state))``: the join of the bytes each strand
+    keeps (``_strand_bytes``)."""
+    layout = state.layout
     head = b'{"layout":{"cells":%d,"domains_per_cell":%d},"strands":[' % (layout.cells, layout.domains_per_cell)
-    return head + b",".join(strands) + b"]}"
+    return head + b",".join(map(_strand_bytes, state.strands)) + b"]}"

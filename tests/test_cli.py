@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from simdna import render
-from simdna.cli import canon_with_state, main
+from simdna.cli import TraceWriter, main
 from simdna.compiler import encode_config
 from simdna.model import (
     MAX_POSITIONS,
@@ -616,12 +616,82 @@ def _canonical(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def test_canon_with_state_embeds_and_hashes_the_state_bytes():
-    state = RegisterState(RegisterLayout(2, 4), (BoundStrand(fwd(Match(3), Match(4), Ortho("t")), 2),))
-    head = {"instr": 7, "label": "L(a,1)#2", "applied": [{"rule": "attach"}]}
+def test_a_written_line_embeds_and_hashes_the_state_bytes():
+    from simdna.engine import Attach, InstructionOutcome
+
+    spec = fwd(Match(3), Match(4), Ortho("t"))
+    state = RegisterState(RegisterLayout(2, 4), (BoundStrand(spec, 2),))
+    trace = TraceWriter(["L(a,1)#2", "inert"])
+    trace.add([InstructionOutcome(state, (Attach(spec, 2),)), InstructionOutcome(state, ())])
     body = serialize_register(state)
-    want = {**head, "state": register_doc(state), "state_hash": hashlib.sha256(body).hexdigest()}
-    assert canon_with_state(head, state, {}) == _canonical(want)
+    tail = {"state": register_doc(state), "state_hash": hashlib.sha256(body).hexdigest()}
+    want = [
+        {"instr": 1, "label": "L(a,1)#2", "applied": [Attach(spec, 2).doc()], **tail},
+        {"instr": 2, "label": "inert", "applied": [], **tail},
+    ]
+    assert b"".join(trace.chunks) == b"".join(_canonical(doc) + b"\n" for doc in want)
+
+
+# characters that a label or state name may hold and that JSON escapes or
+# spells in UTF-8: non-ASCII, a quote, a backslash and control characters
+ODD_CHARACTERS = 'a\u00e9\u2603\U0001f600"\\/\x00\x1f\n\t\x7f\u2028'
+
+
+def _odd_text(rng: random.Random, characters: str = ODD_CHARACTERS) -> str:
+    return "".join(rng.choice(characters) for _ in range(rng.randint(0, 5)))
+
+
+def _assert_written_canonically(out_dir: Path) -> int:
+    """Every line of every trace in ``out_dir`` is the canon of its own
+    document, with the sha256 of its state's bytes; the number of lines."""
+    lines = [raw for trace in sorted(out_dir.glob("trace*.jsonl")) for raw in trace.read_bytes().splitlines()]
+    for raw in lines:
+        doc = json.loads(raw)
+        assert raw == _canonical(doc)
+        assert doc["state_hash"] == hashlib.sha256(_canonical(doc["state"])).hexdigest()
+    return len(lines)
+
+
+def test_every_written_line_is_the_canon_of_its_document(tmp_path):
+    # random programs with odd labels over two registers of one layout, and
+    # random machines with odd state names (which the compiler's labels
+    # carry); each runs three passes, so that inert heads are reused
+    from generators import random_instruction, random_state, random_tm
+    from simdna.model import Instruction, Program, serialize_program
+
+    rng = random.Random(11)
+    inert = steps = 0
+    for case in range(8):
+        first = random_state(rng)
+        second = next(st for st in iter(lambda: random_state(rng), None) if st.layout == first.layout)
+        instructions = [
+            Instruction(random_instruction(rng, rng.choice((first, second))).species, _odd_text(rng))
+            for _ in range(rng.randint(2, 6))
+        ]
+        paths = []
+        for name, content in (("p", serialize_program(Program(first.layout, tuple(instructions)))), ("r0", serialize_register(first)), ("r1", serialize_register(second))):
+            paths.append(tmp_path / f"{name}-{case}.json")
+            paths[-1].write_bytes(content)
+        out_dir = tmp_path / f"sim-{case}"
+        assert main(["simulate", *map(str, paths), "-n", "3", "--out-dir", str(out_dir)]) == 0
+        assert _assert_written_canonically(out_dir) == 2 * 3 * len(instructions)
+        inert += sum(b'"applied":[]' in raw for raw in (out_dir / "trace-1.jsonl").read_bytes().splitlines())
+    for case in range(6):
+        spec = random_tm(rng)
+        # the YAML reader takes the escaped surrogate pair of a character
+        # past U+FFFF for two lone surrogates, so a machine file cannot
+        # name a state with one
+        names = {q: f"{q}{_odd_text(rng, ODD_CHARACTERS.replace(chr(0x1F600), ''))}" for q in spec.states}
+        table: dict = {names[q]: {} for q in spec.states if q != spec.halt}
+        for (q, sym), (nxt, write, move) in spec.transitions.items():
+            table[names[q]][sym] = {"write": write, "move": move, "next": names[nxt]}
+        machine = tmp_path / f"tm-{case}.json"
+        machine.write_text(json.dumps({"start state": names[spec.start], "halt state": names[spec.halt], "table": table}))
+        out_dir = tmp_path / f"tm-{case}"
+        argv = ["run-tm", str(machine), "--input", "011"[: case % 3 + 1], "--cells", "4", "--max-iters", "3", "--oracle", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        steps += _assert_written_canonically(out_dir)
+    assert inert and steps
 
 
 @pytest.fixture()
@@ -1135,16 +1205,15 @@ def test_a_token_list_is_parsed_anew_for_another_domain_count():
     # one of 4, where the attach still binds two positions: the line that
     # claims it there fails as the whole-line reader has it
     from simdna.cli import _scenes_from_trace
-    from simdna.engine import Attach
+    from simdna.engine import Attach, InstructionOutcome
 
     spec = fwd(Match(1), Match(2), Match(5))
-    attach = [Attach(spec, 0).doc()]
+    attach = (Attach(spec, 0),)
     six, four = RegisterLayout(1, 6), RegisterLayout(1, 4)
-    steps = [(six, [], ()), (six, attach, (BoundStrand(spec, 0),)), (four, [], ()), (four, attach, (BoundStrand(spec, 0),))]
-    text = b"\n".join(
-        canon_with_state({"applied": applied, "instr": k}, RegisterState(layout, strands), {})
-        for k, (layout, applied, strands) in enumerate(steps, 1)
-    )
+    steps = [(six, (), ()), (six, attach, (BoundStrand(spec, 0),)), (four, (), ()), (four, attach, (BoundStrand(spec, 0),))]
+    trace = TraceWriter([""] * len(steps))
+    trace.add([InstructionOutcome(RegisterState(layout, strands), applied) for layout, applied, strands in steps])
+    text = b"".join(trace.chunks)
     want = _reading(_whole_line_scenes, text)
     assert want == ("error", "trace line 4: $.state.strands[0].tokens[2]: domain index 5 out of range 1..4")
     assert _reading(_scenes_from_trace, text) == want
@@ -1353,16 +1422,22 @@ def test_styled_render_of_increment_trace_pinned(tmp_path, increment_trace, flag
 def test_run_tm_without_out_dir_encodes_no_trace(tmp_path, monkeypatch, increment_path):
     from simdna import cli, model
 
-    lines = _counting(monkeypatch, cli.canon_with_state, cli)
+    heads = _counting(monkeypatch, model._canon, cli)
     encodes = _counting(monkeypatch, model.serialize_register, cli, model)
     argv = ["run-tm", str(increment_path), "--input", "01", "--cells", "3", "--oracle"]
     assert main(argv) == 0
-    assert (len(lines), len(encodes)) == (0, 0)
+    assert (len(heads), len(encodes)) == (0, 0)
     assert main([*argv, "--out-dir", str(tmp_path / "tm")]) == 0
-    written, distinct = _lines_and_states(tmp_path / "tm" / "trace.jsonl")
-    assert distinct < written
-    # one encoding per distinct outcome state and one for final.json
-    assert (len(lines), len(encodes)) == (written, distinct + 1)
+    trace = tmp_path / "tm" / "trace.jsonl"
+    written, distinct = _lines_and_states(trace)
+    docs = [json.loads(raw) for raw in trace.read_bytes().splitlines()]
+    reacting = sum(bool(doc["applied"]) for doc in docs)
+    inert = {doc["instr"] for doc in docs if not doc["applied"]}
+    assert distinct < written and reacting + len(inert) < written
+    # one head per reacting line, one per instruction of the inert lines,
+    # and one for manifest.json; one encoding per distinct outcome state and
+    # one for final.json
+    assert (len(heads), len(encodes)) == (reacting + len(inert) + 1, distinct + 1)
 
 
 def _lines_and_states(trace: Path) -> tuple[int, int]:

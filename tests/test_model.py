@@ -403,6 +403,23 @@ def test_serialize_register_is_the_canonical_register_doc():
         assert parse_register(data) == state
 
 
+def test_a_strands_kept_bytes_change_nothing_else():
+    # a serialized strand keeps its document bytes; it still equals, hashes
+    # like and prints as its twin that has kept none, and a warm
+    # serialization gives the cold one's bytes
+    rng = random.Random(5)
+    for _ in range(200):
+        state = random_state(rng)
+        twin = RegisterState(state.layout, tuple(BoundStrand(bs.spec, bs.offset) for bs in state.strands))
+        cold = serialize_register(state)
+        assert serialize_register(state) == cold == _canonical(register_doc(twin))
+        for kept, fresh in zip(state.strands, twin.strands):
+            assert hasattr(kept, "_bytes") and not hasattr(fresh, "_bytes")
+            assert (kept, hash(kept), repr(kept)) == (fresh, hash(fresh), repr(fresh))
+        assert (state, hash(state), repr(state)) == (twin, hash(twin), repr(twin))
+        assert serialize_register(twin) == cold
+
+
 @pytest.mark.parametrize(
     "token, message",
     [
