@@ -129,12 +129,13 @@ def _state_tail(body: bytes) -> bytes:
 def _write(path: str | Path | None, chunks: Iterable[bytes]) -> None:
     """``chunks`` (bytes) written one at a time, never joined, to ``path``,
     or to stdout when ``path`` is None or empty; a failure is named by the
-    path."""
+    path.  A file is written through a 1 MiB buffer, so a trace's many
+    small chunks reach the file in few writes."""
     if not path:
         sys.stdout.flush()
         sys.stdout.buffer.writelines(chunks)
         return
-    with _naming(str(path)), open(path, "wb") as fh:
+    with _naming(str(path)), open(path, "wb", buffering=1 << 20) as fh:
         fh.writelines(chunks)
 
 

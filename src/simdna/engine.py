@@ -26,8 +26,7 @@ wash, so instructions are isolated stages.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import ClassVar, Union
@@ -83,6 +82,10 @@ class StateBudgetExceededError(EngineError):
         super().__init__(f"confluence search of {label!r} exceeded {budget} distinct states")
 
 
+_KEPT = {"init": False, "compare": False, "repr": False}
+
+
+@dataclass(unsafe_hash=True, slots=True)
 class Reaction:
     """One rule firing, seen as a delta on the register's strand set.
 
@@ -96,15 +99,20 @@ class Reaction:
     A reaction the engine finds also carries, from the bound sets its search
     already holds (``_found``), its ``footprint``: the matched positions of
     the strands it adds and the bound sets of those it removes; and its
-    ``key``, equal to ``_order_key``.  Neither takes part in equality.
+    ``key``, equal to ``_order_key``.
+
+    A reaction is a slotted record whose fields are set once, when it is
+    built (``__post_init__``) or found, by plain assignment: equality, hash
+    and ``repr`` take only the fields a rule is constructed from, and none
+    of ``removed``, ``added``, ``footprint`` or ``key``.
     """
 
     rule: ClassVar[str]
     rank: ClassVar[int]
-    removed: tuple[BoundStrand, ...] = ()
-    added: tuple[BoundStrand, ...] = ()
-    footprint: frozenset[int]
-    key: tuple
+    removed: tuple[BoundStrand, ...] = field(**_KEPT)
+    added: tuple[BoundStrand, ...] = field(**_KEPT)
+    footprint: frozenset[int] = field(**_KEPT)
+    key: tuple = field(**_KEPT)
 
     @property
     def actors(self) -> tuple[tuple[StrandSpec, int], ...]:
@@ -114,8 +122,8 @@ class Reaction:
 def _found(r: Reaction, footprint: frozenset[int], pos: int) -> Reaction:
     """``r`` with its ``footprint`` and its order key, whose least position
     is ``pos``: ``_order_key(r, layout)`` without looking up a bound set."""
-    object.__setattr__(r, "footprint", footprint)
-    object.__setattr__(r, "key", (pos, r.rank, r.tie_break()))
+    r.footprint = footprint
+    r.key = (pos, r.rank, r.tie_break())
     return r
 
 
@@ -123,7 +131,7 @@ def _placed_doc(spec: StrandSpec, offset: int) -> dict:
     return {"offset": offset, "strand": spec_doc(spec)}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Attach(Reaction):
     spec: StrandSpec
     offset: int
@@ -131,7 +139,8 @@ class Attach(Reaction):
     rank = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "added", (BoundStrand.hashed(self.spec, self.offset),))
+        self.removed = ()
+        self.added = (BoundStrand.hashed(self.spec, self.offset),)
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, ())
@@ -140,7 +149,7 @@ class Attach(Reaction):
         return {"rule": self.rule, **_placed_doc(self.spec, self.offset)}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class _Takeover(Reaction):
     """A challenger replaces one incumbent: displace or toehold exchange."""
 
@@ -149,8 +158,8 @@ class _Takeover(Reaction):
     offset: int
 
     def __post_init__(self):
-        object.__setattr__(self, "removed", (self.incumbent,))
-        object.__setattr__(self, "added", (BoundStrand.hashed(self.spec, self.offset),))
+        self.removed = (self.incumbent,)
+        self.added = (BoundStrand.hashed(self.spec, self.offset),)
 
     def tie_break(self) -> tuple:
         return (self.spec.sort_key(), self.offset, self.incumbent.sort_key())
@@ -163,17 +172,19 @@ class _Takeover(Reaction):
         }
 
 
+@dataclass(unsafe_hash=True, slots=True)
 class Displace(_Takeover):
     rule = "displace"
     rank = 1
 
 
+@dataclass(unsafe_hash=True, slots=True)
 class ToeholdExchange(_Takeover):
     rule = "exchange"
     rank = 2
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Cooperative(Reaction):
     incumbent: BoundStrand
     left_spec: StrandSpec
@@ -184,10 +195,11 @@ class Cooperative(Reaction):
     rank = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "removed", (self.incumbent,))
-        left = BoundStrand.hashed(self.left_spec, self.left_offset)
-        right = BoundStrand.hashed(self.right_spec, self.right_offset)
-        object.__setattr__(self, "added", (left, right))
+        self.removed = (self.incumbent,)
+        self.added = (
+            BoundStrand.hashed(self.left_spec, self.left_offset),
+            BoundStrand.hashed(self.right_spec, self.right_offset),
+        )
 
     def tie_break(self) -> tuple:
         return (
@@ -207,7 +219,7 @@ class Cooperative(Reaction):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Detach(Reaction):
     target: BoundStrand
     remover: StrandSpec
@@ -215,7 +227,8 @@ class Detach(Reaction):
     rank = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "removed", (self.target,))
+        self.removed = (self.target,)
+        self.added = ()
 
     @property
     def actors(self):
@@ -298,8 +311,9 @@ class _Species:
                 for j, tok in enumerate(spec.tokens):
                     if isinstance(tok, Match):
                         by_domain.setdefault(tok.domain, []).append((spec, j))
-        # kept for the life of the process (``_species``): tuples take less memory
+        # kept for the life of the instruction (``_species``): tuples take less memory
         self.by_domain = {dom: tuple(pairs) for dom, pairs in by_domain.items()}
+        self.domains = frozenset(by_domain)
         self._removers: dict[StrandSpec, tuple[StrandSpec, ...]] = {}
 
     def removers(self, spec: StrandSpec) -> tuple[StrandSpec, ...]:
@@ -314,9 +328,15 @@ class _Species:
         return found
 
 
-@lru_cache(maxsize=4096)  # well above the instructions of a paper-scale program
 def _species(instr: Instruction) -> _Species:
-    return _Species(instr)
+    """The arrangement of ``instr``'s species, built on its first run and
+    kept in the instruction's ``_arranged`` slot (``model._ArrangedRecord``)."""
+    try:
+        return instr._arranged
+    except AttributeError:
+        sp = _Species(instr)
+        object.__setattr__(instr, "_arranged", sp)
+        return sp
 
 
 _offset = attrgetter("offset")
@@ -443,9 +463,9 @@ def _inert(ix: _Index, sp: _Species) -> bool:
     remover, so then ``applicable_reactions`` is empty.  Costs one set test
     against the index's exposed domains, drawn once per register state, and
     the specs of ``by_spec``, not the register's specs."""
-    if not sp.by_domain.keys().isdisjoint(ix.exposed()):
+    if not sp.domains.isdisjoint(ix.exposed()):
         return False
-    return not (sp.reverse and any(map(sp.removers, ix.by_spec)))
+    return not (sp.reverse and ix.by_spec and any(map(sp.removers, ix.by_spec)))
 
 
 def _alignment(ix: _Index, spec: StrandSpec, offset: int):

@@ -161,8 +161,8 @@ class StrandSpec(_Record):
 def strand_spec(tokens: tuple[Token, ...], orientation: Orientation) -> StrandSpec:
     """The one ``StrandSpec`` of a token list and orientation: a compiled
     program, the program parsed back and the registers of a trace share it,
-    so the caches keyed by spec (``bound_set``, ``engine._species``, the
-    encoders and the renderer's) hit by identity, without comparing specs."""
+    so the caches keyed by spec (``bound_set``, the encoders and the
+    renderer's) hit by identity, without comparing specs."""
     return StrandSpec(tokens, orientation)
 
 
@@ -198,9 +198,12 @@ class BoundStrand(_EncodedRecord):
         """``BoundStrand(spec, offset)`` with its hash already kept, for a
         strand that is hashed as soon as it is used (the engine's reactions
         build the strands its index keys): its first hash then skips the
-        raised and caught ``AttributeError``."""
-        bs = cls(spec, offset)
-        object.__setattr__(bs, "_hash", hash((spec, offset)))
+        raised and caught ``AttributeError``.  It is built without the
+        frozen ``__init__``, each field set through its slot."""
+        bs = object.__new__(cls)
+        _set_spec(bs, spec)
+        _set_offset(bs, offset)
+        _set_hash(bs, hash((spec, offset)))
         return bs
 
     def bound_positions(self, layout: RegisterLayout) -> frozenset[int]:
@@ -208,6 +211,10 @@ class BoundStrand(_EncodedRecord):
 
     def sort_key(self) -> tuple:
         return (self.offset, self.spec.sort_key())
+
+
+# the slots' own setters, which ``BoundStrand.hashed`` calls past the frozen ``__setattr__``
+_set_spec, _set_offset, _set_hash = BoundStrand.spec.__set__, BoundStrand.offset.__set__, _Record._hash.__set__
 
 
 @lru_cache(maxsize=65536)
@@ -249,8 +256,17 @@ class RegisterState(_Record):
         return state
 
 
+class _ArrangedRecord(_Record):
+    """A record that also keeps the engine's arrangement of its species
+    (``engine._species``), filled on its first run, in the ``_arranged``
+    slot: like ``_hash``, the slot takes no part in equality, hash, ``repr``
+    or pickling.  ``model`` declares it because it cannot import ``engine``."""
+
+    __slots__ = ("_arranged",)
+
+
 @dataclass(frozen=True, slots=True)
-class Instruction(_Record):
+class Instruction(_ArrangedRecord):
     """One stage: a set of strand species added in large excess, then washed."""
 
     species: tuple[StrandSpec, ...]

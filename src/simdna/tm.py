@@ -159,8 +159,18 @@ def _norm_symbol(raw, where: str) -> str:
     return raw
 
 
-def _state_name(raw, where: str) -> str:
+def _joined(raw) -> str:
+    """``str(raw)`` with each surrogate pair joined into its character: YAML
+    reads JSON's escape of a character past U+FFFF (``"\\ud83d\\ude00"``,
+    as ``json.dumps`` writes it) as two lone surrogates."""
     name = str(raw)
+    if name.isascii():
+        return name
+    return name.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
+def _state_name(raw, where: str) -> str:
+    name = _joined(raw)
     if not _is_text(name):
         raise TMSpecError(f"{where}: state name {name!r} is not Unicode text")
     return name
@@ -185,7 +195,7 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
     blank = doc.get("blank", BLANK)
     if blank != BLANK:
         raise TMSpecError(f'blank must be "_", got {blank!r}')
-    start = str(doc["start state"])
+    start = _joined(doc["start state"])
     halt = _state_name(doc["halt state"], "halt state")
     table = doc["table"]
     if not isinstance(table, dict):
@@ -200,7 +210,7 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
 
     transitions: dict[TransitionKey, Transition] = {}
     for state_raw, row in table.items():
-        state = str(state_raw)
+        state = _joined(state_raw)
         if not isinstance(row, dict):
             raise TMSpecError(f"table.{state}: must be a mapping of symbols")
         for sym_raw, entry in row.items():
@@ -221,7 +231,7 @@ def parse_tm_document(text: bytes) -> tuple[TMSpec, dict]:
             move = str(entry["move"])
             if move not in MOVES:
                 raise TMSpecError(f"{where}: move must be L or R, got {move!r}")
-            nxt = str(entry["next"])
+            nxt = _joined(entry["next"])
             if nxt not in states:
                 raise TMSpecError(f"{where}: unknown state {nxt!r}")
             transitions[key] = (nxt, write, move)

@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 
 from simdna import render
 from simdna.cli import TraceWriter, main
@@ -661,6 +662,7 @@ def test_every_written_line_is_the_canon_of_its_document(tmp_path):
 
     rng = random.Random(11)
     inert = steps = 0
+    past_bmp = False
     for case in range(8):
         first = random_state(rng)
         second = next(st for st in iter(lambda: random_state(rng), None) if st.layout == first.layout)
@@ -678,10 +680,9 @@ def test_every_written_line_is_the_canon_of_its_document(tmp_path):
         inert += sum(b'"applied":[]' in raw for raw in (out_dir / "trace-1.jsonl").read_bytes().splitlines())
     for case in range(6):
         spec = random_tm(rng)
-        # the YAML reader takes the escaped surrogate pair of a character
-        # past U+FFFF for two lone surrogates, so a machine file cannot
-        # name a state with one
-        names = {q: f"{q}{_odd_text(rng, ODD_CHARACTERS.replace(chr(0x1F600), ''))}" for q in spec.states}
+        # json.dumps writes U+1F600 as an escaped surrogate pair
+        names = {q: f"{q}{_odd_text(rng)}" for q in spec.states}
+        past_bmp |= any("\U0001f600" in name for name in names.values())
         table: dict = {names[q]: {} for q in spec.states if q != spec.halt}
         for (q, sym), (nxt, write, move) in spec.transitions.items():
             table[names[q]][sym] = {"write": write, "move": move, "next": names[nxt]}
@@ -691,7 +692,7 @@ def test_every_written_line_is_the_canon_of_its_document(tmp_path):
         argv = ["run-tm", str(machine), "--input", "011"[: case % 3 + 1], "--cells", "4", "--max-iters", "3", "--oracle", "--out-dir", str(out_dir)]
         assert main(argv) == 0
         steps += _assert_written_canonically(out_dir)
-    assert inert and steps
+    assert inert and steps and past_bmp
 
 
 @pytest.fixture()
@@ -778,6 +779,40 @@ def test_compile_refuses_a_state_name_that_is_not_text(tmp_path, capsys):
     assert main(["compile", str(machine), "--cells", "3", "-o", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {machine}: table: state name '\\ud800' is not Unicode text\n"
     assert not out.exists()
+
+
+def _renamed_incrementor(increment_path, name: str) -> dict:
+    """The incrementor's machine document with its state ``a`` named ``name``."""
+    def rename(q):
+        return name if q == "a" else q
+
+    doc = yaml.safe_load(increment_path.read_bytes())
+    doc["start state"] = rename(doc["start state"])
+    doc["table"] = {
+        rename(q): {sym: {**entry, "next": rename(entry["next"])} for sym, entry in row.items()}
+        for q, row in doc["table"].items()
+    }
+    return doc
+
+
+@pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "utf-8"])
+def test_a_json_machine_may_name_a_state_past_the_basic_plane(tmp_path, capsys, increment_path, ensure_ascii):
+    # json.dumps escapes the character as a surrogate pair, which the YAML
+    # reader leaves as two lone surrogates: the pair is joined, and the file
+    # runs as the one that spells the character in UTF-8
+    machine = tmp_path / "emoji.json"
+    text = json.dumps(_renamed_incrementor(increment_path, "a\U0001f600"), ensure_ascii=ensure_ascii)
+    assert ("\\ud83d\\ude00" in text) is ensure_ascii
+    machine.write_text(text, encoding="utf-8")
+    assert main(["run-tm", str(machine), "--cells", "6"]) == 0
+    assert capsys.readouterr().out == "10____\n"
+
+
+def test_a_json_machine_may_not_name_a_state_with_a_lone_surrogate(tmp_path, capsys, increment_path):
+    machine = tmp_path / "lone.json"
+    machine.write_text(json.dumps(_renamed_incrementor(increment_path, "a\ud800")))
+    assert main(["run-tm", str(machine), "--cells", "6"]) == 2
+    assert capsys.readouterr().err == f"error: {machine}: table: state name 'a\\ud800' is not Unicode text\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "check"])
@@ -1140,6 +1175,31 @@ def test_delta_read_agrees_with_a_whole_line_reader_on_mutated_tails(increment_t
     assert 100 < read < 1200
 
 
+def test_a_first_line_with_an_edited_tail_reads_as_the_whole_line_reader_reads_it(increment_trace):
+    # seeded byte substitutions, insertions and deletions in the tail of one
+    # of the first three lines, put first in the trace, where its state (when
+    # it reads) seeds the replay's index; the two lines that followed the
+    # line it was made from follow it, and replay from that state
+    from simdna.cli import _scenes_from_trace
+
+    lines = increment_trace.read_bytes().splitlines()
+    rng = random.Random(1)
+    alphabet = b'0123456789-+.,:{}[]" \\motruefalsenul{"offset":'
+    read = 0
+    for _ in range(1500):
+        i = rng.randrange(3)
+        raw = lines[i]
+        p = rng.randrange(raw.index(b',"state":'), len(raw))
+        c = bytes([rng.choice(alphabet)])
+        edited = rng.choice([raw[:p] + c + raw[p + 1 :], raw[:p] + c + raw[p:], raw[:p] + raw[p + 1 :]])
+        text = b"\n".join([edited, *lines[i + 1 : i + 3]])
+        want = _reading(_whole_line_scenes, text)
+        assert _reading(_scenes_from_trace, text) == want, edited
+        read += want[0] != "error"
+    # most edits break the line, and some still read
+    assert 50 < read < 750
+
+
 def test_replay_agrees_with_a_whole_line_reader_on_edits_in_place(increment_trace):
     # seeded byte edits of the first line, of a reacting line's "applied"
     # array, and of a later line's tail; the edited line stays at its place,
@@ -1253,6 +1313,7 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
     # one replay per distinct tail; in a trace as written, only the first
     # state is decoded whole, and each distinct strand is built once: those
     # of the first state by that read, the rest by the reactions that add them
+    # (counted through both constructors, as ``hashed`` skips ``__init__``)
     from simdna import cli, model
 
     docs = [json.loads(raw) for raw in increment_trace.read_bytes().splitlines()]
@@ -1261,13 +1322,18 @@ def test_render_decodes_each_distinct_state_once(tmp_path, monkeypatch, incremen
     strands = {(_canonical(s["tokens"]), s["offset"]) for doc in docs for s in doc["state"]["strands"]}
     strands |= {(_canonical(tokens), offset) for doc in docs for r in doc["applied"] for offset, tokens in _named(r)}
     assert 1 < len(states) < len(docs) and len(first) < len(strands)
-    replay, whole, build = cli.TraceStateReader._replay, cli.register_from_doc, model.BoundStrand.__init__
+    replay, whole = cli.TraceStateReader._replay, cli.register_from_doc
+    init, hashed = model.BoundStrand.__init__, model.BoundStrand.hashed
     for fmt in ("svg", "text"):
         replays = _counting(monkeypatch, replay, cli.TraceStateReader)
         wholes = _counting(monkeypatch, whole, cli)
-        built = _counting(monkeypatch, build, model.BoundStrand)
+        built = _counting(monkeypatch, init, model.BoundStrand)
+        built_hashed = _counting(monkeypatch, hashed, model.BoundStrand)
         assert main(["render", str(increment_trace), "--format", fmt, "-o", str(tmp_path / "out")]) == 0
-        assert (len(replays), len(wholes), len(built)) == (len(states), 1, len(strands))
+        built_as = [(_canonical(model.spec_doc(spec)["tokens"]), offset) for spec, offset in built_hashed]
+        built_as += [(_canonical(model.spec_doc(bs.spec)["tokens"]), bs.offset) for bs, *_ in built]
+        assert (len(replays), len(wholes)) == (len(states), 1)
+        assert sorted(built_as) == sorted(strands)
 
 
 def test_render_parses_each_distinct_token_list_once(tmp_path, monkeypatch, increment_trace):

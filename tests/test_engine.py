@@ -1,6 +1,8 @@
 """Rule-level micro-tests on hand-built states."""
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from simdna import engine
@@ -188,6 +190,60 @@ def test_a_reaction_document_names_the_strands_the_reaction_moves(r):
         return BoundStrand(bound_spec(tokens, "$", 6), offset)
 
     assert engine.reaction_strands(r.doc(), strand) == (r.removed, r.added)
+
+
+# one state and instruction per rule, and the one reaction the engine finds
+FOUND_ONE_OF_EACH_RULE = {
+    "attach": (state(L6), (fwd(Match(3), Match(4)),), Attach(fwd(Match(3), Match(4)), 2)),
+    "displace": (
+        state(L6, BoundStrand(fwd(Match(2), Match(3)), 1)),
+        (fwd(Match(1), Match(2), Match(3)),),
+        Displace(BoundStrand(fwd(Match(2), Match(3)), 1), fwd(Match(1), Match(2), Match(3)), 0),
+    ),
+    "exchange": (
+        state(L6, BoundStrand(fwd(Match(5), Match(6)), 4)),
+        (fwd(Match(3), Match(4), Match(5)),),
+        ToeholdExchange(BoundStrand(fwd(Match(5), Match(6)), 4), fwd(Match(3), Match(4), Match(5)), 2),
+    ),
+    "cooperative": (
+        state(L6, BoundStrand(fwd(Match(2), Match(3), Match(4), Match(5)), 1)),
+        (fwd(Match(1), Match(2), Match(3)), fwd(Match(4), Match(5), Match(6))),
+        Cooperative(
+            BoundStrand(fwd(Match(2), Match(3), Match(4), Match(5)), 1),
+            fwd(Match(1), Match(2), Match(3)), 0, fwd(Match(4), Match(5), Match(6)), 3,
+        ),
+    ),
+    "detach": (
+        state(L6, BoundStrand(fwd(Match(3), Match(4), Ortho("pre")), 2)),
+        (rev(Match(3), Match(4), Ortho("pre")),),
+        Detach(BoundStrand(fwd(Match(3), Match(4), Ortho("pre")), 2), rev(Match(3), Match(4), Ortho("pre"))),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(FOUND_ONE_OF_EACH_RULE))
+def test_a_found_reaction_is_the_record_built_directly(rule):
+    # the engine sets the found reaction's footprint and key; the record
+    # built directly has neither, and none of the three tells them apart
+    st, species, built = FOUND_ONE_OF_EACH_RULE[rule]
+    [found] = applicable_reactions(st, Instruction(species))
+    assert found.rule == rule and found.footprint and found.key
+    assert found == built and hash(found) == hash(built) and repr(found) == repr(built)
+    assert (found.removed, found.added) == (built.removed, built.added)
+    moved = engine._found(type(built)(*[getattr(built, f) for f in built.__match_args__]), frozenset(), -1)
+    assert moved == found and hash(moved) == hash(found) and repr(moved) == repr(found)
+    assert "footprint" not in repr(found) and "key" not in repr(found)
+    assert not hasattr(found, "__dict__") and not hasattr(built, "__dict__")
+
+
+def test_an_instruction_that_has_run_is_the_record_it_was():
+    species = (fwd(Match(1), Match(2), Match(3)), rev(Match(3), Match(4), Ortho("pre")))
+    ran, fresh = Instruction(species, "x"), Instruction(species, "x")
+    run_instruction(state(L6, BoundStrand(fwd(Match(2), Match(3)), 1)), ran)
+    assert engine._species(ran) is engine._species(ran)  # kept by the instruction
+    assert ran == fresh and hash(ran) == hash(fresh) and repr(ran) == repr(fresh)
+    assert pickle.dumps(ran) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(ran)) == fresh
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,9 @@ def test_span_targets_resolve():
 def test_engine_run_records_the_per_layer_spans(increment_spec, increment_compiled_s3):
     """``model.validate_us`` of the engine workloads comes only from the
     engine's entry ``validate_state``, called through the engine's own
-    namespace, as ``applicable_reactions`` is."""
+    namespace, as ``applicable_reactions`` is.  Every instruction, inert or
+    not, is one ``engine.run_instruction`` call made through the module, so
+    ``engine.noop_instr_s`` times each inert one."""
     from simdna import cli, compiler, engine, model, render, tm
     from simdna.tm import TMConfig
 
@@ -47,3 +49,5 @@ def test_engine_run_records_the_per_layer_spans(increment_spec, increment_compil
     recorded = recorder.summary()
     for name in ("model.validate_state", "engine.applicable_reactions", "engine.run_instruction"):
         assert recorded.get(name, {}).get("calls"), name
+    runs = [recorded.get(name, {}).get("calls", 0) for name in ("engine.run_instruction", "engine.run_instruction:noop")]
+    assert all(runs) and sum(runs) == len(cp.program.instructions)
